@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
-import os
 import sys
-import tempfile
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .atomic import write_atomic
 from .milp import export_lp
 from .planner import (DECODE_VERSION, MODE_BASELINE, MODE_RIS, PlannerError,
                       build_baseline_model, build_ris_model, extract_plan,
@@ -57,19 +58,6 @@ def _sha256_file(path: Path) -> str:
 
 def _digest_config(doc: dict) -> str:
     return _sha256_bytes(json.dumps(doc, sort_keys=True).encode())
-
-
-def write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def write_manifest(primary_out: Path, command: str, config_doc: dict,
@@ -346,6 +334,12 @@ def _cell_id(seed: int, budget: float, mu: float, mode: str) -> str:
     return f"s{seed}_b{budget:g}_m{mu:g}_{mode}"
 
 
+def _error_status(message: str) -> str:
+    """A sweep status for a failed cell, with commas and line breaks taken
+    out so the CSV keeps its columns."""
+    return "error:" + " ".join(message.replace(",", ";").split())
+
+
 def _sweep_cell(payload: dict) -> dict:
     """One sweep cell: generate, solve, decode; returns a CSV row dict.
     Runs in a worker process; everything in/out is plain data."""
@@ -363,7 +357,7 @@ def _sweep_cell(payload: dict) -> dict:
             scenario, radio, planning, payload["mode"], payload["backend"],
             payload["time_limit"], payload["mip_gap"])
     except SolverError as exc:
-        row["status"] = f"error:{exc}"
+        row["status"] = _error_status(str(exc))
         return row
     row["status"] = result.status
     if result.variable_values is None:
@@ -371,7 +365,7 @@ def _sweep_cell(payload: dict) -> dict:
     try:
         plan = extract_plan(model, result.variable_values, scenario, tables, planning)
     except PlannerError as exc:
-        row["status"] = f"error:{exc}"
+        row["status"] = _error_status(str(exc))
         return row
     violations = validate_plan(plan, scenario, tables, planning)
     if violations:
@@ -389,6 +383,18 @@ def _sweep_cell(payload: dict) -> dict:
             "mean": list(report.served_mean),
             "std": list(report.served_std),
         }
+    return row
+
+
+# Errors that mean a bad flag: they end a sweep with exit code 2.
+_FLAG_ERRORS = (ScenarioError, RadioModelError, ResilienceError)
+
+
+def _crashed_row(payload: dict, exc: Exception) -> dict:
+    """The row of a cell whose run raised: its status names the error."""
+    row = {col: "" for col in SWEEP_COLUMNS}
+    row.update(seed=payload["seed"], budget=payload["budget"], mu=payload["mu"],
+               mode=payload["mode"], status=_error_status(f"{type(exc).__name__}: {exc}"))
     return row
 
 
@@ -450,16 +456,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         write_atomic(cell_path, json.dumps(
             {"digest": _digest_config(payload), "row": row}, indent=2) + "\n")
 
+    def run(idx: int, payload: dict, cell) -> None:
+        try:
+            row = cell()
+        except _FLAG_ERRORS:
+            raise
+        except Exception as exc:
+            cell_id = _cell_id(payload["seed"], payload["budget"], payload["mu"], payload["mode"])
+            print(f"sweep cell {cell_id} failed:", file=sys.stderr)
+            traceback.print_exception(exc, file=sys.stderr)
+            rows[idx] = _crashed_row(payload, exc)  # not cached: a rerun retries it
+            return
+        record(idx, payload, row)
+
     if args.jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = {pool.submit(_sweep_cell, payload): (idx, payload)
                        for idx, payload in pending}
             for future in concurrent.futures.as_completed(futures):
                 idx, payload = futures[future]
-                record(idx, payload, future.result())
+                run(idx, payload, future.result)
     else:
         for idx, payload in pending:
-            record(idx, payload, _sweep_cell(payload))
+            run(idx, payload, functools.partial(_sweep_cell, payload))
 
     csv_lines = [",".join(SWEEP_COLUMNS)]
     resilience_lines = ["seed,budget,mu,mode,obstacle_count,mean,std"]

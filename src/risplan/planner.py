@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .milp import BINARY, CONTINUOUS, MilpModel
 from .radio import LinkBudgetTable
 from .scenario import PlanningConfig, Scenario
@@ -120,6 +121,36 @@ def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig,
                cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
 
 
+class _BackhaulIndex:
+    """The backhaul pairs of each station, in pair order, so the per-station
+    rows are built in time proportional to the pairs they hold."""
+
+    def __init__(self, pairs: list[tuple[int, int]], n_c: int):
+        self.out: list[list[int]] = [[] for _ in range(n_c)]
+        self.into: list[list[int]] = [[] for _ in range(n_c)]
+        # (pair, sign) for each pair leaving (-1) or entering (+1) a station
+        self.touching: list[list[tuple[tuple[int, int], float]]] = [[] for _ in range(n_c)]
+        for (c, d) in pairs:
+            self.out[c].append(d)
+            self.into[d].append(c)
+            self.touching[c].append(((c, d), -1.0))
+            self.touching[d].append(((c, d), 1.0))
+
+    def add_balance(self, coeffs: dict[int, float], c: int, f_var: dict) -> None:
+        """Add the flow leaving (-1) and entering (+1) station c."""
+        for pair, sign in self.touching[c]:
+            vid = f_var[pair]
+            coeffs[vid] = coeffs.get(vid, 0.0) + sign
+
+    def half_duplex_row(self, t_tx_c: int, c: int, f_var: dict,
+                        tables: LinkBudgetTable) -> dict[int, float]:
+        """Transmit airtime of station c plus the airtime of its ingress flows."""
+        coeffs = {t_tx_c: 1.0}
+        for d in self.into[c]:
+            coeffs[f_var[(d, c)]] = 1.0 / tables.cap_bh[d, c]
+        return coeffs
+
+
 def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                     cfg: PlanningConfig) -> MilpModel:
     """Assemble the surface-enabled placement MILP."""
@@ -129,15 +160,25 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     demand = cfg.demand_mbps
     tuples = src_tuples(tables)
     pairs = bh_pairs(tables)
+    bh = _BackhaulIndex(pairs, n_c)
+    by_tp: list[list[tuple[int, int]]] = [[] for _ in range(n_t)]
+    by_site: list[list[tuple[int, int]]] = [[] for _ in range(n_c)]
+    by_surface: dict[int, list[tuple[int, int]]] = {}
+    for (t, c, r) in tuples:
+        by_tp[t].append((c, r))
+        by_site[c].append((t, r))
+        by_surface.setdefault(r, []).append((t, c))
 
     model = MilpModel(name=MODE_RIS)
 
     y_iab = [model.add_variable(("yIAB", c), BINARY, name=f"yIAB_c{c}") for c in range(n_c)]
     y_ris = [model.add_variable(("yRIS", c), BINARY, name=f"yRIS_c{c}") for c in range(n_c)]
     y_don = [model.add_variable(("yDON", c), BINARY, name=f"yDON_c{c}") for c in range(n_c)]
-    x_var = {(t, c, r): model.add_variable(("x", t, c, r), BINARY,
-                                           name=f"x_t{t}_c{c}_r{r}")
-             for (t, c, r) in tuples}
+    # "t{t}_c{c}_r{r}" names the variable and the rows of each triple.
+    tags = [f"t{t}_c{c}_r{r}" for (t, c, r) in tuples]
+    x_ids = [model.add_variable(("x", t, c, r), BINARY, name="x_" + tag)
+             for (t, c, r), tag in zip(tuples, tags)]
+    x_var = dict(zip(tuples, x_ids))
     z_var = {(c, d): model.add_variable(("z", c, d), BINARY, name=f"z_c{c}_c{d}")
              for (c, d) in pairs}
     f_var = {(c, d): model.add_variable(("f", c, d), CONTINUOUS, 0.0, math.inf,
@@ -145,7 +186,7 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
              for (c, d) in pairs}
     t_tx = [model.add_variable(("tTX", c), CONTINUOUS, 0.0, 1.0, name=f"tTX_c{c}")
             for c in range(n_c)]
-    ris_candidates = sorted({r for (_, _, r) in tuples})
+    ris_candidates = sorted(by_surface)
     phi = {r: model.add_variable(("phi", r), CONTINUOUS, 0.0, TWO_PI, name=f"phi_c{r}")
            for r in ris_candidates}
     theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi, name=f"theta_t{t}")
@@ -173,22 +214,19 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
         model.add_constraint(f"bh_act_c{c}_c{d}",
                              {z_var[(c, d)]: 1.0, y_iab[c]: -0.5, y_iab[d]: -0.5},
                              "<=", 0.0)
-    for (t, c, r) in tuples:
-        model.add_constraint(f"src_act_t{t}_c{c}_r{r}",
-                             {x_var[(t, c, r)]: 1.0, y_iab[c]: -0.5, y_ris[r]: -0.5},
+    for (t, c, r), tag, xv in zip(tuples, tags, x_ids):
+        model.add_constraint("src_act_" + tag, {xv: 1.0, y_iab[c]: -0.5, y_ris[r]: -0.5},
                              "<=", 0.0)
 
     # Exactly one serving pair per test point. A test point with no
     # feasible pair yields an empty row "0 = 1": correctly infeasible.
     for t in range(n_t):
         model.add_constraint(
-            f"one_src_t{t}",
-            {x_var[(tt, c, r)]: 1.0 for (tt, c, r) in tuples if tt == t},
-            "=", 1.0)
+            f"one_src_t{t}", {x_var[(t, c, r)]: 1.0 for (c, r) in by_tp[t]}, "=", 1.0)
 
     # Spanning tree: at most one ingress link, none at the donor.
     for c in range(n_c):
-        coeffs = {z_var[(d, cc)]: 1.0 for (d, cc) in pairs if cc == c}
+        coeffs = {z_var[(d, c)]: 1.0 for d in bh.into[c]}
         coeffs[y_don[c]] = 1.0
         model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
 
@@ -196,15 +234,10 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     # point pulls D from its serving station.
     for c in range(n_c):
         coeffs = {y_don[c]: float(n_t) * demand}
-        for (cc, d) in pairs:
-            if cc == c:
-                coeffs[f_var[(c, d)]] = coeffs.get(f_var[(c, d)], 0.0) - 1.0
-            if d == c:
-                coeffs[f_var[(cc, d)]] = coeffs.get(f_var[(cc, d)], 0.0) + 1.0
-        for (t, cc, r) in tuples:
-            if cc == c:
-                vid = x_var[(t, cc, r)]
-                coeffs[vid] = coeffs.get(vid, 0.0) - demand
+        bh.add_balance(coeffs, c, f_var)
+        for (t, r) in by_site[c]:
+            vid = x_var[(t, c, r)]
+            coeffs[vid] = coeffs.get(vid, 0.0) - demand
         model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
 
     for (c, d) in pairs:
@@ -216,56 +249,50 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     # the longer of direct/reflected access per served test point.
     for c in range(n_c):
         coeffs = {t_tx[c]: 1.0}
-        for (cc, d) in pairs:
-            if cc == c:
-                coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
-        for (t, cc, r) in tuples:
-            if cc == c:
-                coeffs[x_var[(t, cc, r)]] = -access_airtime(tables, cfg, t, cc, r)
+        for d in bh.out[c]:
+            coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
+        for (t, r) in by_site[c]:
+            coeffs[x_var[(t, c, r)]] = -access_airtime(tables, cfg, t, c, r)
         model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
 
     # Half duplex: receive airtime plus transmit airtime fits in one.
     for c in range(n_c):
-        coeffs = {t_tx[c]: 1.0}
-        for (d, cc) in pairs:
-            if cc == c:
-                coeffs[f_var[(d, c)]] = 1.0 / tables.cap_bh[d, c]
-        model.add_constraint(f"half_duplex_c{c}", coeffs, "<=", 1.0)
+        model.add_constraint(f"half_duplex_c{c}", bh.half_duplex_row(t_tx[c], c, f_var, tables),
+                             "<=", 1.0)
 
     # A surface serves its test points by time sharing.
     for r in ris_candidates:
-        coeffs = {x_var[(t, c, rr)]: cfg.xi * demand / tables.cap_ref[t, c, rr]
-                  for (t, c, rr) in tuples if rr == r}
+        coeffs = {x_var[(t, c, r)]: cfg.xi * demand / tables.cap_ref[t, c, r]
+                  for (t, c) in by_surface[r]}
         model.add_constraint(f"ris_airtime_c{r}", coeffs, "<=", 1.0)
 
     # Orientation big-M rows: if x is active the surface azimuth must sit
     # within F/2 of both endpoint directions; inactive rows are slack.
     half_fov = cfg.fov_rad / 2.0
-    for (t, c, r) in tuples:
-        xv = x_var[(t, c, r)]
+    t_idx, c_idx, r_idx = np.nonzero(tables.delta_src)  # in the order of tuples
+    a_angles = tables.phi_a[r_idx, t_idx].tolist()
+    b_angles = tables.phi_b[r_idx, c_idx].tolist()
+    for (t, c, r), tag, xv, a_angle, b_angle in zip(tuples, tags, x_ids, a_angles, b_angles):
         pv = phi[r]
-        a_angle = tables.phi_a[r, t]
-        b_angle = tables.phi_b[r, c]
-        model.add_constraint(f"fov_a_lo_t{t}_c{c}_r{r}",
+        model.add_constraint("fov_a_lo_" + tag,
                              {pv: 1.0, xv: -TWO_PI}, ">=", a_angle - half_fov - TWO_PI)
-        model.add_constraint(f"fov_a_hi_t{t}_c{c}_r{r}",
+        model.add_constraint("fov_a_hi_" + tag,
                              {pv: 1.0, xv: TWO_PI}, "<=", a_angle + half_fov + TWO_PI)
-        model.add_constraint(f"fov_b_lo_t{t}_c{c}_r{r}",
+        model.add_constraint("fov_b_lo_" + tag,
                              {pv: 1.0, xv: -TWO_PI}, ">=", b_angle - half_fov - TWO_PI)
-        model.add_constraint(f"fov_b_hi_t{t}_c{c}_r{r}",
+        model.add_constraint("fov_b_hi_" + tag,
                              {pv: 1.0, xv: TWO_PI}, "<=", b_angle + half_fov + TWO_PI)
 
     # Angular separation is capped by the active pair's table angle; link
     # length is at least the active pair's average length.
-    for (t, c, r) in tuples:
-        model.add_constraint(f"ang_sep_t{t}_c{c}_r{r}",
-                             {theta[t]: 1.0, x_var[(t, c, r)]: TWO_PI},
-                             "<=", tables.theta[t, c, r] + TWO_PI)
+    thetas = tables.theta[t_idx, c_idx, r_idx].tolist()
+    for (t, c, r), tag, xv, theta_tcr in zip(tuples, tags, x_ids, thetas):
+        model.add_constraint("ang_sep_" + tag, {theta[t]: 1.0, xv: TWO_PI},
+                             "<=", theta_tcr + TWO_PI)
     for t in range(n_t):
         coeffs = {l_var[t]: 1.0}
-        for (tt, c, r) in tuples:
-            if tt == t:
-                coeffs[x_var[(t, c, r)]] = -0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r])
+        for (c, r) in by_tp[t]:
+            coeffs[x_var[(t, c, r)]] = -0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r])
         model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
 
     # Strengthening cut, redundant at integer points (exactly one x per
@@ -273,9 +300,8 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     # rows above: without it the LP bound lets every theta_t float to pi.
     for t in range(n_t):
         coeffs = {theta[t]: 1.0}
-        for (tt, c, r) in tuples:
-            if tt == t:
-                coeffs[x_var[(t, c, r)]] = -float(tables.theta[t, c, r])
+        for (c, r) in by_tp[t]:
+            coeffs[x_var[(t, c, r)]] = -float(tables.theta[t, c, r])
         model.add_constraint(f"cut_theta_t{t}", coeffs, "<=", 0.0)
 
     return model
@@ -290,8 +316,14 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     n_t = scenario.n_test_points
     demand = cfg.demand_mbps
     pairs = bh_pairs(tables)
+    bh = _BackhaulIndex(pairs, n_c)
     acc = [(t, c) for t in range(n_t) for c in range(n_c)
            if tables.delta_acc[t, c] == 1]
+    sites_of: list[list[int]] = [[] for _ in range(n_t)]
+    tps_of: list[list[int]] = [[] for _ in range(n_c)]
+    for (t, c) in acc:
+        sites_of[t].append(c)
+        tps_of[c].append(t)
 
     model = MilpModel(name=MODE_BASELINE)
 
@@ -340,29 +372,22 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
 
     for t in range(n_t):
         model.add_constraint(f"one_primary_t{t}",
-                             {x_var[(tt, c)]: 1.0 for (tt, c) in acc if tt == t},
-                             "=", 1.0)
+                             {x_var[(t, c)]: 1.0 for c in sites_of[t]}, "=", 1.0)
         model.add_constraint(f"one_backup_t{t}",
-                             {s_var[(tt, c)]: 1.0 for (tt, c) in acc if tt == t},
-                             "=", 1.0)
+                             {s_var[(t, c)]: 1.0 for c in sites_of[t]}, "=", 1.0)
 
     for c in range(n_c):
-        coeffs = {z_var[(d, cc)]: 1.0 for (d, cc) in pairs if cc == c}
+        coeffs = {z_var[(d, c)]: 1.0 for d in bh.into[c]}
         coeffs[y_don[c]] = 1.0
         model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
 
     # Flow balance with wired inflow w_c; primary pulls D, backup xi * D.
     for c in range(n_c):
         coeffs = {w_var[c]: 1.0}
-        for (cc, d) in pairs:
-            if cc == c:
-                coeffs[f_var[(c, d)]] = coeffs.get(f_var[(c, d)], 0.0) - 1.0
-            if d == c:
-                coeffs[f_var[(cc, d)]] = coeffs.get(f_var[(cc, d)], 0.0) + 1.0
-        for (t, cc) in acc:
-            if cc == c:
-                coeffs[x_var[(t, c)]] = -demand
-                coeffs[s_var[(t, c)]] = -cfg.xi * demand
+        bh.add_balance(coeffs, c, f_var)
+        for t in tps_of[c]:
+            coeffs[x_var[(t, c)]] = -demand
+            coeffs[s_var[(t, c)]] = -cfg.xi * demand
         model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
 
     for c in range(n_c):
@@ -377,30 +402,23 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
 
     for c in range(n_c):
         coeffs = {t_tx[c]: 1.0}
-        for (cc, d) in pairs:
-            if cc == c:
-                coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
-        for (t, cc) in acc:
-            if cc == c:
-                coeffs[x_var[(t, c)]] = -demand / tables.cap_acc[t, c]
-                coeffs[s_var[(t, c)]] = -cfg.xi * demand / tables.cap_acc[t, c]
+        for d in bh.out[c]:
+            coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
+        for t in tps_of[c]:
+            coeffs[x_var[(t, c)]] = -demand / tables.cap_acc[t, c]
+            coeffs[s_var[(t, c)]] = -cfg.xi * demand / tables.cap_acc[t, c]
         model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
 
     for c in range(n_c):
-        coeffs = {t_tx[c]: 1.0}
-        for (d, cc) in pairs:
-            if cc == c:
-                coeffs[f_var[(d, c)]] = 1.0 / tables.cap_bh[d, c]
-        model.add_constraint(f"half_duplex_c{c}", coeffs, "<=", 1.0)
+        model.add_constraint(f"half_duplex_c{c}", bh.half_duplex_row(t_tx[c], c, f_var, tables),
+                             "<=", 1.0)
 
     # Angular separation rows bind only when x_t,c and s_t,r are both
     # active; c == r pairs are excluded by the distinctness row.
     for t in range(n_t):
-        for (tt, c) in acc:
-            if tt != t:
-                continue
-            for (tt2, r) in acc:
-                if tt2 != t or r == c:
+        for c in sites_of[t]:
+            for r in sites_of[t]:
+                if r == c:
                     continue
                 model.add_constraint(
                     f"ang_sep_t{t}_c{c}_r{r}",
@@ -409,17 +427,16 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
 
     for t in range(n_t):
         coeffs = {l_var[t]: 1.0}
-        for (tt, c) in acc:
-            if tt == t:
-                coeffs[x_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
-                coeffs[s_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
+        for c in sites_of[t]:
+            coeffs[x_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
+            coeffs[s_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
         model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
 
     # Strengthening cuts, redundant at integer points: with the primary
     # (or backup) station fixed, the separation can never exceed the best
     # partner's angle. Without these the LP bound floats theta_t to pi.
     for t in range(n_t):
-        sites_t = [c for (tt, c) in acc if tt == t]
+        sites_t = sites_of[t]
         best_for = {c: max((float(tables.theta[t, c, r]) for r in sites_t if r != c),
                            default=0.0)
                     for c in sites_t}
@@ -656,7 +673,8 @@ def plan_from_dict(doc: dict) -> NetworkPlan:
 
 
 def save_plan(plan: NetworkPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan_to_dict(plan), indent=2) + "\n")
+    """Write the plan as JSON, atomically."""
+    write_atomic(path, json.dumps(plan_to_dict(plan), indent=2) + "\n")
 
 
 def load_plan(path: str | Path) -> NetworkPlan:

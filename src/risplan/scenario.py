@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .geometry import Point2D, Segment2D
 
 FORMAT_VERSION = 1
@@ -172,9 +173,8 @@ def scenario_to_dict(scenario: Scenario, planning: PlanningConfig | None = None)
 
 def save(scenario: Scenario, path: str | Path,
          planning: PlanningConfig | None = None) -> None:
-    """Write the scenario (and optionally a planning block) as JSON."""
-    text = json.dumps(scenario_to_dict(scenario, planning), indent=2)
-    Path(path).write_text(text + "\n")
+    """Write the scenario (and optionally a planning block) as JSON, atomically."""
+    write_atomic(path, json.dumps(scenario_to_dict(scenario, planning), indent=2) + "\n")
 
 
 def _require(doc: dict, key: str):

@@ -1,0 +1,89 @@
+"""Data files are written atomically: a write that fails part-way leaves
+the old file as it was and no temporary file behind."""
+
+import builtins
+import errno
+import io
+
+import pytest
+
+from risplan.planner import NetworkPlan, load_plan, save_plan
+from risplan.scenario import generate, load, save
+
+
+@pytest.fixture
+def full_disk(monkeypatch, tmp_path):
+    """Call it to make every later write under tmp_path stop half-way with
+    ENOSPC, as on a full disk."""
+    real_open = io.open
+
+    class HalfWriter:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def close(self):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def half_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        ours = isinstance(file, int) or str(file).startswith(str(tmp_path))
+        writing = any(flag in mode for flag in "wxa+")
+        return HalfWriter(handle) if writing and ours else handle
+
+    def enable():
+        monkeypatch.setattr(io, "open", half_open)
+        monkeypatch.setattr(builtins, "open", half_open)
+
+    return enable
+
+
+def plan(donor: int) -> NetworkPlan:
+    return NetworkPlan(mode="ris", donor=donor, iab_nodes=(donor,), ris_sites=(),
+                       assignments=((donor, donor),), backhaul_edges=(), flows_mbps={},
+                       wired_inflow_mbps=100.0, orientations_rad={}, theta_per_tp=(1.0,),
+                       len_per_tp=(10.0,), total_cost=1.0, objective_value=0.5)
+
+
+def test_failed_scenario_save_keeps_old_file(tmp_path, full_disk):
+    path = tmp_path / "scenario.json"
+    old = generate(200.0, 200.0, 6, 3, seed=1)
+    save(old, path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError):
+        save(generate(200.0, 200.0, 9, 4, seed=2), path)
+    assert path.read_bytes() == before
+    assert load(path) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_failed_plan_save_keeps_old_file(tmp_path, full_disk):
+    path = tmp_path / "plan.json"
+    save_plan(plan(0), path)
+    before = path.read_bytes()
+    full_disk()
+    with pytest.raises(OSError):
+        save_plan(plan(1), path)
+    assert path.read_bytes() == before
+    assert load_plan(path).donor == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
+def test_saved_files_get_the_usual_permissions(tmp_path):
+    reference = tmp_path / "reference.json"
+    reference.write_text("{}\n")
+    save(generate(200.0, 200.0, 6, 3, seed=1), tmp_path / "scenario.json")
+    save_plan(plan(0), tmp_path / "plan.json")
+    for name in ("scenario.json", "plan.json"):
+        assert (tmp_path / name).stat().st_mode == reference.stat().st_mode

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -219,3 +220,46 @@ class TestSweep:
                          "--out-dir", str(out_dir)]) == 0
             outs.append((out_dir / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("jobs", ["1", pytest.param("2", marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the patched generate only when forked"))])
+    def test_failing_cell_becomes_error_row(self, tmp_path, monkeypatch, jobs):
+        import risplan.cli as cli
+        real_generate = cli.generate
+
+        def generate(width, height, n_cs, n_tp, seed):
+            if seed == 2:
+                raise RuntimeError("worker crashed, seed 2")
+            return real_generate(width, height, n_cs, n_tp, seed)
+
+        monkeypatch.setattr(cli, "generate", generate)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--seeds", "1", "2", "--budgets", "2.3",
+                     "--mus", "0.0", "--modes", "ris", "baseline",
+                     "--width", "200", "--height", "200",
+                     "--n-cs", "6", "--n-tp", "3", "--jobs", jobs,
+                     "--out-dir", str(out_dir)]) == 0
+        rows = [line.split(",") for line in
+                (out_dir / "sweep.csv").read_text().splitlines()[1:]]
+        assert [len(row) for row in rows] == [11] * 4
+        assert [row[4] for row in rows if row[0] == "2"] == [
+            "error:RuntimeError: worker crashed; seed 2"] * 2
+        assert {row[4] for row in rows if row[0] == "1"} <= {"optimal", "infeasible"}
+        # The failed cells are not cached, so a rerun tries them again.
+        assert len(list((out_dir / "cells").glob("*.json"))) == 2
+
+    def test_error_status_keeps_csv_columns(self, tmp_path, monkeypatch):
+        import risplan.cli as cli
+
+        def extract_plan(*args):
+            raise cli.PlannerError("solution missing variables, e.g. ['a', 'b']")
+
+        monkeypatch.setattr(cli, "extract_plan", extract_plan)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.0",
+                     "--modes", "ris", "--width", "200", "--height", "200",
+                     "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]) == 0
+        (row,) = (out_dir / "sweep.csv").read_text().splitlines()[1:]
+        assert row.split(",")[4:] == [
+            "error:solution missing variables; e.g. ['a'; 'b']"] + [""] * 6

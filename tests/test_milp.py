@@ -1,7 +1,12 @@
+import math
+
 import pytest
 
 from risplan.milp import (BINARY, CONTINUOUS, MilpModel, ModelError, export_lp,
                           read_lp)
+from risplan.planner import build_baseline_model, build_ris_model
+from risplan.radio import RadioConfig, build_link_tables
+from risplan.scenario import PlanningConfig, generate
 from risplan.solver import solve
 
 
@@ -127,3 +132,151 @@ class TestLpExport:
         res = solve(m)
         assert m.evaluate_objective(res.variable_values) == pytest.approx(
             res.objective_value, rel=1e-9)
+
+
+def named_model(m: MilpModel):
+    """A model by variable and row name: what an LP file can carry. The
+    variable order is not part of it, as read_lp declares variables in
+    order of first appearance."""
+    def terms(coeffs):
+        return {m.name_of(v): c for v, c in coeffs.items() if c != 0.0}
+    return (m.objective_sense,
+            {v.name: (v.kind, v.lower, v.upper) for v in m.variables},
+            terms(m.objective),
+            [(c.name, terms(c.coeffs), c.sense, c.rhs) for c in m.constraints])
+
+
+class TestLpDialect:
+    """Variants of the LP dialect that read_lp accepts beyond what
+    export_lp writes."""
+
+    def test_comments_and_blank_lines(self):
+        parsed = read_lp("\\ header comment\n"
+                         "Maximize\n"
+                         " obj: 2 x + y \\ trailing comment\n"
+                         "\n"
+                         "Subject To\n"
+                         "\\ a whole-line comment\n"
+                         " c1: x + y <= 4\n"
+                         "End\n")
+        assert [v.name for v in parsed.variables] == ["x", "y"]
+        assert parsed.objective == {0: 2.0, 1: 1.0}
+        assert [(c.name, c.coeffs, c.sense, c.rhs) for c in parsed.constraints] == [
+            ("c1", {0: 1.0, 1: 1.0}, "<=", 4.0)]
+
+    def test_continuation_lines(self):
+        parsed = read_lp("Minimize\n"
+                         " obj: x\n"
+                         " + 3 y\n"
+                         "Subject To\n"
+                         " long: x + y\n"
+                         "   + 2 z\n"
+                         "   >= 1\n"
+                         " short: z <= 1\n"
+                         "End\n")
+        assert parsed.objective_sense == "minimize"
+        assert parsed.objective == {0: 1.0, 1: 3.0}
+        assert [(c.name, c.coeffs, c.sense, c.rhs) for c in parsed.constraints] == [
+            ("long", {0: 1.0, 1: 1.0, 2: 2.0}, ">=", 1.0),
+            ("short", {2: 1.0}, "<=", 1.0)]
+
+    @pytest.mark.parametrize("header, sense", [
+        ("max", "maximize"), ("MAXIMIZE", "maximize"),
+        ("min", "minimize"), ("Minimize", "minimize")])
+    @pytest.mark.parametrize("subject_to", ["st", "s.t.", "Subject To", "such that"])
+    def test_section_aliases(self, header, sense, subject_to):
+        parsed = read_lp(f"{header}\n obj: x\n{subject_to}\n c: x <= 2\n"
+                         f"bounds\n x <= 1.5\nbin\n y\nend\n")
+        assert parsed.objective_sense == sense
+        assert [(v.name, v.kind, v.upper) for v in parsed.variables] == [
+            ("x", CONTINUOUS, 1.5), ("y", BINARY, 1.0)]
+
+    def test_implicit_and_signed_coefficients(self):
+        parsed = read_lp("Maximize\n obj: - x + y - 2.5 z\n"
+                         "Subject To\n c: -x - y + z + 1e-3 w = -2\nEnd\n")
+        assert parsed.objective == {0: -1.0, 1: 1.0, 2: -2.5}
+        assert parsed.constraints[0].coeffs == {0: -1.0, 1: -1.0, 2: 1.0, 3: 1e-3}
+        assert parsed.constraints[0].rhs == -2.0
+
+    def test_unnamed_rows_are_numbered(self):
+        parsed = read_lp("Maximize\n obj: x\nSubject To\n x <= 1\nEnd\n")
+        assert [c.name for c in parsed.constraints] == ["c0"]
+
+    def test_repeated_terms_accumulate(self):
+        parsed = read_lp("Maximize\n obj: x + x\nSubject To\n c: x + 2 y - x <= 1\nEnd\n")
+        assert parsed.objective == {0: 2.0}
+        assert parsed.constraints[0].coeffs == {0: 0.0, 1: 2.0}
+
+    def test_three_bound_forms(self):
+        parsed = read_lp("Maximize\n obj: a + b + c + d + e\n"
+                         "Subject To\n c1: a + b + c + d + e <= 100\n"
+                         "Bounds\n a <= 5\n 2 >= b\n -1 <= c <= 3\n d >= -4\n e free\n"
+                         "End\n")
+        assert [(v.name, v.lower, v.upper) for v in parsed.variables] == [
+            ("a", 0.0, 5.0), ("b", 0.0, 2.0), ("c", -1.0, 3.0),
+            ("d", -4.0, math.inf), ("e", -math.inf, math.inf)]
+
+    def test_variables_declared_in_order_of_first_appearance(self):
+        parsed = read_lp("Maximize\n obj: b\nSubject To\n c1: c + a <= 1\n"
+                         "Bounds\n d <= 4\nBinaries\n a\n e\nEnd\n")
+        assert [(v.name, v.kind) for v in parsed.variables] == [
+            ("b", CONTINUOUS), ("c", CONTINUOUS), ("a", BINARY),
+            ("d", CONTINUOUS), ("e", BINARY)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("Maximize\n obj: x + 3\nEnd\n", "dangling coefficient"),
+        ("Maximize\n obj: x\nSubject To\n c: x + 2 <= 1\nEnd\n", "dangling coefficient"),
+        ("Maximize\n obj: x\nSubject To\n c: x + y\nEnd\n", "cannot parse constraint"),
+        ("Maximize\n obj: x\nSubject To\n c: x <= 1 <= 2\nEnd\n", "cannot parse constraint"),
+        ("Maximize\n obj: x\nBounds\n 1 <= x <= 2 <= 3\nEnd\n", "cannot parse bound"),
+        ("Maximize\n obj: x\nBounds\n x\nEnd\n", "cannot parse bound"),
+    ])
+    def test_malformed_input_rejected(self, text, message):
+        with pytest.raises(ModelError, match=message):
+            read_lp(text)
+
+
+class TestDeskRoundTrip:
+    """read_lp(export_lp(m)) is m again, by variable and row name, exactly."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        scenario = generate(190.0, 253.0, 12, 8, seed=0)
+        return (scenario, build_link_tables(scenario, RadioConfig()),
+                PlanningConfig(mu=0.5, budget=4.0, len_norm_m=317.0))
+
+    @pytest.mark.parametrize("builder", [build_ris_model, build_baseline_model],
+                             ids=["surface", "station-only"])
+    def test_round_trip_is_exact(self, desk, builder):
+        model = builder(*desk)
+        assert model.num_constraints > 500
+        parsed = read_lp(export_lp(model))
+        assert named_model(parsed) == named_model(model)
+
+
+class TestLpBoundsAndKinds:
+    @pytest.mark.parametrize("lower, upper, line", [
+        (-math.inf, math.inf, " v free"),
+        (-math.inf, 5.0, " -inf <= v <= 5"),
+    ])
+    def test_negative_unbounded_round_trip(self, lower, upper, line):
+        m = MilpModel(name="unbounded_below")
+        v = m.add_variable(("v",), CONTINUOUS, lower, upper)
+        m.set_objective_coeff(v, -1.0)
+        m.add_constraint("floor", {v: 1.0}, ">=", -3.0)
+        text = export_lp(m)
+        assert line in text.splitlines()
+        parsed = read_lp(text)
+        assert (parsed.variables[0].lower, parsed.variables[0].upper) == (lower, upper)
+        assert solve(parsed).objective_value == pytest.approx(3.0)
+
+    def test_generals_section_rejected(self):
+        # The model has no integer kind; dropping the section would
+        # silently relax x to a continuous variable.
+        text = "Maximize\n obj: x\nSubject To\n c: x <= 2.5\nGenerals\n x\nEnd\n"
+        with pytest.raises(ModelError, match="'x'.*Generals"):
+            read_lp(text)
+
+    def test_empty_generals_section_accepted(self):
+        parsed = read_lp("Maximize\n obj: x\nSubject To\n c: x <= 2.5\nGenerals\nEnd\n")
+        assert solve(parsed).objective_value == pytest.approx(2.5)

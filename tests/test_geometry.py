@@ -108,6 +108,34 @@ class TestSegmentsIntersect:
                 continue
             assert segments_intersect(s1, s2) == segments_intersect(s2, s1)
 
+    def test_lattice_matches_scalar_oracle(self):
+        # Integer endpoints make many orientation products exactly 0, so
+        # touching, collinear and grazing cases are all exercised.
+        coords = [(x, y) for x in range(4) for y in range(4)]
+        segs = [(a, b) for a in coords for b in coords if a != b]
+        for (a, b) in segs:
+            for (c, d) in segs:
+                want = _closed_segments_meet(*a, *b, *c, *d)
+                assert segments_intersect(S(*a, *b), S(*c, *d)) == want, (a, b, c, d)
+
+
+def _closed_segments_meet(ax, ay, bx, by, cx, cy, dx, dy):
+    """Scalar closed-segment test, kept here as the oracle."""
+    def orient(px, py, qx, qy, rx, ry):
+        return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+    def in_box(px, py, qx, qy, rx, ry):
+        return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
+    d1, d2 = orient(cx, cy, dx, dy, ax, ay), orient(cx, cy, dx, dy, bx, by)
+    d3, d4 = orient(ax, ay, bx, by, cx, cy), orient(ax, ay, bx, by, dx, dy)
+    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
+            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
+        return True
+    return ((d1 == 0 and in_box(cx, cy, dx, dy, ax, ay))
+            or (d2 == 0 and in_box(cx, cy, dx, dy, bx, by))
+            or (d3 == 0 and in_box(ax, ay, bx, by, cx, cy))
+            or (d4 == 0 and in_box(ax, ay, bx, by, dx, dy)))
+
 
 class TestSector:
     def test_on_axis(self):

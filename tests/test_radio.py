@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -232,3 +233,52 @@ class TestBuildLinkTables:
             RadioConfig(bandwidth_hz=0.0)
         with pytest.raises(RadioModelError):
             RadioConfig(tx_power_dbm=math.inf)
+
+
+def _cluttered_desk():
+    """A 12 x 8 desk scenario with 16 random 12 m obstacles, one obstacle
+    through test point 0 and one that starts exactly at site 0."""
+    s = generate(190.0, 253.0, 12, 8, seed=3)
+    rng = np.random.default_rng(5)
+    obstacles = []
+    for cx, cy, ang in (rng.random((16, 3)) * [190.0, 253.0, np.pi]).tolist():
+        dx, dy = 6.0 * np.cos(ang), 6.0 * np.sin(ang)
+        obstacles.append(Segment2D(P(cx - dx, cy - dy), P(cx + dx, cy + dy)))
+    tp, site = s.test_points[0], s.candidate_sites[0]
+    obstacles.append(Segment2D(P(tp.x - 2.0, tp.y), P(tp.x + 2.0, tp.y)))
+    obstacles.append(Segment2D(P(site.x, site.y), P(site.x, site.y + 3.0)))
+    return s, _mask_scenario(s, obstacles)
+
+
+def _bit_rows(flags):
+    return tuple("".join(map(str, row)) for row in flags.tolist())
+
+
+class TestClutteredTablesPinned:
+    """Masks of a cluttered desk scenario, recorded with the scalar
+    intersection loop; the masking code must reproduce them exactly."""
+
+    ACC = ("000000000000", "011111111111", "011011111111", "001111111111",
+           "001101111011", "011011111111", "011111111011", "011111011111")
+    BH = ("000000000000", "001011111111", "010011111111", "000011111100",
+          "011101011111", "011110101111", "011101011011", "011110101010",
+          "011111110111", "011111001001", "011011111001", "011011101110")
+    SRC_SHA256 = "a8c80b216da7e979a1e3709d3f2df13c98f9e6779e01f770c16f403c60fe62ea"
+
+    def test_fields_equal_recorded(self, cfg):
+        open_s, cluttered = _cluttered_desk()
+        o = build_link_tables(open_s, cfg)
+        t = build_link_tables(cluttered, cfg)
+        assert _bit_rows(t.delta_acc) == self.ACC
+        assert _bit_rows(t.delta_bh) == self.BH
+        assert t.delta_src.dtype == np.int8 and int(t.delta_src.sum()) == 514
+        assert hashlib.sha256(t.delta_src.tobytes()).hexdigest() == self.SRC_SHA256
+        # Obstacles only mask: every other field equals the open tables,
+        # whose links are all active.
+        assert o.delta_acc.all() and int(o.delta_src.sum()) == 1056
+        for name in ("theta", "len_tc", "phi_a", "phi_b"):
+            assert np.array_equal(getattr(t, name), getattr(o, name)), name
+        assert np.array_equal(t.cap_acc, o.cap_acc * t.delta_acc)
+        assert np.array_equal(t.cap_bh, o.cap_bh * t.delta_bh)
+        assert np.array_equal(t.cap_dir, o.cap_dir * t.delta_src)
+        assert np.array_equal(t.cap_ref, o.cap_ref * t.delta_src)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -231,3 +233,15 @@ class TestReportSerialization:
         assert doc["n_trials"] == 4
         assert len(doc["trial_seeds"]) == 4
         assert doc["trial_seeds"][0] == trial_seed_for(2, 0)
+
+    @pytest.mark.parametrize("self_blockage, digest", [
+        (True, "44545f12e5b1c459f00da84b9d7e6ab68bbc88bdd3e77817fb80e40872cb2832"),
+        (False, "df51b5b7960c92d074e48746cd0ad00b50ee5d3f1dba6618bea9c9d7dafec10e"),
+    ])
+    def test_report_bytes_pinned(self, ris_plan, self_blockage, digest):
+        # Recorded with the scalar, one-object-per-obstacle evaluator.
+        plan, scenario = ris_plan
+        report = evaluate(plan, scenario, [0, 5, 20, 60, 150], 15, base_seed=7,
+                          self_blockage=self_blockage)
+        text = json.dumps(report_to_dict(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -284,8 +284,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
     tables = build_link_tables(scenario, radio)
+    t1 = time.perf_counter()
     violations = validate_plan(plan, scenario, tables, planning)
+    t2 = time.perf_counter()
+    timings.update(link_tables=t1 - t0, validate=t2 - t1)
     if violations:
         print("plan fails validation:", file=sys.stderr)
         for v in violations:
@@ -299,6 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ResilienceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    timings["evaluate"] = time.perf_counter() - t2
 
     prefix = Path(args.out)
     trials_path = prefix.with_suffix(".trials.csv")
@@ -316,8 +322,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "counts": list(args.counts), "trials": args.trials, "seed": args.seed,
         "self_blockage": not args.no_self_blockage,
         "obstacle_length": args.obstacle_length})
-    write_manifest(json_path, "simulate", config_doc, scenario_digest,
-                   {"total": time.perf_counter() - started},
+    timings["total"] = time.perf_counter() - started
+    write_manifest(json_path, "simulate", config_doc, scenario_digest, timings,
                    [trials_path, summary_path, json_path])
 
     for j, k in enumerate(report.obstacle_counts):

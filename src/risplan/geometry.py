@@ -5,6 +5,10 @@ All angles are radians. Azimuths are measured counter-clockwise from the
 +x axis and normalized to [0, 2*pi); angular distances are circular, so
 0.1 and 2*pi - 0.1 are 0.2 rad apart. Everything here is pure and
 stateless.
+
+Segment intersection has one implementation, the numpy kernel
+``segments_cross``, for closed segments (touching endpoints and collinear
+overlap cross); obstacle masks and blockage scan with ``first_crossing``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+# (segment, obstacle) pairs ``first_crossing`` tests per kernel call.
+CROSSING_BLOCK_CELLS = 1 << 16
 
 
 class GeometryError(ValueError):
@@ -86,52 +94,72 @@ def angular_separation(vertex: Point2D, p1: Point2D, p2: Point2D) -> float:
     return circular_distance(azimuth(vertex, p1), azimuth(vertex, p2))
 
 
-def _orient(ax: float, ay: float, bx: float, by: float, cx: float, cy: float) -> float:
+def _orient(ax, ay, bx, by, cx, cy):
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _in_box(px: float, py: float, qx: float, qy: float, rx: float, ry: float) -> bool:
-    # (rx, ry) is collinear with pq; is it inside pq's bounding box?
-    return min(px, qx) <= rx <= max(px, qx) and min(py, qy) <= ry <= max(py, qy)
+def _in_box(px, py, qx, qy, rx, ry):
+    return ((np.minimum(px, qx) <= rx) & (rx <= np.maximum(px, qx))
+            & (np.minimum(py, qy) <= ry) & (ry <= np.maximum(py, qy)))
 
 
-def segments_intersect(s1: Segment2D, s2: Segment2D) -> bool:
-    """Closed-segment intersection test.
-
-    Touching endpoints and collinear overlap count as intersecting, which
-    is the conservative convention for treating a grazing contact with an
-    obstacle as a blocked line of sight.
-    """
-    ax, ay, bx, by = s1.a.x, s1.a.y, s1.b.x, s1.b.y
-    cx, cy, dx, dy = s2.a.x, s2.a.y, s2.b.x, s2.b.y
+def segments_cross(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """Closed-segment test of a-b against c-d, broadcast over coordinate
+    arrays. Touching endpoints and collinear overlap count as intersecting:
+    a grazing contact with an obstacle blocks the line of sight. Verdicts
+    are elementwise float64 arithmetic, whatever the shape of the input."""
     d1 = _orient(cx, cy, dx, dy, ax, ay)
     d2 = _orient(cx, cy, dx, dy, bx, by)
     d3 = _orient(ax, ay, bx, by, cx, cy)
     d4 = _orient(ax, ay, bx, by, dx, dy)
-    if ((d1 > 0) != (d2 > 0) and d1 != 0 and d2 != 0
-            and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0):
-        return True
-    if d1 == 0 and _in_box(cx, cy, dx, dy, ax, ay):
-        return True
-    if d2 == 0 and _in_box(cx, cy, dx, dy, bx, by):
-        return True
-    if d3 == 0 and _in_box(ax, ay, bx, by, cx, cy):
-        return True
-    if d4 == 0 and _in_box(ax, ay, bx, by, dx, dy):
-        return True
-    return False
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    zero = np.asarray((d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0))
+    if not zero.any():     # no touching or collinear pair: skip the box tests
+        return proper
+    return (proper & ~zero
+            | (d1 == 0) & _in_box(cx, cy, dx, dy, ax, ay)
+            | (d2 == 0) & _in_box(cx, cy, dx, dy, bx, by)
+            | (d3 == 0) & _in_box(ax, ay, bx, by, cx, cy)
+            | (d4 == 0) & _in_box(ax, ay, bx, by, dx, dy))
+
+
+def segments_intersect(s1: Segment2D, s2: Segment2D) -> bool:
+    """Closed-segment intersection test of two segments (``segments_cross``)."""
+    return bool(segments_cross(s1.a.x, s1.a.y, s1.b.x, s1.b.y,
+                               s2.a.x, s2.a.y, s2.b.x, s2.b.y))
+
+
+def segment_coords(segments: Sequence[Segment2D]) -> np.ndarray:
+    """(n, 4) float array of x1, y1, x2, y2 per segment."""
+    return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments]).reshape(-1, 4)
+
+
+def first_crossing(ax, ay, bx, by, obstacles: np.ndarray) -> np.ndarray:
+    """Index of the first row of ``obstacles`` (n, 4) that crosses each
+    segment a_i-b_i, or n where none does. Obstacles are scanned in blocks
+    of about CROSSING_BLOCK_CELLS pairs to bound the temporary grids."""
+    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
+    n = obstacles.shape[0]
+    first = np.full(ax.shape[0], n)
+    step = max(1, CROSSING_BLOCK_CELLS // max(1, ax.shape[0]))
+    for start in range(0, n, step):
+        hit = segments_cross(ax, ay, bx, by, *obstacles[start:start + step].T)
+        found = hit.any(axis=1) & (first == n)
+        first[found] = start + hit[found].argmax(axis=1)
+    return first
 
 
 def sector_contains(sector: Sector, target: Point2D) -> bool:
     """Boundary-inclusive test of ``target``'s azimuth against the sector."""
-    ray = azimuth(sector.origin, target)
-    return circular_distance(ray, sector.center_azimuth) <= sector.span / 2.0
+    return bool(within_fov(sector.center_azimuth, azimuth(sector.origin, target), sector.span))
 
 
-def within_fov(orientation: float, ray_azimuth: float, fov: float) -> bool:
-    """Boundary-inclusive membership of a ray in an aperture of ``fov``
-    radians centred on ``orientation``. Expects fov in (0, 2*pi]."""
-    return circular_distance(orientation, ray_azimuth) <= fov / 2.0
+def within_fov(orientation, ray_azimuth, fov):
+    """Boundary-inclusive membership of rays in an aperture of ``fov``
+    radians centred on ``orientation``, broadcast over arrays; the
+    arithmetic of ``circular_distance``. Expects fov in (0, 2*pi]."""
+    d = np.abs(orientation - ray_azimuth) % TWO_PI
+    return np.minimum(d, TWO_PI - d) <= fov / 2.0
 
 
 def minimal_covering_arc(angles: Sequence[float]) -> tuple[float, float]:

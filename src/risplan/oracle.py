@@ -14,8 +14,10 @@ two disagree are reported through ``fov_discrepancy`` so equivalence
 tests can set them aside.
 
 Branch-and-bound style pruning is used for speed, with the bound applied
-strictly below the incumbent-minus-epsilon, so ties survive and the
-lexicographically smallest optimal plan encoding always wins.
+strictly below the incumbent-minus-epsilon, so every tied optimum is
+offered. Ties go to the cheapest plan (total installation cost), then to
+the lexicographically smallest plan encoding, so a plan never carries
+equipment that a tied, cheaper plan leaves out.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ class OracleResult:
 @dataclass
 class _Incumbent:
     objective: float = -math.inf
-    encoding: tuple | None = None
+    key: tuple | None = None        # (total cost, plan encoding)
     plan: NetworkPlan | None = None
 
-    def offer(self, objective: float, encoding: tuple, make_plan) -> None:
+    def offer(self, objective: float, key: tuple, make_plan) -> None:
         if objective > self.objective + TIE_TOL:
-            self.objective, self.encoding, self.plan = objective, encoding, make_plan()
+            self.objective, self.key, self.plan = objective, key, make_plan()
         elif (objective > self.objective - TIE_TOL
-              and (self.encoding is None or encoding < self.encoding)):
-            self.objective, self.encoding, self.plan = objective, encoding, make_plan()
+              and (self.key is None or key < self.key)):
+            self.objective, self.key, self.plan = objective, key, make_plan()
 
 
 def _spanning_trees(nodes: tuple[int, ...], delta_bh) -> list[tuple[tuple[int, int], ...]]:
@@ -324,14 +326,15 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
             if routing is None:
                 return
             donor, edges, flows = routing
-            encoding = (iab, ris, tuple(assign), donor, edges)
+            cost = cfg.price_iab * len(iab) + cfg.price_ris * len(ris)
+            key = (cost, iab, ris, tuple(assign), donor, edges)
             wired = float(n_t) * demand
             if circ_ok:
-                best_circ.offer(obj, encoding, lambda: _make_plan(
+                best_circ.offer(obj, key, lambda: _make_plan(
                     MODE_RIS, donor, iab, ris, list(assign), edges, flows,
                     wired, orientations_circ, tables, cfg, obj))
             if lin_ok:
-                best_lin.offer(obj, encoding, lambda: _make_plan(
+                best_lin.offer(obj, key, lambda: _make_plan(
                     MODE_RIS, donor, iab, ris, list(assign), edges, flows,
                     wired, orientations_lin, tables, cfg, obj))
 
@@ -413,9 +416,9 @@ def _search_baseline(scenario: Scenario, tables: LinkBudgetTable,
                 if routing is None:
                     return
                 donor, edges, flows = routing
-                encoding = (iab, (), tuple(assign), donor, edges)
+                key = (cfg.price_iab * len(iab), iab, (), tuple(assign), donor, edges)
                 obj = partial_obj
-                best.offer(obj, encoding, lambda: _make_plan(
+                best.offer(obj, key, lambda: _make_plan(
                     MODE_BASELINE, donor, iab, (), list(assign), edges, flows,
                     total_demand, {}, tables, cfg, obj))
                 return

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2D, Segment2D, segments_intersect
+from .geometry import Point2D, first_crossing, segment_coords
 from .scenario import Scenario
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -227,27 +227,16 @@ def _rates_from_snr(snr_db: np.ndarray, cfg: RadioConfig) -> np.ndarray:
     return rates[idx]
 
 
-def _obstacle_mask(endpoints_a: list[Point2D], endpoints_b: list[Point2D],
-                   obstacles: tuple[Segment2D, ...]) -> np.ndarray:
-    """blocked[i, j] = 1 iff segment a_i -- b_j crosses a fixed obstacle.
-
-    Pairs with coincident endpoints are left unblocked here; they are
-    excluded by the activation logic elsewhere (diagonal of site-site
-    tables, which no model ever reads).
-    """
-    blocked = np.zeros((len(endpoints_a), len(endpoints_b)), dtype=np.int8)
-    if not obstacles:
-        return blocked
-    for i, p in enumerate(endpoints_a):
-        for j, q in enumerate(endpoints_b):
-            if p == q:
-                continue
-            seg = Segment2D(p, q)
-            for obs in obstacles:
-                if segments_intersect(seg, obs):
-                    blocked[i, j] = 1
-                    break
-    return blocked
+def _obstacle_mask(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
+                   obstacles: np.ndarray) -> np.ndarray:
+    """blocked[i, j] = 1 iff segment a_i -- b_j crosses a row of ``obstacles``.
+    Pairs with coincident endpoints stay unblocked: they only occur on the
+    site-site diagonal, which the activation logic excludes."""
+    a_x, a_y, b_x, b_y = (v.ravel() for v in np.broadcast_arrays(
+        ax[:, None], ay[:, None], bx[None, :], by[None, :]))
+    blocked = first_crossing(a_x, a_y, b_x, b_y, obstacles) < len(obstacles)
+    blocked &= (a_x != b_x) | (a_y != b_y)
+    return blocked.reshape(len(ax), len(bx)).astype(np.int8)
 
 
 def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
@@ -303,8 +292,9 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
     cap_bh_raw = _rates_from_snr(snr_bh, cfg)
     cap_ref_raw = _rates_from_snr(snr_ref, cfg)
 
-    blocked_tc = _obstacle_mask(tps, sites, scenario.fixed_obstacles)
-    blocked_cc = _obstacle_mask(sites, sites, scenario.fixed_obstacles)
+    obstacles = segment_coords(scenario.fixed_obstacles)
+    blocked_tc = _obstacle_mask(tx, ty, sx, sy, obstacles)
+    blocked_cc = _obstacle_mask(sx, sy, sx, sy, obstacles)
 
     delta_acc = ((cap_acc_raw > 0.0) & (blocked_tc == 0)).astype(np.int8)
     eye = np.eye(n_c, dtype=bool)

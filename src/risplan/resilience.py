@@ -11,6 +11,10 @@ Within one trial the obstacle list is a fixed ordered sample and count k
 activates its first k entries, so the served set shrinks monotonically
 as k grows; trial seeds are spawned from (base_seed, trial_index) via
 numpy's SeedSequence, making serial and parallel runs agree bit for bit.
+
+A trial is drawn as arrays (``_draw_trial``), and ``evaluate`` tests all
+of a trial's (leg, obstacle) pairs in one kernel call without building
+per-obstacle objects; ``sample_trial`` wraps the same draw in objects.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2D, Sector, Segment2D, azimuth, circular_distance, segments_intersect
+from .geometry import (TWO_PI, Point2D, Sector, Segment2D, azimuth, first_crossing,
+                       segment_coords, segments_cross, within_fov)
 from .planner import MODE_BASELINE, MODE_RIS, NetworkPlan
 from .scenario import Scenario
 
@@ -64,32 +69,41 @@ def trial_seed_for(base_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _draw_trial(area_width: float, area_height: float, n_obstacles: int, n_tps: int,
+                seed: int, obstacle_length_m: float):
+    """One trial as arrays: obstacles (n_obstacles, 4) as x1, y1, x2, y2,
+    then sector spans and centers (n_tps,). The draws are, per obstacle,
+    center x, center y and angle in [0, pi); then, per test point, a span
+    choice (the narrow span below 0.5) and a center in [0, 2*pi)."""
+    if n_obstacles < 0:
+        raise ResilienceError("max_obstacles must be non-negative")
+    if not (math.isfinite(obstacle_length_m) and obstacle_length_m > 0.0):
+        raise ResilienceError(f"obstacle length {obstacle_length_m!r} must be finite and > 0")
+    rng = np.random.default_rng(seed)
+    draws = rng.random((n_obstacles, 3)) * np.array([area_width, area_height, math.pi])
+    # math.cos / math.sin, not numpy's: endpoints stay on the platform libm.
+    angles, half = draws[:, 2].tolist(), obstacle_length_m / 2.0
+    dx, dy = (half * np.array(list(map(f, angles)), dtype=float) for f in (math.cos, math.sin))
+    cx, cy = draws[:, 0], draws[:, 1]
+    obstacles = np.column_stack((cx - dx, cy - dy, cx + dx, cy + dy))
+    sector = rng.random((n_tps, 2))
+    spans = np.where(sector[:, 0] < 0.5, SECTOR_SPANS[0], SECTOR_SPANS[1])
+    return obstacles, spans, (sector[:, 1] * TWO_PI) % TWO_PI
+
+
 def sample_trial(area_width: float, area_height: float, max_obstacles: int,
                  tp_positions: tuple[Point2D, ...], seed: int,
                  obstacle_length_m: float = DEFAULT_OBSTACLE_LENGTH_M) -> BlockageTrial:
-    """Draw one trial: ``max_obstacles`` ordered obstacles, then one sector
-    per test point. Draw order is fixed (obstacle center x, y, angle for
-    each obstacle; span choice then center for each sector), so a seed
-    pins the whole trial."""
-    if max_obstacles < 0:
-        raise ResilienceError("max_obstacles must be non-negative")
-    rng = np.random.default_rng(seed)
-    half = obstacle_length_m / 2.0
-    obstacles = []
-    for _ in range(max_obstacles):
-        cx = rng.uniform(0.0, area_width)
-        cy = rng.uniform(0.0, area_height)
-        ang = rng.uniform(0.0, math.pi)
-        dx, dy = half * math.cos(ang), half * math.sin(ang)
-        obstacles.append(Segment2D(Point2D(float(cx - dx), float(cy - dy)),
-                                   Point2D(float(cx + dx), float(cy + dy))))
-    sectors = []
-    for tp in tp_positions:
-        span = SECTOR_SPANS[0] if rng.random() < 0.5 else SECTOR_SPANS[1]
-        center = rng.uniform(0.0, 2.0 * math.pi)
-        sectors.append(Sector(origin=tp, center_azimuth=float(center), span=span))
-    return BlockageTrial(trial_seed=int(seed), obstacles=tuple(obstacles),
-                         self_blockage=tuple(sectors))
+    """Draw one trial as objects: ``max_obstacles`` ordered obstacles, then
+    one sector per test point, in ``_draw_trial``'s fixed order."""
+    obstacles, spans, centers = _draw_trial(area_width, area_height, max_obstacles,
+                                            len(tp_positions), seed, obstacle_length_m)
+    return BlockageTrial(
+        trial_seed=int(seed),
+        obstacles=tuple(Segment2D(Point2D(x1, y1), Point2D(x2, y2))
+                        for x1, y1, x2, y2 in obstacles.tolist()),
+        self_blockage=tuple(Sector(origin=tp, center_azimuth=c, span=w) for tp, c, w
+                            in zip(tp_positions, centers.tolist(), spans.tolist())))
 
 
 def is_link_blocked(link: Segment2D, trial: BlockageTrial, tp_index: int,
@@ -106,14 +120,10 @@ def is_link_blocked(link: Segment2D, trial: BlockageTrial, tp_index: int,
     if link_kind not in _TP_SIDE_KINDS:
         raise ResilienceError(f"unknown link kind {link_kind!r}")
     sector = trial.self_blockage[tp_index]
-    ray = azimuth(link.a, link.b)
-    if circular_distance(ray, sector.center_azimuth) <= sector.span / 2.0:
+    if within_fov(sector.center_azimuth, azimuth(link.a, link.b), sector.span):
         return True
-    n_active = len(trial.obstacles) if active_obstacles is None else active_obstacles
-    for obstacle in trial.obstacles[:n_active]:
-        if segments_intersect(link, obstacle):
-            return True
-    return False
+    obstacles = segment_coords(trial.obstacles[:active_obstacles]).T
+    return bool(segments_cross(link.a.x, link.a.y, link.b.x, link.b.y, *obstacles).any())
 
 
 def _check_plan_structure(plan: NetworkPlan, scenario: Scenario) -> None:
@@ -125,13 +135,6 @@ def _check_plan_structure(plan: NetworkPlan, scenario: Scenario) -> None:
     for t, (a, b) in enumerate(plan.assignments):
         if not (0 <= a < n_c and 0 <= b < n_c):
             raise ResilienceError(f"assignment of test point {t} references unknown site")
-
-
-def _first_blocking_index(link: Segment2D, obstacles: tuple[Segment2D, ...]) -> int:
-    for i, obstacle in enumerate(obstacles):
-        if segments_intersect(link, obstacle):
-            return i
-    return len(obstacles)
 
 
 def evaluate(plan: NetworkPlan, scenario: Scenario, obstacle_counts: list[int],
@@ -152,47 +155,25 @@ def evaluate(plan: NetworkPlan, scenario: Scenario, obstacle_counts: list[int],
         raise ResilienceError("n_trials must be >= 1")
     _check_plan_structure(plan, scenario)
 
-    tps = scenario.test_points
-    sites = scenario.candidate_sites
-    max_obstacles = counts[-1]
-    n_t = scenario.n_test_points
+    tps, sites, n_t = scenario.test_points, scenario.candidate_sites, scenario.n_test_points
+    # Terminal-side legs, (primary, secondary) per test point: endpoint
+    # coordinates and azimuths, shared by every trial.
+    legs = [(tps[t], sites[c]) for t, pair in enumerate(plan.assignments) for c in pair]
+    ends = np.array([(a.x, a.y, b.x, b.y) for a, b in legs]).T
+    rays = np.array([azimuth(a, b) for a, b in legs]).reshape(n_t, 2)
+    active = np.array(counts)[:, None, None]
 
     per_trial: list[tuple[float, ...]] = []
     for trial_index in range(n_trials):
-        seed = trial_seed_for(base_seed, trial_index)
-        trial = sample_trial(scenario.area_width, scenario.area_height,
-                             max_obstacles, tps, seed, obstacle_length_m)
-        # For each terminal-side link: sector verdict (count-independent)
-        # and the first obstacle index that crosses it.
-        sector_hits: list[tuple[bool, bool]] = []
-        first_block: list[tuple[int, int]] = []
-        for t, (a, b) in enumerate(plan.assignments):
-            primary = Segment2D(tps[t], sites[a])
-            secondary = Segment2D(tps[t], sites[b])
-            if self_blockage:
-                sector = trial.self_blockage[t]
-                hit_p = circular_distance(azimuth(tps[t], sites[a]),
-                                          sector.center_azimuth) <= sector.span / 2.0
-                hit_s = circular_distance(azimuth(tps[t], sites[b]),
-                                          sector.center_azimuth) <= sector.span / 2.0
-            else:
-                hit_p = hit_s = False
-            sector_hits.append((hit_p, hit_s))
-            first_block.append((_first_blocking_index(primary, trial.obstacles),
-                                _first_blocking_index(secondary, trial.obstacles)))
-
-        row = []
-        for k in counts:
-            served = 0
-            for t in range(n_t):
-                hit_p, hit_s = sector_hits[t]
-                fb_p, fb_s = first_block[t]
-                primary_ok = (not hit_p) and fb_p >= k
-                secondary_ok = (not hit_s) and fb_s >= k
-                if primary_ok or secondary_ok:
-                    served += 1
-            row.append(served / n_t)
-        per_trial.append(tuple(row))
+        obstacles, spans, centers = _draw_trial(
+            scenario.area_width, scenario.area_height, counts[-1], n_t,
+            trial_seed_for(base_seed, trial_index), obstacle_length_m)
+        first = first_crossing(*ends, obstacles).reshape(n_t, 2)
+        usable = first >= active                                    # (K, T, 2)
+        if self_blockage:
+            usable &= ~within_fov(centers[:, None], rays, spans[:, None])
+        served = usable.any(axis=2).sum(axis=1)
+        per_trial.append(tuple(int(v) / n_t for v in served))
 
     matrix = np.array(per_trial)
     return ResilienceReport(

@@ -139,6 +139,24 @@ class TestSimulate:
             outs.append((tmp_path / f"{name}.trials.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_manifest_stage_timings(self, scenario_file, plan_file, tmp_path):
+        out = tmp_path / "report"
+        assert main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                     "--counts", "0", "10", "--trials", "3", "--out", str(out)]) == 0
+        doc = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        timings = doc["timings_s"]
+        assert set(timings) == {"link_tables", "validate", "evaluate", "total"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert timings["total"] >= timings["link_tables"] + timings["evaluate"]
+
+    @pytest.mark.parametrize("length", ["0", "-1", "nan", "inf"])
+    def test_bad_obstacle_length_exit_2(self, scenario_file, plan_file, tmp_path, length):
+        code = main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                     "--counts", "0", "10", "--trials", "2",
+                     f"--obstacle-length={length}", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert not (tmp_path / "r.trials.csv").exists()
+
     def test_missing_plan_exit_2(self, scenario_file, tmp_path):
         code = main(["simulate", "--plan", str(tmp_path / "nope.json"),
                      "--scenario", str(scenario_file), "--counts", "0",

@@ -6,7 +6,7 @@ import pytest
 from risplan.geometry import (GeometryError, Point2D, Sector, Segment2D,
                               angular_separation, azimuth, circular_distance,
                               minimal_covering_arc, sector_contains,
-                              segments_intersect, within_fov)
+                              segments_cross, segments_intersect, within_fov)
 
 TWO_PI = 2 * math.pi
 
@@ -113,9 +113,13 @@ class TestSegmentsIntersect:
         # touching, collinear and grazing cases are all exercised.
         coords = [(x, y) for x in range(4) for y in range(4)]
         segs = [(a, b) for a in coords for b in coords if a != b]
-        for (a, b) in segs:
-            for (c, d) in segs:
+        ends = np.array([a + b for a, b in segs], dtype=float)       # (n, 4)
+        grid = segments_cross(*(ends[:, None, i] for i in range(4)),
+                              *(ends[None, :, i] for i in range(4)))
+        for i, (a, b) in enumerate(segs):
+            for j, (c, d) in enumerate(segs):
                 want = _closed_segments_meet(*a, *b, *c, *d)
+                assert grid[i, j] == want, (a, b, c, d)
                 assert segments_intersect(S(*a, *b), S(*c, *d)) == want, (a, b, c, d)
 
 

@@ -44,6 +44,16 @@ class TestOracleBasics:
         assert res.plan.ris_sites == (2,)
         assert res.plan.donor == 1
 
+    def test_ties_go_to_the_cheaper_plan(self, small_instance, default_cfg):
+        # At budget 2.3 an extra idle station 0 ties the lean plan's
+        # objective; the oracle must return the lean plan.
+        scenario, tables = small_instance
+        masked = restrict_tuples(tables, [(0, 1, 2), (1, 1, 2), (2, 1, 2)])
+        res = brute_force_plan(scenario, masked, default_cfg, MODE_RIS)
+        assert res.plan.total_cost == pytest.approx(1.1)
+        assert res.plan.donor == 1
+        assert res.plan.iab_nodes == (1,)
+
     def test_matches_milp_on_forced_fixture(self, small_instance, default_cfg):
         scenario, tables = small_instance
         masked = restrict_tuples(tables, [(0, 1, 2), (1, 1, 2), (2, 1, 2)])

@@ -60,6 +60,12 @@ class TestSampleTrial:
         with pytest.raises(ResilienceError):
             sample_trial(100.0, 100.0, -1, (Point2D(1, 1),), seed=0)
 
+    @pytest.mark.parametrize("length", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_obstacle_length_rejected(self, length):
+        with pytest.raises(ResilienceError, match="obstacle length"):
+            sample_trial(100.0, 100.0, 3, (Point2D(1, 1),), seed=0,
+                         obstacle_length_m=length)
+
 
 class TestIsLinkBlocked:
     def test_sector_center_always_blocks(self):
@@ -172,6 +178,12 @@ class TestEvaluate:
         assert plan.theta_per_tp[0] == pytest.approx(math.pi)
         report = evaluate(plan, scenario, [0], 500, base_seed=17)
         assert report.served_mean == (1.0,)
+
+    @pytest.mark.parametrize("length", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_obstacle_length_rejected(self, ris_plan, length):
+        plan, scenario = ris_plan
+        with pytest.raises(ResilienceError, match="obstacle length"):
+            evaluate(plan, scenario, [0, 10], 3, base_seed=0, obstacle_length_m=length)
 
     def test_unsorted_counts_rejected(self, ris_plan):
         plan, scenario = ris_plan

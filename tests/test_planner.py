@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import restrict_tuples
-from risplan.planner import (PlannerError, access_airtime,
+from risplan.geometry import Point2D, Segment2D
+from risplan.milp import export_lp
+from risplan.planner import (PlannerError, access_airtime, bh_pairs,
                              build_baseline_model, build_ris_model,
                              extract_plan, load_plan, save_plan,
                              src_tuples)
 from risplan.radio import RadioConfig, build_link_tables
-from risplan.scenario import PlanningConfig, generate
+from risplan.scenario import PlanningConfig, Scenario, generate
 from risplan.solver import solve
 
 
@@ -41,9 +44,17 @@ class TestRisModelStructure:
         assert fov_rows == 4 * n_tuples
         assert len(rows_named(model, "one_src_")) == scenario.n_test_points
         assert len(rows_named(model, "ang_sep_")) == n_tuples
-        assert len(rows_named(model, "flow_bal_")) == scenario.n_sites
         assert len(rows_named(model, "colocation_")) == scenario.n_sites
         assert len(rows_named(model, "budget")) == 1
+        # The families both builders share.
+        n_pairs = len(bh_pairs(tables))
+        for build in (build_ris_model, build_baseline_model):
+            model = build(scenario, tables, default_cfg)
+            for prefix in ("tree_in_", "flow_bal_", "tx_time_", "half_duplex_"):
+                assert len(rows_named(model, prefix)) == scenario.n_sites, prefix
+            assert len(rows_named(model, "bh_act_")) == n_pairs
+            assert len(rows_named(model, "flow_cap_")) == n_pairs
+            assert len(rows_named(model, "link_len_")) == scenario.n_test_points
 
     def test_presolve_omits_dead_tuples(self, small_instance, default_cfg):
         scenario, tables = small_instance
@@ -255,3 +266,66 @@ class TestExtractPlan:
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+
+def _desk(seed=0):
+    return generate(190.0, 253.0, 12, 8, seed=seed)
+
+
+def _cluttered_desk():
+    """The seed-0 desk with 8 random 12 m obstacles and one 4 m obstacle
+    through test point 0."""
+    s = _desk()
+    rng = np.random.default_rng(5)
+    obstacles = []
+    for cx, cy, ang in (rng.random((8, 3)) * [190.0, 253.0, np.pi]).tolist():
+        dx, dy = 6.0 * math.cos(ang), 6.0 * math.sin(ang)
+        obstacles.append(Segment2D(Point2D(cx - dx, cy - dy), Point2D(cx + dx, cy + dy)))
+    tp = s.test_points[0]
+    obstacles.append(Segment2D(Point2D(tp.x - 2.0, tp.y), Point2D(tp.x + 2.0, tp.y)))
+    return Scenario(s.area_width, s.area_height, s.candidate_sites, s.test_points,
+                    tuple(obstacles), s.seed)
+
+
+def _model_case(case, small_instance):
+    """(scenario, tables, cfg) of one pinned model case."""
+    if case.startswith("small"):
+        scenario, tables = small_instance
+        mu, budget = {"small_mu0": (0.0, 2.3), "small_mu05": (0.5, 2.3),
+                      "small_mu1": (1.0, 3.4)}[case]
+        return scenario, tables, PlanningConfig(mu=mu, budget=budget)
+    if case == "desk_stress":
+        scenario = _desk()
+        return (scenario, build_link_tables(scenario, RadioConfig(tx_power_dbm=6.0)),
+                PlanningConfig(mu=0.0, budget=5.5, demand_mbps=120.0, xi=0.8,
+                               len_norm_m=317.0))
+    scenario = _desk() if case == "desk_default" else _cluttered_desk()
+    return (scenario, build_link_tables(scenario, RadioConfig()),
+            PlanningConfig(mu=0.5, budget=4.0, len_norm_m=317.0))
+
+
+class TestModelTextPinned:
+    """sha256 of the exported LP text of both models, recorded before the
+    two builders were moved onto one assembly path."""
+
+    SHA256 = {
+        "small_mu0": ("e38ba0663d07c9983b25b002845c14d90ae2de083980b9986222b30622156296",
+                      "6119cc29e92d4c96c62422e89c757c6207da1bc860e0fe37162674812505aa7f"),
+        "small_mu05": ("97c6aef0adb0b7da022ee146963aeb3eb7857007917b30ad2e904a31ef767574",
+                       "ec547236ca3dd323e09c22e19aa10be026bca831c8b100a611de065a383744a4"),
+        "small_mu1": ("8cd6222bcd3fe3372317c036d0a235c44868a980e338c53ccc5a518814489a30",
+                      "c08709b755341c6fa0d8342d9ce3bd97497ff23e38fd20a0098a2d5a40fcf199"),
+        "desk_default": ("4efa65cb5055a0f7445052359f32f941d546171ce984ff18112a4c2a1ca664a6",
+                         "f4c267012b3171d4a0bf8a239d76e0049e142359988c28fef10580169536de27"),
+        "desk_stress": ("99a9a5456f8b1c9e12883d79fc2a40c9653b23eec4dcfb07e99b5d4401c1f01f",
+                        "f3ef729bb97add50fff0580fe0020a62ca88bebfbb2fb752d94287696a6f44f6"),
+        "desk_cluttered": ("3277a48a360a96e8e01ee85a13c14452b59633b197dc92c7c8edaca76490e1c9",
+                           "d0d1b819bf0f6b3a86b19a843e0bc5a9e124b6080911b43ae4027dcaa750b286"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHA256))
+    def test_lp_text_pinned(self, small_instance, case):
+        scenario, tables, cfg = _model_case(case, small_instance)
+        digests = tuple(hashlib.sha256(export_lp(build(scenario, tables, cfg)).encode())
+                        .hexdigest() for build in (build_ris_model, build_baseline_model))
+        assert digests == self.SHA256[case]

@@ -35,8 +35,7 @@ from .resilience import (ResilienceError, evaluate, report_summary_csv,
                          report_to_dict, report_trials_csv)
 from .scenario import (PlanningConfig, Scenario, ScenarioError, generate,
                        load, load_planning, save)
-from .solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT,
-                     SolverError, solve)
+from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, solve
 from .validate import validate_plan
 
 EXIT_OK = 0
@@ -186,15 +185,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_and_solve(scenario: Scenario, radio: RadioConfig, planning: PlanningConfig,
-                     mode: str, backend: str | None, time_limit: float | None,
-                     mip_rel_gap: float = 0.0):
+                     mode: str, time_limit: float | None, mip_rel_gap: float = 0.0):
     tables = build_link_tables(scenario, radio)
     if mode == MODE_RIS:
         model = build_ris_model(scenario, tables, planning)
     else:
         model = build_baseline_model(scenario, tables, planning)
-    result = solve(model, time_limit_s=time_limit, backend=backend,
-                   mip_rel_gap=mip_rel_gap)
+    result = solve(model, time_limit_s=time_limit, mip_rel_gap=mip_rel_gap)
     return tables, model, result
 
 
@@ -211,13 +208,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    try:
-        tables, model, result = _build_and_solve(
-            scenario, radio, planning, args.mode, args.backend,
-            args.time_limit, args.mip_gap)
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    tables, model, result = _build_and_solve(
+        scenario, radio, planning, args.mode, args.time_limit, args.mip_gap)
     timings["build_and_solve"] = time.perf_counter() - t0
 
     outputs: list[Path] = []
@@ -231,8 +223,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     config_doc = _config_doc(radio, planning, {
         "mode": args.mode, "scenario": str(args.scenario),
-        "backend": args.backend, "time_limit": args.time_limit,
-        "mip_gap": args.mip_gap})
+        "time_limit": args.time_limit, "mip_gap": args.mip_gap})
     scenario_digest = _sha256_file(Path(args.scenario))
 
     if result.status == STATUS_INFEASIBLE:
@@ -358,13 +349,8 @@ def _sweep_cell(payload: dict) -> dict:
                  "mu": payload["mu"], "mode": payload["mode"],
                  "status": "", "objective": "", "mean_theta": "", "mean_len": "",
                  "n_iab": "", "n_ris": "", "cost": ""}
-    try:
-        tables, model, result = _build_and_solve(
-            scenario, radio, planning, payload["mode"], payload["backend"],
-            payload["time_limit"], payload["mip_gap"])
-    except SolverError as exc:
-        row["status"] = _error_status(str(exc))
-        return row
+    tables, model, result = _build_and_solve(
+        scenario, radio, planning, payload["mode"], payload["time_limit"], payload["mip_gap"])
     row["status"] = result.status
     if result.variable_values is None:
         return row
@@ -428,8 +414,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "width": args.width, "height": args.height,
         "n_cs": args.n_cs, "n_tp": args.n_tp,
         "radio": radio_doc, "planning": planning_doc,
-        "backend": args.backend, "time_limit": args.time_limit,
-        "mip_gap": args.mip_gap,
+        "time_limit": args.time_limit, "mip_gap": args.mip_gap,
         "sim_counts": args.sim_counts or [], "sim_trials": args.sim_trials,
         "sim_seed": args.sim_seed,
         # Cells decoded by an older extract_plan must not be reused.
@@ -543,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="solve a placement model for a scenario")
     p_plan.add_argument("--scenario", required=True)
     p_plan.add_argument("--mode", choices=[MODE_RIS, MODE_BASELINE], default=MODE_RIS)
-    p_plan.add_argument("--backend", default=None, help="solver backend id")
     p_plan.add_argument("--time-limit", type=float, default=None, help="seconds")
     p_plan.add_argument("--mip-gap", type=float, default=0.0,
                         help="relative MIP gap to accept (default 0)")
@@ -579,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--height", type=float, default=400.0)
     p_sweep.add_argument("--n-cs", type=int, default=25)
     p_sweep.add_argument("--n-tp", type=int, default=15)
-    p_sweep.add_argument("--backend", default=None)
     p_sweep.add_argument("--time-limit", type=float, default=None)
     p_sweep.add_argument("--mip-gap", type=float, default=0.0)
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -603,9 +586,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioError, RadioModelError, ResilienceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

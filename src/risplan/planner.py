@@ -12,6 +12,10 @@ Two mixed-integer programs share most of their structure:
   distinct backup station; both demands flow through the tree; no
   surfaces, no orientations.
 
+Both are assembled on one shared part, _Backbone: the stations, the
+donor, the backhaul tree with its flows and airtime, and theta_t / l_t.
+Each builder adds only its access layer, between _Backbone's steps.
+
 The objective maximizes mu * sum(theta_t) / theta_norm
 - (1 - mu) * sum(l_t) / len_norm, where theta_t is the angular
 separation between a test point's two link directions and l_t the mean
@@ -92,15 +96,6 @@ class NetworkPlan:
         return sum(self.len_per_tp) / len(self.len_per_tp)
 
 
-def _check_dimensions(scenario: Scenario, tables: LinkBudgetTable) -> None:
-    if (tables.n_sites != scenario.n_sites
-            or tables.n_test_points != scenario.n_test_points):
-        raise PlannerError(
-            f"dimension mismatch: tables are {tables.n_test_points} TP x "
-            f"{tables.n_sites} CS, scenario is {scenario.n_test_points} x "
-            f"{scenario.n_sites}")
-
-
 def src_tuples(tables: LinkBudgetTable) -> list[tuple[int, int, int]]:
     """All (t, c, r) triples whose activation flag is set, in index order."""
     t_idx, c_idx, r_idx = np.nonzero(tables.delta_src)
@@ -121,82 +116,175 @@ def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig,
                cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
 
 
-class _BackhaulIndex:
-    """The backhaul pairs of each station, in pair order, so the per-station
-    rows are built in time proportional to the pairs they hold."""
+class _Backbone:
+    """The part of a placement model that both builders share.
 
-    def __init__(self, pairs: list[tuple[int, int]], n_c: int):
-        self.out: list[list[int]] = [[] for _ in range(n_c)]
-        self.into: list[list[int]] = [[] for _ in range(n_c)]
+    Variables: yIAB, yDON and tTX per site, z and f per backhaul pair, and
+    theta and l per test point with their objective coefficients. Rows:
+    bh_act, tree_in, flow_bal, flow_cap, tx_time, half_duplex and
+    link_len. A builder adds its access layer between the add_* calls, in
+    model order, and reports each of its assignment variables through
+    assign().
+    """
+
+    def __init__(self, name: str, scenario: Scenario, tables: LinkBudgetTable,
+                 cfg: PlanningConfig):
+        if (tables.n_sites != scenario.n_sites
+                or tables.n_test_points != scenario.n_test_points):
+            raise PlannerError(
+                f"dimension mismatch: tables are {tables.n_test_points} TP x "
+                f"{tables.n_sites} CS, scenario is {scenario.n_test_points} x "
+                f"{scenario.n_sites}")
+        self.model = MilpModel(name=name)
+        self.tables = tables
+        self.cfg = cfg
+        self.n_c = scenario.n_sites
+        self.n_t = scenario.n_test_points
+        self.pairs = bh_pairs(tables)
+        # The backhaul pairs of each station, in pair order, so the
+        # per-station rows are built in time proportional to the pairs they hold.
+        self.out: list[list[int]] = [[] for _ in range(self.n_c)]
+        self.into: list[list[int]] = [[] for _ in range(self.n_c)]
         # (pair, sign) for each pair leaving (-1) or entering (+1) a station
-        self.touching: list[list[tuple[tuple[int, int], float]]] = [[] for _ in range(n_c)]
-        for (c, d) in pairs:
+        self.touching: list[list[tuple[tuple[int, int], float]]] = [[] for _ in range(self.n_c)]
+        for (c, d) in self.pairs:
             self.out[c].append(d)
             self.into[d].append(c)
             self.touching[c].append(((c, d), -1.0))
             self.touching[d].append(((c, d), 1.0))
+        # (variable, pull, airtime) per station and (variable, length
+        # share) per test point, in the order assign() reported them.
+        self.served: list[list[tuple[int, float, float]]] = [[] for _ in range(self.n_c)]
+        self.shares: list[list[tuple[int, float]]] = [[] for _ in range(self.n_t)]
+        self.y_iab = self.site_vars("yIAB")
 
-    def add_balance(self, coeffs: dict[int, float], c: int, f_var: dict) -> None:
-        """Add the flow leaving (-1) and entering (+1) station c."""
-        for pair, sign in self.touching[c]:
-            vid = f_var[pair]
-            coeffs[vid] = coeffs.get(vid, 0.0) + sign
+    def site_vars(self, tag: str, kind: str = BINARY, upper: float = 1.0) -> list[int]:
+        """One variable per site, named "{tag}_c{c}"."""
+        return [self.model.add_variable((tag, c), kind, 0.0, upper, name=f"{tag}_c{c}")
+                for c in range(self.n_c)]
 
-    def half_duplex_row(self, t_tx_c: int, c: int, f_var: dict,
-                        tables: LinkBudgetTable) -> dict[int, float]:
-        """Transmit airtime of station c plus the airtime of its ingress flows."""
-        coeffs = {t_tx_c: 1.0}
-        for d in self.into[c]:
-            coeffs[f_var[(d, c)]] = 1.0 / tables.cap_bh[d, c]
-        return coeffs
+    def add_donors(self) -> None:
+        self.y_don = self.site_vars("yDON")
+
+    def add_backhaul(self) -> None:
+        model = self.model
+        self.z = {(c, d): model.add_variable(("z", c, d), BINARY, name=f"z_c{c}_c{d}")
+                  for (c, d) in self.pairs}
+        self.f = {(c, d): model.add_variable(("f", c, d), CONTINUOUS, 0.0, math.inf,
+                                             name=f"f_c{c}_c{d}")
+                  for (c, d) in self.pairs}
+
+    def add_airtime(self) -> None:
+        self.t_tx = self.site_vars("tTX", CONTINUOUS)
+
+    def add_objective(self) -> None:
+        model, cfg = self.model, self.cfg
+        self.theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi,
+                                         name=f"theta_t{t}") for t in range(self.n_t)]
+        self.l = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
+                  for t in range(self.n_t)]
+        for t in range(self.n_t):
+            model.set_objective_coeff(self.theta[t], cfg.mu / cfg.theta_norm_rad)
+            model.set_objective_coeff(self.l[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
+
+    def assign(self, t: int, c: int, var: int, pull_mbps: float, airtime: float,
+               len_share: float) -> None:
+        """Assignment variable var links test point t to station c: it pulls
+        pull_mbps through c, costs c airtime of transmission and adds
+        len_share to t's mean link length."""
+        self.served[c].append((var, pull_mbps, airtime))
+        self.shares[t].append((var, len_share))
+
+    def add_activation_rows(self) -> None:
+        """Link activations require both endpoints installed."""
+        y_iab = self.y_iab
+        for (c, d), zv in self.z.items():
+            self.model.add_constraint(f"bh_act_c{c}_c{d}",
+                                      {zv: 1.0, y_iab[c]: -0.5, y_iab[d]: -0.5}, "<=", 0.0)
+
+    def add_tree_rows(self, inflow: list[int], per_unit: float) -> None:
+        """Spanning tree: at most one ingress link, none at the donor. Flow
+        balance: per_unit * inflow[c] enters at station c, and every
+        assignment variable served there pulls its traffic."""
+        model = self.model
+        for c in range(self.n_c):
+            coeffs = {self.z[(d, c)]: 1.0 for d in self.into[c]}
+            coeffs[self.y_don[c]] = 1.0
+            model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
+        for c in range(self.n_c):
+            coeffs = {inflow[c]: per_unit}
+            for pair, sign in self.touching[c]:
+                vid = self.f[pair]
+                coeffs[vid] = coeffs.get(vid, 0.0) + sign
+            for var, pull, _ in self.served[c]:
+                coeffs[var] = -pull
+            model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
+
+    def add_capacity_rows(self) -> None:
+        """Backhaul capacity; transmit airtime per station (beams to its
+        children plus its access links); half duplex: receive plus
+        transmit airtime fits in one."""
+        model, cap_bh = self.model, self.tables.cap_bh
+        for (c, d), fv in self.f.items():
+            model.add_constraint(f"flow_cap_c{c}_c{d}",
+                                 {fv: 1.0, self.z[(c, d)]: -cap_bh[c, d]}, "<=", 0.0)
+        for c in range(self.n_c):
+            coeffs = {self.t_tx[c]: 1.0}
+            for d in self.out[c]:
+                coeffs[self.f[(c, d)]] = -1.0 / cap_bh[c, d]
+            for var, _, airtime in self.served[c]:
+                coeffs[var] = -airtime
+            model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
+        for c in range(self.n_c):
+            coeffs = {self.t_tx[c]: 1.0}
+            for d in self.into[c]:
+                coeffs[self.f[(d, c)]] = 1.0 / cap_bh[d, c]
+            model.add_constraint(f"half_duplex_c{c}", coeffs, "<=", 1.0)
+
+    def add_length_rows(self) -> None:
+        """l_t is at least the active assignment's mean link length."""
+        for t in range(self.n_t):
+            coeffs = {self.l[t]: 1.0}
+            for var, share in self.shares[t]:
+                coeffs[var] = -share
+            self.model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
 
 
 def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                     cfg: PlanningConfig) -> MilpModel:
     """Assemble the surface-enabled placement MILP."""
-    _check_dimensions(scenario, tables)
-    n_c = scenario.n_sites
-    n_t = scenario.n_test_points
+    net = _Backbone(MODE_RIS, scenario, tables, cfg)
+    model, n_c, n_t = net.model, net.n_c, net.n_t
     demand = cfg.demand_mbps
     tuples = src_tuples(tables)
-    pairs = bh_pairs(tables)
-    bh = _BackhaulIndex(pairs, n_c)
     by_tp: list[list[tuple[int, int]]] = [[] for _ in range(n_t)]
-    by_site: list[list[tuple[int, int]]] = [[] for _ in range(n_c)]
     by_surface: dict[int, list[tuple[int, int]]] = {}
     for (t, c, r) in tuples:
         by_tp[t].append((c, r))
-        by_site[c].append((t, r))
         by_surface.setdefault(r, []).append((t, c))
 
-    model = MilpModel(name=MODE_RIS)
-
-    y_iab = [model.add_variable(("yIAB", c), BINARY, name=f"yIAB_c{c}") for c in range(n_c)]
-    y_ris = [model.add_variable(("yRIS", c), BINARY, name=f"yRIS_c{c}") for c in range(n_c)]
-    y_don = [model.add_variable(("yDON", c), BINARY, name=f"yDON_c{c}") for c in range(n_c)]
+    y_iab = net.y_iab
+    y_ris = net.site_vars("yRIS")
+    net.add_donors()
+    y_don = net.y_don
     # "t{t}_c{c}_r{r}" names the variable and the rows of each triple.
     tags = [f"t{t}_c{c}_r{r}" for (t, c, r) in tuples]
     x_ids = [model.add_variable(("x", t, c, r), BINARY, name="x_" + tag)
              for (t, c, r), tag in zip(tuples, tags)]
     x_var = dict(zip(tuples, x_ids))
-    z_var = {(c, d): model.add_variable(("z", c, d), BINARY, name=f"z_c{c}_c{d}")
-             for (c, d) in pairs}
-    f_var = {(c, d): model.add_variable(("f", c, d), CONTINUOUS, 0.0, math.inf,
-                                        name=f"f_c{c}_c{d}")
-             for (c, d) in pairs}
-    t_tx = [model.add_variable(("tTX", c), CONTINUOUS, 0.0, 1.0, name=f"tTX_c{c}")
-            for c in range(n_c)]
+    net.add_backhaul()
+    net.add_airtime()
     ris_candidates = sorted(by_surface)
     phi = {r: model.add_variable(("phi", r), CONTINUOUS, 0.0, TWO_PI, name=f"phi_c{r}")
            for r in ris_candidates}
-    theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi, name=f"theta_t{t}")
-             for t in range(n_t)]
-    l_var = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
-             for t in range(n_t)]
+    net.add_objective()
+    theta = net.theta
 
-    for t in range(n_t):
-        model.set_objective_coeff(theta[t], cfg.mu / cfg.theta_norm_rad)
-        model.set_objective_coeff(l_var[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
+    # A served test point pulls D from its serving station, which spends
+    # the longer of the direct and reflected airtime on it.
+    for (t, c, r), xv in zip(tuples, x_ids):
+        net.assign(t, c, xv, demand, access_airtime(tables, cfg, t, c, r),
+                   0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r]))
 
     # One technology per site; donors only where a station stands.
     for c in range(n_c):
@@ -209,11 +297,7 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
          **{y_ris[c]: cfg.price_ris for c in range(n_c)}},
         "<=", cfg.budget)
 
-    # Link activations require both endpoints installed.
-    for (c, d) in pairs:
-        model.add_constraint(f"bh_act_c{c}_c{d}",
-                             {z_var[(c, d)]: 1.0, y_iab[c]: -0.5, y_iab[d]: -0.5},
-                             "<=", 0.0)
+    net.add_activation_rows()
     for (t, c, r), tag, xv in zip(tuples, tags, x_ids):
         model.add_constraint("src_act_" + tag, {xv: 1.0, y_iab[c]: -0.5, y_ris[r]: -0.5},
                              "<=", 0.0)
@@ -224,41 +308,9 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
         model.add_constraint(
             f"one_src_t{t}", {x_var[(t, c, r)]: 1.0 for (c, r) in by_tp[t]}, "=", 1.0)
 
-    # Spanning tree: at most one ingress link, none at the donor.
-    for c in range(n_c):
-        coeffs = {z_var[(d, c)]: 1.0 for d in bh.into[c]}
-        coeffs[y_don[c]] = 1.0
-        model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
-
-    # Flow balance: core injection |T| * D at the donor; every served test
-    # point pulls D from its serving station.
-    for c in range(n_c):
-        coeffs = {y_don[c]: float(n_t) * demand}
-        bh.add_balance(coeffs, c, f_var)
-        for (t, r) in by_site[c]:
-            vid = x_var[(t, c, r)]
-            coeffs[vid] = coeffs.get(vid, 0.0) - demand
-        model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
-
-    for (c, d) in pairs:
-        model.add_constraint(f"flow_cap_c{c}_c{d}",
-                             {f_var[(c, d)]: 1.0, z_var[(c, d)]: -tables.cap_bh[c, d]},
-                             "<=", 0.0)
-
-    # Transmission airtime per station: backhaul beams to children plus
-    # the longer of direct/reflected access per served test point.
-    for c in range(n_c):
-        coeffs = {t_tx[c]: 1.0}
-        for d in bh.out[c]:
-            coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
-        for (t, r) in by_site[c]:
-            coeffs[x_var[(t, c, r)]] = -access_airtime(tables, cfg, t, c, r)
-        model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
-
-    # Half duplex: receive airtime plus transmit airtime fits in one.
-    for c in range(n_c):
-        model.add_constraint(f"half_duplex_c{c}", bh.half_duplex_row(t_tx[c], c, f_var, tables),
-                             "<=", 1.0)
+    # Core injection |T| * D at the donor.
+    net.add_tree_rows(y_don, float(n_t) * demand)
+    net.add_capacity_rows()
 
     # A surface serves its test points by time sharing.
     for r in ris_candidates:
@@ -283,17 +335,12 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
         model.add_constraint("fov_b_hi_" + tag,
                              {pv: 1.0, xv: TWO_PI}, "<=", b_angle + half_fov + TWO_PI)
 
-    # Angular separation is capped by the active pair's table angle; link
-    # length is at least the active pair's average length.
+    # Angular separation is capped by the active pair's table angle.
     thetas = tables.theta[t_idx, c_idx, r_idx].tolist()
     for (t, c, r), tag, xv, theta_tcr in zip(tuples, tags, x_ids, thetas):
         model.add_constraint("ang_sep_" + tag, {theta[t]: 1.0, xv: TWO_PI},
                              "<=", theta_tcr + TWO_PI)
-    for t in range(n_t):
-        coeffs = {l_var[t]: 1.0}
-        for (c, r) in by_tp[t]:
-            coeffs[x_var[(t, c, r)]] = -0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r])
-        model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
+    net.add_length_rows()
 
     # Strengthening cut, redundant at integer points (exactly one x per
     # test point is active) but far tighter in relaxation than the big-M
@@ -311,45 +358,32 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
                          cfg: PlanningConfig) -> MilpModel:
     """Assemble the station-only placement MILP (primary + backup station
     per test point, both demands flowing through the tree)."""
-    _check_dimensions(scenario, tables)
-    n_c = scenario.n_sites
-    n_t = scenario.n_test_points
+    net = _Backbone(MODE_BASELINE, scenario, tables, cfg)
+    model, n_c, n_t = net.model, net.n_c, net.n_t
     demand = cfg.demand_mbps
-    pairs = bh_pairs(tables)
-    bh = _BackhaulIndex(pairs, n_c)
     acc = [(t, c) for t in range(n_t) for c in range(n_c)
            if tables.delta_acc[t, c] == 1]
     sites_of: list[list[int]] = [[] for _ in range(n_t)]
-    tps_of: list[list[int]] = [[] for _ in range(n_c)]
     for (t, c) in acc:
         sites_of[t].append(c)
-        tps_of[c].append(t)
 
-    model = MilpModel(name=MODE_BASELINE)
-
-    y_iab = [model.add_variable(("yIAB", c), BINARY, name=f"yIAB_c{c}") for c in range(n_c)]
-    y_don = [model.add_variable(("yDON", c), BINARY, name=f"yDON_c{c}") for c in range(n_c)]
+    y_iab = net.y_iab
+    net.add_donors()
+    y_don = net.y_don
     x_var = {(t, c): model.add_variable(("x", t, c), BINARY, name=f"x_t{t}_c{c}")
              for (t, c) in acc}
     s_var = {(t, c): model.add_variable(("s", t, c), BINARY, name=f"s_t{t}_c{c}")
              for (t, c) in acc}
-    z_var = {(c, d): model.add_variable(("z", c, d), BINARY, name=f"z_c{c}_c{d}")
-             for (c, d) in pairs}
-    f_var = {(c, d): model.add_variable(("f", c, d), CONTINUOUS, 0.0, math.inf,
-                                        name=f"f_c{c}_c{d}")
-             for (c, d) in pairs}
-    w_var = [model.add_variable(("w", c), CONTINUOUS, 0.0, math.inf, name=f"w_c{c}")
-             for c in range(n_c)]
-    t_tx = [model.add_variable(("tTX", c), CONTINUOUS, 0.0, 1.0, name=f"tTX_c{c}")
-            for c in range(n_c)]
-    theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi, name=f"theta_t{t}")
-             for t in range(n_t)]
-    l_var = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
-             for t in range(n_t)]
+    net.add_backhaul()
+    w_var = net.site_vars("w", CONTINUOUS, math.inf)
+    net.add_airtime()
+    net.add_objective()
+    theta = net.theta
 
-    for t in range(n_t):
-        model.set_objective_coeff(theta[t], cfg.mu / cfg.theta_norm_rad)
-        model.set_objective_coeff(l_var[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
+    # The primary link pulls D and the backup xi * D from their stations.
+    for (t, c) in acc:
+        for var, pull in ((x_var[(t, c)], demand), (s_var[(t, c)], cfg.xi * demand)):
+            net.assign(t, c, var, pull, pull / tables.cap_acc[t, c], 0.5 * tables.len_tc[t, c])
 
     for c in range(n_c):
         model.add_constraint(f"donor_iab_c{c}", {y_don[c]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
@@ -357,10 +391,7 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     model.add_constraint("budget", {y_iab[c]: cfg.price_iab for c in range(n_c)},
                          "<=", cfg.budget)
 
-    for (c, d) in pairs:
-        model.add_constraint(f"bh_act_c{c}_c{d}",
-                             {z_var[(c, d)]: 1.0, y_iab[c]: -0.5, y_iab[d]: -0.5},
-                             "<=", 0.0)
+    net.add_activation_rows()
     for (t, c) in acc:
         model.add_constraint(f"x_act_t{t}_c{c}",
                              {x_var[(t, c)]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
@@ -376,42 +407,13 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
         model.add_constraint(f"one_backup_t{t}",
                              {s_var[(t, c)]: 1.0 for c in sites_of[t]}, "=", 1.0)
 
-    for c in range(n_c):
-        coeffs = {z_var[(d, c)]: 1.0 for d in bh.into[c]}
-        coeffs[y_don[c]] = 1.0
-        model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
-
-    # Flow balance with wired inflow w_c; primary pulls D, backup xi * D.
-    for c in range(n_c):
-        coeffs = {w_var[c]: 1.0}
-        bh.add_balance(coeffs, c, f_var)
-        for t in tps_of[c]:
-            coeffs[x_var[(t, c)]] = -demand
-            coeffs[s_var[(t, c)]] = -cfg.xi * demand
-        model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
-
+    # Wired inflow w_c, capped at the donor.
+    net.add_tree_rows(w_var, 1.0)
     for c in range(n_c):
         model.add_constraint(f"wired_cap_c{c}",
                              {w_var[c]: 1.0, y_don[c]: -cfg.wired_capacity_mbps},
                              "<=", 0.0)
-
-    for (c, d) in pairs:
-        model.add_constraint(f"flow_cap_c{c}_c{d}",
-                             {f_var[(c, d)]: 1.0, z_var[(c, d)]: -tables.cap_bh[c, d]},
-                             "<=", 0.0)
-
-    for c in range(n_c):
-        coeffs = {t_tx[c]: 1.0}
-        for d in bh.out[c]:
-            coeffs[f_var[(c, d)]] = -1.0 / tables.cap_bh[c, d]
-        for t in tps_of[c]:
-            coeffs[x_var[(t, c)]] = -demand / tables.cap_acc[t, c]
-            coeffs[s_var[(t, c)]] = -cfg.xi * demand / tables.cap_acc[t, c]
-        model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
-
-    for c in range(n_c):
-        model.add_constraint(f"half_duplex_c{c}", bh.half_duplex_row(t_tx[c], c, f_var, tables),
-                             "<=", 1.0)
+    net.add_capacity_rows()
 
     # Angular separation rows bind only when x_t,c and s_t,r are both
     # active; c == r pairs are excluded by the distinctness row.
@@ -424,13 +426,7 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
                     f"ang_sep_t{t}_c{c}_r{r}",
                     {theta[t]: 1.0, x_var[(t, c)]: TWO_PI, s_var[(t, r)]: TWO_PI},
                     "<=", tables.theta[t, c, r] + 2.0 * TWO_PI)
-
-    for t in range(n_t):
-        coeffs = {l_var[t]: 1.0}
-        for c in sites_of[t]:
-            coeffs[x_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
-            coeffs[s_var[(t, c)]] = -0.5 * tables.len_tc[t, c]
-        model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
+    net.add_length_rows()
 
     # Strengthening cuts, redundant at integer points: with the primary
     # (or backup) station fixed, the separation can never exceed the best

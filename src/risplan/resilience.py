@@ -86,6 +86,11 @@ def _draw_trial(area_width: float, area_height: float, n_obstacles: int, n_tps: 
     dx, dy = (half * np.array(list(map(f, angles)), dtype=float) for f in (math.cos, math.sin))
     cx, cy = draws[:, 0], draws[:, 1]
     obstacles = np.column_stack((cx - dx, cy - dy, cx + dx, cy + dy))
+    # A length lost in rounding against the center leaves a point, not an obstacle.
+    points = (obstacles[:, 0] == obstacles[:, 2]) & (obstacles[:, 1] == obstacles[:, 3])
+    if points.any():
+        raise ResilienceError(f"obstacle length {obstacle_length_m!r} is too short: obstacle "
+                              f"{int(points.argmax())} has coincident endpoints")
     sector = rng.random((n_tps, 2))
     spans = np.where(sector[:, 0] < 0.5, SECTOR_SPANS[0], SECTOR_SPANS[1])
     return obstacles, spans, (sector[:, 1] * TWO_PI) % TWO_PI

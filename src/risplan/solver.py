@@ -1,15 +1,13 @@
-"""Backend contract for solving MilpModels.
+"""Solving MilpModels with HiGHS, in process through scipy.optimize.milp.
 
-One open-source exact backend ships in-process ("highs", through
-scipy.optimize.milp); external solvers can be reached through LP files
-(milp.export_lp / milp.read_lp). Backends take a model and return a
-SolveResult; nothing else about the engine leaks out.
+``solve`` takes a model and returns a SolveResult; nothing else about the
+engine leaks out. External solvers can be reached through LP files
+(milp.export_lp / milp.read_lp).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
@@ -19,9 +17,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
 from .milp import BINARY, MilpModel
 
-DEFAULT_BACKEND = "highs"
-BACKEND_ENV_VAR = "RISPLAN_BACKEND"
-
 # One home for the numeric tolerances used across solve/validate/oracle.
 FEASIBILITY_TOL = 1e-6
 OBJECTIVE_REL_TOL = 1e-6
@@ -30,10 +25,6 @@ STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIME_LIMIT = "time_limit"
 STATUS_ERROR = "error"
-
-
-class SolverError(ValueError):
-    """Unknown backend or unusable solver input."""
 
 
 @dataclass
@@ -104,32 +95,15 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
     return SolveResult(STATUS_ERROR, None, None, elapsed, 0.0, res.message)
 
 
-BACKENDS = {
-    "highs": _solve_highs,
-}
-
-
-def available_backends() -> list[str]:
-    return sorted(BACKENDS)
-
-
 def solve(model: MilpModel, time_limit_s: float | None = None,
-          backend: str | None = None, mip_rel_gap: float = 0.0) -> SolveResult:
-    """Solve a model with the selected backend.
+          mip_rel_gap: float = 0.0) -> SolveResult:
+    """Solve a model with HiGHS.
 
-    The backend defaults to $RISPLAN_BACKEND, then "highs". The default
-    relative MIP gap of 0 demands proven optimality; pass a time limit to
-    accept incumbents (status "time_limit", gap reported).
+    The default relative MIP gap of 0 demands proven optimality; pass a
+    time limit to accept incumbents (status "time_limit", gap reported).
     """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND)
     try:
-        runner = BACKENDS[backend]
-    except KeyError:
-        raise SolverError(
-            f"unknown backend {backend!r}; available: {available_backends()}") from None
-    try:
-        return runner(model, time_limit_s, mip_rel_gap)
-    except Exception as exc:  # backend crash becomes a result, not an exception
+        return _solve_highs(model, time_limit_s, mip_rel_gap)
+    except Exception as exc:  # a solver crash becomes a result, not an exception
         return SolveResult(STATUS_ERROR, None, None, 0.0, 0.0,
                            f"{type(exc).__name__}: {exc}")

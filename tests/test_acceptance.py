@@ -1,8 +1,10 @@
 """Acceptance gate.
 
 Each test implements one acceptance criterion at its stated tolerance and
-prints one `ACCEPTANCE <n> (<name>): PASS` line when it holds (run with
-`pytest tests/test_acceptance.py -v -s` to watch them stream).
+prints one `ACCEPTANCE <n> (<name>): PASS in <t> s` line when it holds,
+with its wall time (run with `pytest tests/test_acceptance.py -v -s` to
+watch them stream). Desk cells are solved once and cached, so a
+criterion that reuses cells an earlier one solved runs faster.
 
 Desk-scale instances are 12 candidate sites and 8 test points on
 190 x 253 m (the 25-site reference geometry scaled by site count). Two
@@ -90,8 +92,17 @@ def desk_cell(config, seed, budget, mu, mode, time_limit=90.0):
     return _cell_cache[key]
 
 
+_criterion_started = [0.0]
+
+
+@pytest.fixture(autouse=True)
+def _time_criterion():
+    _criterion_started[0] = time.perf_counter()
+
+
 def _report(n, name):
-    print(f"\nACCEPTANCE {n} ({name}): PASS")
+    elapsed = time.perf_counter() - _criterion_started[0]
+    print(f"\nACCEPTANCE {n} ({name}): PASS in {elapsed:.1f} s")
 
 
 # -- criterion 1: oracle equivalence ---------------------------------------

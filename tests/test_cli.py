@@ -77,11 +77,6 @@ class TestPlan:
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
 
-    def test_unknown_backend_exit_4(self, scenario_file, tmp_path):
-        code = main(["plan", "--scenario", str(scenario_file),
-                     "--backend", "gurobi", "--out", str(tmp_path / "p.json")])
-        assert code == 4
-
     def test_timeout_without_incumbent_exit_4(self, tmp_path):
         # A hopeless time limit is a solver failure, not a crash; proven
         # infeasibility (exit 3) at tight budgets is asserted statistically
@@ -155,6 +150,15 @@ class TestSimulate:
                      "--counts", "0", "10", "--trials", "2",
                      f"--obstacle-length={length}", "--out", str(tmp_path / "r")])
         assert code == 2
+        assert not (tmp_path / "r.trials.csv").exists()
+
+    @pytest.mark.parametrize("length", ["1e-15", "1e-320"])
+    def test_point_obstacles_exit_2(self, scenario_file, plan_file, tmp_path, length, capsys):
+        code = main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                     "--counts", "0", "10", "--trials", "2",
+                     f"--obstacle-length={length}", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "coincident endpoints" in capsys.readouterr().err
         assert not (tmp_path / "r.trials.csv").exists()
 
     def test_missing_plan_exit_2(self, scenario_file, tmp_path):

@@ -66,6 +66,13 @@ class TestSampleTrial:
             sample_trial(100.0, 100.0, 3, (Point2D(1, 1),), seed=0,
                          obstacle_length_m=length)
 
+    @pytest.mark.parametrize("length", [1e-15, 1e-320])
+    def test_point_obstacles_rejected(self, length):
+        # Half the length is lost against the center coordinates, so both
+        # endpoints of a drawn obstacle coincide.
+        with pytest.raises(ResilienceError, match="coincident endpoints"):
+            sample_trial(100, 100, 50, (Point2D(1, 1),), seed=0, obstacle_length_m=length)
+
 
 class TestIsLinkBlocked:
     def test_sector_center_always_blocks(self):
@@ -183,6 +190,12 @@ class TestEvaluate:
     def test_bad_obstacle_length_rejected(self, ris_plan, length):
         plan, scenario = ris_plan
         with pytest.raises(ResilienceError, match="obstacle length"):
+            evaluate(plan, scenario, [0, 10], 3, base_seed=0, obstacle_length_m=length)
+
+    @pytest.mark.parametrize("length", [1e-15, 1e-320])
+    def test_point_obstacles_rejected(self, ris_plan, length):
+        plan, scenario = ris_plan
+        with pytest.raises(ResilienceError, match="coincident endpoints"):
             evaluate(plan, scenario, [0, 10], 3, base_seed=0, obstacle_length_m=length)
 
     def test_unsorted_counts_rejected(self, ris_plan):

@@ -4,8 +4,8 @@ from conftest import restrict_tuples
 from risplan.planner import build_baseline_model, build_ris_model, extract_plan
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, generate
-from risplan.solver import (STATUS_INFEASIBLE, STATUS_OPTIMAL, SolverError,
-                            available_backends, solve)
+from risplan import solver
+from risplan.solver import STATUS_ERROR, STATUS_INFEASIBLE, STATUS_OPTIMAL, solve
 from risplan.validate import validate_plan
 
 
@@ -27,14 +27,18 @@ class TestSolve:
         assert res.status == STATUS_INFEASIBLE
         assert res.variable_values is None
 
-    def test_unknown_backend(self, small_instance, default_cfg):
+    def test_crash_becomes_error_status(self, small_instance, default_cfg, monkeypatch):
         scenario, tables = small_instance
         model = build_ris_model(scenario, tables, default_cfg)
-        with pytest.raises(SolverError, match="unknown backend"):
-            solve(model, backend="cplex")
 
-    def test_backends_listed(self):
-        assert "highs" in available_backends()
+        def crash(**kwargs):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(solver, "scipy_milp", crash)
+        res = solve(model)
+        assert res.status == STATUS_ERROR
+        assert res.variable_values is None
+        assert res.message == "RuntimeError: solver crashed"
 
     def test_deterministic(self, small_instance, default_cfg):
         scenario, tables = small_instance

@@ -181,11 +181,11 @@ class _Backbone:
         model, cfg = self.model, self.cfg
         self.theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi,
                                          name=f"theta_t{t}") for t in range(self.n_t)]
-        self.l = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
-                  for t in range(self.n_t)]
+        self.l_var = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
+                      for t in range(self.n_t)]
         for t in range(self.n_t):
             model.set_objective_coeff(self.theta[t], cfg.mu / cfg.theta_norm_rad)
-            model.set_objective_coeff(self.l[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
+            model.set_objective_coeff(self.l_var[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
 
     def assign(self, t: int, c: int, var: int, pull_mbps: float, airtime: float,
                len_share: float) -> None:
@@ -244,7 +244,7 @@ class _Backbone:
     def add_length_rows(self) -> None:
         """l_t is at least the active assignment's mean link length."""
         for t in range(self.n_t):
-            coeffs = {self.l[t]: 1.0}
+            coeffs = {self.l_var[t]: 1.0}
             for var, share in self.shares[t]:
                 coeffs[var] = -share
             self.model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)

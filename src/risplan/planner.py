@@ -12,9 +12,8 @@ Two mixed-integer programs share most of their structure:
   distinct backup station; both demands flow through the tree; no
   surfaces, no orientations.
 
-Both are assembled on one shared part, _Backbone: the stations, the
-donor, the backhaul tree with its flows and airtime, and theta_t / l_t.
-Each builder adds only its access layer, between _Backbone's steps.
+The structure they share, from the backhaul tree to the objective, is
+assembled by _Backbone; each builder adds only its access layer.
 
 The objective maximizes mu * sum(theta_t) / theta_norm
 - (1 - mu) * sum(l_t) / len_norm, where theta_t is the angular

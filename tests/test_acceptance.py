@@ -410,7 +410,7 @@ def test_acceptance_7_property_suite():
 def test_acceptance_8_full_scale_smoke():
     """One 25-site / 15-test-point instance: both models build; the
     surface-assisted model solves to proven optimality or <= 1% gap within
-    a 30-minute limit on the bundled backend; the decoded plan passes the
+    a 30-minute limit on HiGHS; the decoded plan passes the
     audit."""
     scenario = generate(300.0, 400.0, 25, 15, seed=0)
     tables = build_link_tables(scenario, RadioConfig())

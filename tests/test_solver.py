@@ -62,7 +62,7 @@ class TestSolve:
 
     def test_time_limit_reported(self):
         # A full-scale model cannot be solved in a few milliseconds; the
-        # backend must come back with the time_limit status, not crash.
+        # solver must come back with the time_limit status, not crash.
         scenario = generate(300.0, 400.0, 20, 12, seed=3)
         tables = build_link_tables(scenario, RadioConfig())
         model = build_ris_model(scenario, tables, PlanningConfig(mu=0.5, budget=5.0))

@@ -46,7 +46,6 @@ model = build_ris_model(scenario, tables, cfg)
 milp = solve(model)
 print(f"    oracle optimum  {oracle.objective:.10f}")
 print(f"    solver optimum  {milp.objective_value:.10f}")
-print(f"    aperture wraparound discrepancy: {oracle.fov_discrepancy}")
 
 lp_text = export_lp(model)
 print(f"\nLP export: {len(lp_text.splitlines())} lines; first three:")

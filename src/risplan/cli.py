@@ -61,7 +61,7 @@ def _digest_config(doc: dict) -> str:
 
 def write_manifest(primary_out: Path, command: str, config_doc: dict,
                    scenario_digest: str | None, timings: dict,
-                   outputs: list[Path]) -> Path:
+                   outputs: list[Path], solver: dict | None = None) -> Path:
     manifest = {
         "command": command,
         "config_digest": _digest_config(config_doc),
@@ -71,6 +71,8 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
         "timings_s": timings,
         "outputs": {str(p): _sha256_file(p) for p in outputs},
     }
+    if solver is not None:
+        manifest["solver"] = solver
     path = primary_out.with_suffix(primary_out.suffix + ".manifest.json")
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -225,12 +227,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "mode": args.mode, "scenario": str(args.scenario),
         "time_limit": args.time_limit, "mip_gap": args.mip_gap})
     scenario_digest = _sha256_file(Path(args.scenario))
+    # Model size is counted before HiGHS presolves it.
+    solver_stats = {"status": result.status, "gap": result.gap,
+                    "node_count": result.node_count, "dual_bound": result.dual_bound,
+                    "rows": model.num_constraints, "variables": model.num_variables}
 
     if result.status == STATUS_INFEASIBLE:
         print(f"status: infeasible (mode={args.mode}, budget={planning.budget}, "
               f"mu={planning.mu}); no plan written")
         if outputs:
-            write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs)
+            write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs,
+                           solver_stats)
         return EXIT_INFEASIBLE
     if result.status not in (STATUS_OPTIMAL, STATUS_TIME_LIMIT) or result.variable_values is None:
         print(f"solver error: status={result.status} {result.message}", file=sys.stderr)
@@ -251,7 +258,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     save_plan(plan, out)
     outputs.insert(0, out)
     timings["total"] = time.perf_counter() - started
-    write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs)
+    write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs,
+                   solver_stats)
 
     gap_note = f", gap {result.gap:.2%}" if result.status == STATUS_TIME_LIMIT else ""
     print(f"status: {result.status}{gap_note}")

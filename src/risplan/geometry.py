@@ -162,6 +162,11 @@ def within_fov(orientation, ray_azimuth, fov):
     return np.minimum(d, TWO_PI - d) <= fov / 2.0
 
 
+# Slack on aperture width: a set of rays fits in an aperture of F radians
+# when its smallest covering arc is at most F + APERTURE_TOL wide.
+APERTURE_TOL = 1e-9
+
+
 def minimal_covering_arc(angles: Sequence[float]) -> tuple[float, float]:
     """Smallest circular arc containing every angle in ``angles``.
 

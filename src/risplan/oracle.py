@@ -5,13 +5,10 @@ installed stations, and per-test-point assignments; flows are then
 forced by the tree (subtree demand sums), so feasibility reduces to
 arithmetic checks of the airtime, capacity and aperture rules. No linear
 programming is involved anywhere, which makes this a genuinely
-independent oracle for the MILP route.
-
-Aperture feasibility is evaluated twice: with true circular geometry
-(the real-world answer, used for the returned plan) and with the
-seam-blind linear comparison the MILP rows encode. Instances where the
-two disagree are reported through ``fov_discrepancy`` so equivalence
-tests can set them aside.
+independent oracle for the MILP route. Apertures are checked with true
+circular geometry: the rays a surface assists must fit in an arc of the
+field of view (minimal_covering_arc), and the surface points at the
+centre of the smallest such arc.
 
 Branch-and-bound style pruning is used for speed, with the bound applied
 strictly below the incumbent-minus-epsilon, so every tied optimum is
@@ -26,12 +23,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .geometry import minimal_covering_arc
+from .geometry import APERTURE_TOL, minimal_covering_arc
 from .planner import MODE_BASELINE, MODE_RIS, NetworkPlan, access_airtime
 from .radio import LinkBudgetTable
 from .scenario import PlanningConfig, Scenario
 
-ORACLE_TOL = 1e-9
+# One slack for every arithmetic check, the same one the MILP's aperture
+# candidates use.
+ORACLE_TOL = APERTURE_TOL
 TIE_TOL = 1e-12
 MAX_SITES = 7
 MAX_TEST_POINTS = 4
@@ -46,9 +45,6 @@ class OracleResult:
     feasible: bool
     objective: float | None
     plan: NetworkPlan | None
-    linear_feasible: bool
-    linear_objective: float | None
-    fov_discrepancy: bool
 
 
 @dataclass
@@ -63,6 +59,11 @@ class _Incumbent:
         elif (objective > self.objective - TIE_TOL
               and (self.key is None or key < self.key)):
             self.objective, self.key, self.plan = objective, key, make_plan()
+
+    def result(self) -> OracleResult:
+        if self.plan is None:
+            return OracleResult(False, None, None)
+        return OracleResult(True, self.objective, self.plan)
 
 
 def _spanning_trees(nodes: tuple[int, ...], delta_bh) -> list[tuple[tuple[int, int], ...]]:
@@ -215,8 +216,7 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
          if tables.delta_src[t, c, r] == 1]
         for t in range(n_t)]
 
-    best_circ = _Incumbent()
-    best_lin = _Incumbent()
+    best = _Incumbent()
     tree_cache: dict[tuple[int, ...], list] = {}
 
     # Collect installation combos with their objective upper bounds, then
@@ -244,8 +244,7 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
     combos.sort(key=lambda item: (-item[0], item[1], item[2]))
 
     for bound, iab, ris, per_tp in combos:
-        if (bound < best_circ.objective - TIE_TOL
-                and bound < best_lin.objective - TIE_TOL):
+        if bound < best.objective - TIE_TOL:
             break
         if iab not in tree_cache:
             tree_cache[iab] = _spanning_trees(iab, tables.delta_bh)
@@ -267,7 +266,7 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
         def dfs(t: int, partial_obj: float, dem: dict[int, float],
                 air: dict[int, float], ris_air: dict[int, float],
                 ris_rays: dict[int, list[float]]) -> None:
-            threshold = min(best_circ.objective, best_lin.objective) - TIE_TOL
+            threshold = best.objective - TIE_TOL
             if partial_obj + suffix[t] < threshold:
                 return
             if t == n_t:
@@ -303,25 +302,12 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
                 dem[c] -= demand
 
         def _finish_ris(obj, assign, dem, air, ris_air, ris_rays, iab, ris, trees):
-            circ_ok = True
-            lin_ok = True
-            orientations_circ: dict[int, float] = {}
-            orientations_lin: dict[int, float] = {}
+            orientations: dict[int, float] = {}
             for r, rays in ris_rays.items():
                 width, center = minimal_covering_arc(rays)
-                if width <= cfg.fov_rad + ORACLE_TOL:
-                    orientations_circ[r] = center
-                else:
-                    circ_ok = False
-                lo, hi = min(rays), max(rays)
-                if hi - lo <= cfg.fov_rad + ORACLE_TOL:
-                    orientations_lin[r] = (lo + hi) / 2.0
-                else:
-                    lin_ok = False
-                if not circ_ok and not lin_ok:
+                if width > cfg.fov_rad + APERTURE_TOL:
                     return
-            if not circ_ok and not lin_ok:
-                return
+                orientations[r] = center
             routing = _first_feasible_routing(iab, trees, dem, air, tables.cap_bh)
             if routing is None:
                 return
@@ -329,30 +315,13 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
             cost = cfg.price_iab * len(iab) + cfg.price_ris * len(ris)
             key = (cost, iab, ris, tuple(assign), donor, edges)
             wired = float(n_t) * demand
-            if circ_ok:
-                best_circ.offer(obj, key, lambda: _make_plan(
-                    MODE_RIS, donor, iab, ris, list(assign), edges, flows,
-                    wired, orientations_circ, tables, cfg, obj))
-            if lin_ok:
-                best_lin.offer(obj, key, lambda: _make_plan(
-                    MODE_RIS, donor, iab, ris, list(assign), edges, flows,
-                    wired, orientations_lin, tables, cfg, obj))
+            best.offer(obj, key, lambda: _make_plan(
+                MODE_RIS, donor, iab, ris, list(assign), edges, flows,
+                wired, orientations, tables, cfg, obj))
 
         dfs(0, 0.0, {}, {}, {}, {})
 
-    circ_feasible = best_circ.plan is not None
-    lin_feasible = best_lin.plan is not None
-    discrepancy = (circ_feasible != lin_feasible
-                   or (circ_feasible and lin_feasible
-                       and abs(best_circ.objective - best_lin.objective) > ORACLE_TOL))
-    return OracleResult(
-        feasible=circ_feasible,
-        objective=best_circ.objective if circ_feasible else None,
-        plan=best_circ.plan,
-        linear_feasible=lin_feasible,
-        linear_objective=best_lin.objective if lin_feasible else None,
-        fov_discrepancy=discrepancy,
-    )
+    return best.result()
 
 
 def _search_baseline(scenario: Scenario, tables: LinkBudgetTable,
@@ -369,7 +338,7 @@ def _search_baseline(scenario: Scenario, tables: LinkBudgetTable,
 
     total_demand = (1.0 + cfg.xi) * demand * n_t
     if total_demand > cfg.wired_capacity_mbps + ORACLE_TOL:
-        return OracleResult(False, None, None, False, None, False)
+        return OracleResult(False, None, None)
 
     combos = []
     for iab in _iter_subsets(all_sites):
@@ -441,12 +410,4 @@ def _search_baseline(scenario: Scenario, tables: LinkBudgetTable,
 
         dfs(0, 0.0, {}, {})
 
-    feasible = best.plan is not None
-    return OracleResult(
-        feasible=feasible,
-        objective=best.objective if feasible else None,
-        plan=best.plan,
-        linear_feasible=feasible,
-        linear_objective=best.objective if feasible else None,
-        fov_discrepancy=False,
-    )
+    return best.result()

@@ -5,8 +5,12 @@ Two mixed-integer programs share most of their structure:
 * the surface-enabled model: every test point is served by one
   (station, surface) pair giving a direct link plus a reflected backup;
   stations relay traffic over a spanning tree rooted at a single wired
-  donor; surface orientations must cover the azimuths of all endpoints
-  they assist, encoded with big-M rows over an aperture of F radians;
+  donor; each surface takes one aperture of F radians, chosen among
+  discrete candidates (binaries o_c{r}_k{k}, see aperture_candidates),
+  that covers the azimuths of all endpoints it assists, seam included.
+  Rows orient_c{r}, cover_a_t{t}_r{r} and cover_t{t}_c{c}_r{r} encode
+  the aperture; src_iab_t{t}_c{c} and cut_theta_t{t} tie x to stations
+  and to theta;
 
 * the station-only baseline: every test point gets a primary and a
   distinct backup station; both demands flow through the tree; no
@@ -25,11 +29,6 @@ differ in installed equipment; decoding returns one canonical form of
 such a tie (see extract_plan): every installed station serves a test
 point or relays to one that does, every surface assists a test point,
 and an idle donor with a single child hands the donor role to it.
-
-Big-M caution, by design: the orientation rows compare raw azimuths in
-[0, 2*pi) without wraparound, so an aperture straddling the 0/2*pi seam
-is not representable. Decoded plans are checked with true circular
-geometry (see validate), which can only be more permissive.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
+from .geometry import APERTURE_TOL, minimal_covering_arc
 from .milp import BINARY, CONTINUOUS, MilpModel
 from .radio import LinkBudgetTable
 from .scenario import PlanningConfig, Scenario
@@ -54,7 +54,7 @@ MODE_BASELINE = "baseline"
 PLAN_FORMAT_VERSION = 1
 # Bumped whenever extract_plan can return a different plan for the same
 # solver output, so cached results keyed on it are recomputed.
-DECODE_VERSION = 2
+DECODE_VERSION = 3
 DECODE_TOL = 1e-6
 
 
@@ -249,6 +249,26 @@ class _Backbone:
             self.model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
 
 
+def aperture_candidates(rays: np.ndarray, fov: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate apertures of one surface: (sorted distinct rays, coverage
+    matrix with one row per kept candidate).
+
+    Candidate k starts at distinct ray alpha_k and spans ``fov`` radians
+    counter-clockwise, covering ray beta iff (beta - alpha_k) mod 2*pi <=
+    fov + APERTURE_TOL. Rays that fit in one aperture fit in the candidate
+    starting at the first of them, so the candidates are exact. A
+    candidate whose covered set lies in another's is dropped; of equal
+    sets, the first is kept.
+    """
+    distinct = np.unique(rays)
+    cover = np.mod(distinct[None, :] - distinct[:, None], TWO_PI) <= fov + APERTURE_TOL
+    as_int = cover.astype(np.int64)
+    inside = (as_int @ (1 - as_int).T) == 0         # inside[k, m]: set k within set m
+    larger = inside & ~inside.T                      # set m strictly contains set k
+    earlier_equal = np.tril(inside & inside.T, -1)   # an equal set starts earlier
+    return distinct, cover[~(larger | earlier_equal).any(axis=1)]
+
+
 def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                     cfg: PlanningConfig) -> MilpModel:
     """Assemble the surface-enabled placement MILP."""
@@ -266,16 +286,30 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     y_ris = net.site_vars("yRIS")
     net.add_donors()
     y_don = net.y_don
-    # "t{t}_c{c}_r{r}" names the variable and the rows of each triple.
-    tags = [f"t{t}_c{c}_r{r}" for (t, c, r) in tuples]
-    x_ids = [model.add_variable(("x", t, c, r), BINARY, name="x_" + tag)
-             for (t, c, r), tag in zip(tuples, tags)]
+    x_ids = [model.add_variable(("x", t, c, r), BINARY, name=f"x_t{t}_c{c}_r{r}")
+             for (t, c, r) in tuples]
     x_var = dict(zip(tuples, x_ids))
+    # The assignment variables of each (t, c) and (t, r) pair.
+    per_tc: dict[tuple[int, int], list[int]] = {}
+    per_tr: dict[tuple[int, int], list[int]] = {}
+    for (t, c, r), xv in x_var.items():
+        per_tc.setdefault((t, c), []).append(xv)
+        per_tr.setdefault((t, r), []).append(xv)
     net.add_backhaul()
     net.add_airtime()
     ris_candidates = sorted(by_surface)
-    phi = {r: model.add_variable(("phi", r), CONTINUOUS, 0.0, TWO_PI, name=f"phi_c{r}")
-           for r in ris_candidates}
+    # The candidate aperture variables of each surface, and per ray the
+    # ones that cover it.
+    orient: dict[int, list[int]] = {}
+    covering: dict[int, dict[float, list[int]]] = {}
+    for r in ris_candidates:
+        ts, cs = np.array(by_surface[r]).T
+        distinct, cover = aperture_candidates(
+            np.concatenate([tables.phi_a[r, ts], tables.phi_b[r, cs]]), cfg.fov_rad)
+        orient[r] = [model.add_variable(("o", r, k), BINARY, name=f"o_c{r}_k{k}")
+                     for k in range(len(cover))]
+        covering[r] = {ray: [orient[r][k] for k in np.flatnonzero(cover[:, j]).tolist()]
+                       for j, ray in enumerate(distinct.tolist())}
     net.add_objective()
     theta = net.theta
 
@@ -297,9 +331,11 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
         "<=", cfg.budget)
 
     net.add_activation_rows()
-    for (t, c, r), tag, xv in zip(tuples, tags, x_ids):
-        model.add_constraint("src_act_" + tag, {xv: 1.0, y_iab[c]: -0.5, y_ris[r]: -0.5},
-                             "<=", 0.0)
+    # A test point is served from an installed station; the surface side
+    # follows from the aperture rows (x <= sum of o <= yRIS).
+    for (t, c), xs in per_tc.items():
+        model.add_constraint(f"src_iab_t{t}_c{c}",
+                             {**dict.fromkeys(xs, 1.0), y_iab[c]: -1.0}, "<=", 0.0)
 
     # Exactly one serving pair per test point. A test point with no
     # feasible pair yields an empty row "0 = 1": correctly infeasible.
@@ -317,33 +353,27 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                   for (t, c) in by_surface[r]}
         model.add_constraint(f"ris_airtime_c{r}", coeffs, "<=", 1.0)
 
-    # Orientation big-M rows: if x is active the surface azimuth must sit
-    # within F/2 of both endpoint directions; inactive rows are slack.
-    half_fov = cfg.fov_rad / 2.0
-    t_idx, c_idx, r_idx = np.nonzero(tables.delta_src)  # in the order of tuples
-    a_angles = tables.phi_a[r_idx, t_idx].tolist()
-    b_angles = tables.phi_b[r_idx, c_idx].tolist()
-    for (t, c, r), tag, xv, a_angle, b_angle in zip(tuples, tags, x_ids, a_angles, b_angles):
-        pv = phi[r]
-        model.add_constraint("fov_a_lo_" + tag,
-                             {pv: 1.0, xv: -TWO_PI}, ">=", a_angle - half_fov - TWO_PI)
-        model.add_constraint("fov_a_hi_" + tag,
-                             {pv: 1.0, xv: TWO_PI}, "<=", a_angle + half_fov + TWO_PI)
-        model.add_constraint("fov_b_lo_" + tag,
-                             {pv: 1.0, xv: -TWO_PI}, ">=", b_angle - half_fov - TWO_PI)
-        model.add_constraint("fov_b_hi_" + tag,
-                             {pv: 1.0, xv: TWO_PI}, "<=", b_angle + half_fov + TWO_PI)
-
-    # Angular separation is capped by the active pair's table angle.
-    thetas = tables.theta[t_idx, c_idx, r_idx].tolist()
-    for (t, c, r), tag, xv, theta_tcr in zip(tuples, tags, x_ids, thetas):
-        model.add_constraint("ang_sep_" + tag, {theta[t]: 1.0, xv: TWO_PI},
-                             "<=", theta_tcr + TWO_PI)
+    # Apertures: an installed surface takes at most one candidate, and
+    # both rays of every active triple must lie in the one it takes. The
+    # per-(t, r) rows aggregate the test point's side over stations; the
+    # per-triple rows ask for one candidate that covers both rays.
+    for r in ris_candidates:
+        model.add_constraint(f"orient_c{r}",
+                             {**dict.fromkeys(orient[r], 1.0), y_ris[r]: -1.0}, "<=", 0.0)
+    for (t, r), xs in per_tr.items():
+        ray = float(tables.phi_a[r, t])
+        model.add_constraint(f"cover_a_t{t}_r{r}", {**dict.fromkeys(xs, 1.0),
+                                                    **dict.fromkeys(covering[r][ray], -1.0)},
+                             "<=", 0.0)
+    for (t, c, r), xv in x_var.items():
+        on_b = set(covering[r][float(tables.phi_b[r, c])])
+        both = [ov for ov in covering[r][float(tables.phi_a[r, t])] if ov in on_b]
+        model.add_constraint(f"cover_t{t}_c{c}_r{r}", {xv: 1.0, **dict.fromkeys(both, -1.0)},
+                             "<=", 0.0)
     net.add_length_rows()
 
-    # Strengthening cut, redundant at integer points (exactly one x per
-    # test point is active) but far tighter in relaxation than the big-M
-    # rows above: without it the LP bound lets every theta_t float to pi.
+    # theta_t is capped by the active pair's table angle: exactly one x
+    # per test point is active at integer points.
     for t in range(n_t):
         coeffs = {theta[t]: 1.0}
         for (c, r) in by_tp[t]:
@@ -508,7 +538,9 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     primary or backup) or relay to one that does are kept, and they form
     a tree rooted at the donor; while the donor serves nothing and has a
     single child, that child becomes the donor; only surfaces that assist
-    a test point are kept, with their orientations. Backhaul edges,
+    a test point are kept, each oriented at the centre of the smallest
+    arc that covers the rays of its assigned test points and stations
+    (the model's aperture candidates are not read). Backhaul edges,
     flows and total cost are those of the kept equipment. Assignments,
     the wired inflow and the objective are read unchanged. Every
     constraint stays satisfied: dropped stations carry no flow, and a
@@ -567,10 +599,15 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
 
     active = [(c, d) for (c, d) in bh_pairs(tables)
               if _round_binary(f"z_c{c}_c{d}", val(("z", c, d))) == 1]
+    orientations: dict[int, float] = {}
     if mode == MODE_RIS:
         serving = {c for (c, _) in assignments}
-        assisting = {r for (_, r) in assignments}
-        ris = tuple(r for r in ris if r in assisting)
+        rays: dict[int, list[float]] = {}
+        for t, (c, r) in enumerate(assignments):
+            rays.setdefault(r, []).extend((float(tables.phi_a[r, t]),
+                                           float(tables.phi_b[r, c])))
+        ris = tuple(r for r in ris if r in rays)
+        orientations = {r: minimal_covering_arc(rays[r])[1] for r in ris}
     else:
         serving = {c for pair in assignments for c in pair}
     donor, kept = _canonical_topology(donor, active, serving)
@@ -578,10 +615,6 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     edges = [(c, d) for (c, d) in active if c in kept and d in kept]
     flows = {(c, d): float(val(("f", c, d))) for (c, d) in edges}
 
-    orientations: dict[int, float] = {}
-    for r in ris:
-        if model.has_var(("phi", r)):
-            orientations[r] = float(val(("phi", r)))
 
     theta_per_tp = tuple(float(tables.theta[t, a, b])
                          for t, (a, b) in enumerate(assignments))

@@ -35,6 +35,8 @@ class SolveResult:
     solve_time_s: float
     gap: float = 0.0
     message: str = ""
+    node_count: int = 0                 # branch-and-bound nodes HiGHS explored
+    dual_bound: float | None = None     # in the model's own objective sense
 
 
 def _solve_highs(model: MilpModel, time_limit_s: float | None,
@@ -80,19 +82,25 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
     elapsed = time.perf_counter() - start
 
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
+    nodes = getattr(res, "mip_node_count", None)
+    bound = getattr(res, "mip_dual_bound", None)
+    stats = {"node_count": int(nodes) if nodes is not None else 0,
+             "dual_bound": (sign * float(bound)
+                            if bound is not None and math.isfinite(bound) else None)}
     if res.status == 0:
         values = {model.variables[i].name: float(res.x[i]) for i in range(n)}
         return SolveResult(STATUS_OPTIMAL, sign * float(res.fun), values,
-                           elapsed, gap, res.message)
+                           elapsed, gap, res.message, **stats)
     if res.status == 1:
         if res.x is not None:
             values = {model.variables[i].name: float(res.x[i]) for i in range(n)}
             return SolveResult(STATUS_TIME_LIMIT, sign * float(res.fun), values,
-                               elapsed, gap, res.message)
-        return SolveResult(STATUS_TIME_LIMIT, None, None, elapsed, math.inf, res.message)
+                               elapsed, gap, res.message, **stats)
+        return SolveResult(STATUS_TIME_LIMIT, None, None, elapsed, math.inf, res.message,
+                           **stats)
     if res.status == 2:
-        return SolveResult(STATUS_INFEASIBLE, None, None, elapsed, 0.0, res.message)
-    return SolveResult(STATUS_ERROR, None, None, elapsed, 0.0, res.message)
+        return SolveResult(STATUS_INFEASIBLE, None, None, elapsed, 0.0, res.message, **stats)
+    return SolveResult(STATUS_ERROR, None, None, elapsed, 0.0, res.message, **stats)
 
 
 def solve(model: MilpModel, time_limit_s: float | None = None,

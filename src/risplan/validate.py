@@ -4,10 +4,8 @@ Every planning constraint is re-evaluated directly from the plan, the
 link tables and the planning knobs, without touching the model builders:
 this is the second leg of the dual route that keeps the MILP encodings
 honest. Aperture membership is checked with true circular angular
-distance, which on the 0/2*pi seam is more permissive than the model's
-linear big-M rows; a plan decoded from the solver therefore always
-passes the circular check, while hand-built plans may pass here yet not
-be representable in the model. Violations are data, not exceptions.
+distance from the plan's orientation. Violations are data, not
+exceptions.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 
 from risplan.cli import main
+from risplan.milp import read_lp
 from risplan.planner import load_plan
 from risplan.scenario import load
 
@@ -65,6 +66,14 @@ class TestPlan:
         doc = json.loads(manifest.read_text())
         assert doc["command"] == "plan"
         assert len(doc["outputs"]) == 2
+        stats = doc["solver"]
+        assert stats["status"] == "optimal" and stats["gap"] == 0.0
+        assert stats["dual_bound"] == pytest.approx(plan.objective_value, rel=1e-6)
+        assert stats["node_count"] >= 0
+        # The exported LP holds the model whose size the manifest reports.
+        model = read_lp(lp.read_text())
+        assert (stats["rows"], stats["variables"]) == (model.num_constraints,
+                                                       model.num_variables)
 
     def test_infeasible_exit_3(self, scenario_file, tmp_path):
         code = main(["plan", "--scenario", str(scenario_file), "--mode", "baseline",

@@ -93,11 +93,14 @@ class TestOracleBasics:
 class TestEquivalenceSample:
     """A fast slice of the full oracle-equivalence acceptance criterion."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_modes_and_weights(self, seed):
+    # (seed, budget); at seed 27 an optimal aperture straddles the 0/2*pi
+    # seam. The test ids are the seeds.
+    CASES = [(0, 1.2), (1, 2.1), (2, 2.3), (3, 3.2), (27, 1.2)]
+
+    @pytest.mark.parametrize("seed,budget", CASES, ids=[str(s) for s, _ in CASES])
+    def test_modes_and_weights(self, seed, budget):
         scenario = generate(220.0, 220.0, 5, 2, seed=seed)
         tables = build_link_tables(scenario, RadioConfig())
-        budget = [1.2, 2.1, 2.3, 3.2][seed % 4]
         for mode in (MODE_RIS, MODE_BASELINE):
             for mu in (0.0, 0.5, 1.0):
                 cfg = PlanningConfig(mu=mu, budget=budget)
@@ -105,8 +108,6 @@ class TestEquivalenceSample:
                          else build_baseline_model(scenario, tables, cfg))
                 milp = solve(model)
                 oracle = brute_force_plan(scenario, tables, cfg, mode)
-                if oracle.fov_discrepancy:
-                    continue
                 assert (milp.status == "optimal") == oracle.feasible
                 if oracle.feasible:
                     assert milp.objective_value == pytest.approx(

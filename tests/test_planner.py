@@ -8,7 +8,7 @@ import pytest
 from conftest import restrict_tuples
 from risplan.geometry import Point2D, Segment2D
 from risplan.milp import export_lp
-from risplan.planner import (PlannerError, access_airtime, bh_pairs,
+from risplan.planner import (PlannerError, access_airtime, aperture_candidates, bh_pairs,
                              build_baseline_model, build_ris_model,
                              extract_plan, load_plan, save_plan,
                              src_tuples)
@@ -37,13 +37,19 @@ class TestRisModelStructure:
     def test_constraint_count_formulas(self, small_instance, default_cfg):
         scenario, tables = small_instance
         model = build_ris_model(scenario, tables, default_cfg)
-        n_tuples = len(src_tuples(tables))
-        assert len(rows_named(model, "src_act_")) == n_tuples
-        fov_rows = sum(len(rows_named(model, p))
-                       for p in ("fov_a_lo_", "fov_a_hi_", "fov_b_lo_", "fov_b_hi_"))
-        assert fov_rows == 4 * n_tuples
+        tuples = src_tuples(tables)
+        surfaces = {r for (_, _, r) in tuples}
+        assert len(rows_named(model, "src_iab_")) == len({(t, c) for (t, c, _) in tuples})
+        assert len(rows_named(model, "orient_")) == len(surfaces)
+        assert len(rows_named(model, "cover_a_")) == len({(t, r) for (t, _, r) in tuples})
+        assert len(rows_named(model, "cover_t")) == len(tuples)
+        assert {k[1] for k in model.keys() if k[0] == "o"} == surfaces
         assert len(rows_named(model, "one_src_")) == scenario.n_test_points
-        assert len(rows_named(model, "ang_sep_")) == n_tuples
+        assert len(rows_named(model, "cut_theta_")) == scenario.n_test_points
+        assert rows_named(model, "ang_sep_") == []
+        assert rows_named(model, "src_act_") == []
+        assert rows_named(model, "fov_") == []
+        assert not any(k[0] == "phi" for k in model.keys())
         assert len(rows_named(model, "colocation_")) == scenario.n_sites
         assert len(rows_named(model, "budget")) == 1
         # The families both builders share.
@@ -98,6 +104,25 @@ class TestRisModelStructure:
         l_id = model.var_id(("l", 0))
         assert model.objective[theta_id] == pytest.approx(0.25 / 2.0)
         assert model.objective[l_id] == pytest.approx(-0.75 / 100.0)
+
+
+class TestApertureCandidates:
+    def test_seam_and_pruning(self):
+        # The candidate starting at 6.2 covers 0.1 across the seam, so the
+        # one starting at 0.1, which covers only itself, is dropped.
+        rays, cover = aperture_candidates(np.array([0.1, 6.2, 3.0, 0.1]), math.pi / 2)
+        assert rays.tolist() == [0.1, 3.0, 6.2]
+        assert cover.tolist() == [[False, True, False], [True, False, True]]
+
+    def test_opposite_rays_fit_an_aperture_of_pi(self):
+        # Each ray lies exactly F from the other: both candidates cover
+        # both rays, and of the two equal sets the first is kept.
+        _, cover = aperture_candidates(np.array([1.0, 1.0 + math.pi]), math.pi)
+        assert cover.tolist() == [[True, True]]
+
+    def test_full_circle_covers_everything(self):
+        _, cover = aperture_candidates(np.array([0.0, 2.0, 4.0, 6.0]), 2 * math.pi)
+        assert cover.tolist() == [[True] * 4]
 
 
 class TestBaselineModelStructure:
@@ -305,21 +330,24 @@ def _model_case(case, small_instance):
 
 
 class TestModelTextPinned:
-    """sha256 of the exported LP text of both models, recorded before the
-    two builders were moved onto one assembly path."""
+    """sha256 of the exported LP text of (surface model, station-only
+    model). The station-only digests were recorded before the two
+    builders were moved onto one assembly path. The surface digests were
+    re-recorded when discrete aperture candidates replaced the big-M
+    orientation rows."""
 
     SHA256 = {
-        "small_mu0": ("e38ba0663d07c9983b25b002845c14d90ae2de083980b9986222b30622156296",
+        "small_mu0": ("7c3401d3a9745742355249a2c064226d2366f1d933d3d79ff14327bb267e8c42",
                       "6119cc29e92d4c96c62422e89c757c6207da1bc860e0fe37162674812505aa7f"),
-        "small_mu05": ("97c6aef0adb0b7da022ee146963aeb3eb7857007917b30ad2e904a31ef767574",
+        "small_mu05": ("ad561dfe2aae0d630d12c4d635e9c6ce0e94bd968893e248e9d20ff772122298",
                        "ec547236ca3dd323e09c22e19aa10be026bca831c8b100a611de065a383744a4"),
-        "small_mu1": ("8cd6222bcd3fe3372317c036d0a235c44868a980e338c53ccc5a518814489a30",
+        "small_mu1": ("a9f1dedfbb34add22c7e7f094e06d94526899c6734766614e3d0518f9e747255",
                       "c08709b755341c6fa0d8342d9ce3bd97497ff23e38fd20a0098a2d5a40fcf199"),
-        "desk_default": ("4efa65cb5055a0f7445052359f32f941d546171ce984ff18112a4c2a1ca664a6",
+        "desk_default": ("a5fa26bc071edee046d5b037fe4cc99224ad1319ea7489824877e6b66614b708",
                          "f4c267012b3171d4a0bf8a239d76e0049e142359988c28fef10580169536de27"),
-        "desk_stress": ("99a9a5456f8b1c9e12883d79fc2a40c9653b23eec4dcfb07e99b5d4401c1f01f",
+        "desk_stress": ("61f6190fe2ab092e698d6f833d3ac9134116728e946c198ed30f88820e8ed2ea",
                         "f3ef729bb97add50fff0580fe0020a62ca88bebfbb2fb752d94287696a6f44f6"),
-        "desk_cluttered": ("3277a48a360a96e8e01ee85a13c14452b59633b197dc92c7c8edaca76490e1c9",
+        "desk_cluttered": ("960f2325f0d38f438d1ed57f7a3aa935be70bff92230b935bbca51d8fa824157",
                            "d0d1b819bf0f6b3a86b19a843e0bc5a9e124b6080911b43ae4027dcaa750b286"),
     }
 

@@ -19,6 +19,16 @@ class TestSolve:
         assert res.gap == 0.0
         assert res.variable_values["x_t0_c1_r2"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_telemetry_in_model_sense(self, small_instance, default_cfg):
+        # The surface model maximizes, so its dual bound is an upper bound
+        # on the objective, in the model's own sign; at a proven optimum
+        # it meets the objective.
+        scenario, tables = small_instance
+        res = solve(build_ris_model(scenario, tables, default_cfg))
+        assert res.status == STATUS_OPTIMAL and res.objective_value > 0.0
+        assert res.dual_bound == pytest.approx(res.objective_value, rel=1e-6)
+        assert isinstance(res.node_count, int) and res.node_count >= 0
+
     def test_pigeonhole_infeasible(self):
         scenario = generate(100.0, 100.0, 1, 1, seed=0)
         tables = build_link_tables(scenario, RadioConfig())

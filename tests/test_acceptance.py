@@ -263,15 +263,14 @@ def test_acceptance_5_resilience_gain_trend():
 def test_acceptance_2_plan_validity():
     """Every decoded optimal plan produced across the suite passes the
     independent audit with zero violations at tolerance 1e-6. The pool
-    always holds the criterion-3 and criterion-4 grids, solved here when
+    always holds the desk cells of criteria 3, 4 and 5, solved here when
     this criterion runs alone and taken from the cache otherwise."""
-    for seed in DESK_SEEDS:
-        for mode in (MODE_RIS, MODE_BASELINE):
-            for budget in CLIFF_BUDGETS:
-                desk_cell(STRESS, seed, budget, 0.0, mode)
-            for budget in DOMINANCE_BUDGETS:
-                for mu in (0.0, 1.0):
-                    desk_cell(DEFAULT, seed, budget, mu, mode)
+    settings = ([(STRESS, b, 0.0) for b in CLIFF_BUDGETS + (GAIN_BUDGET_LOW, GAIN_BUDGET_HIGH)]
+                + [(DEFAULT, b, mu) for b in DOMINANCE_BUDGETS for mu in (0.0, 1.0)])
+    for config, budget, mu in settings:
+        for seed in DESK_SEEDS:
+            for mode in (MODE_RIS, MODE_BASELINE):
+                desk_cell(config, seed, budget, mu, mode)
     assert len(_decoded_plans) >= 100, "expected a large pool of decoded plans"
     for plan, scenario, tables, cfg in _decoded_plans:
         violations = validate_plan(plan, scenario, tables, cfg)

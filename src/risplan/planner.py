@@ -615,7 +615,6 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     edges = [(c, d) for (c, d) in active if c in kept and d in kept]
     flows = {(c, d): float(val(("f", c, d))) for (c, d) in edges}
 
-
     theta_per_tp = tuple(float(tables.theta[t, a, b])
                          for t, (a, b) in enumerate(assignments))
     len_per_tp = tuple(0.5 * float(tables.len_tc[t, a] + tables.len_tc[t, b])

@@ -187,13 +187,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _build_and_solve(scenario: Scenario, radio: RadioConfig, planning: PlanningConfig,
-                     mode: str, time_limit: float | None, mip_rel_gap: float = 0.0):
+                     mode: str, time_limit: float | None, mip_rel_gap: float,
+                     timings: dict[str, float]):
+    """Link tables, model and solve result; each stage's time goes into timings."""
+    t0 = time.perf_counter()
     tables = build_link_tables(scenario, radio)
+    t1 = time.perf_counter()
     if mode == MODE_RIS:
         model = build_ris_model(scenario, tables, planning)
     else:
         model = build_baseline_model(scenario, tables, planning)
+    t2 = time.perf_counter()
     result = solve(model, time_limit_s=time_limit, mip_rel_gap=mip_rel_gap)
+    timings.update(link_tables=t1 - t0, build=t2 - t1, solve=time.perf_counter() - t2)
     return tables, model, result
 
 
@@ -209,10 +215,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
 
     timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     tables, model, result = _build_and_solve(
-        scenario, radio, planning, args.mode, args.time_limit, args.mip_gap)
-    timings["build_and_solve"] = time.perf_counter() - t0
+        scenario, radio, planning, args.mode, args.time_limit, args.mip_gap, timings)
 
     outputs: list[Path] = []
     out = Path(args.out)
@@ -230,7 +234,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # Model size is counted before HiGHS presolves it.
     solver_stats = {"status": result.status, "gap": result.gap,
                     "node_count": result.node_count, "dual_bound": result.dual_bound,
-                    "rows": model.num_constraints, "variables": model.num_variables}
+                    "rows": model.num_constraints, "variables": model.num_variables,
+                    "nonzeros": model.num_nonzeros}
 
     if result.status == STATUS_INFEASIBLE:
         print(f"status: infeasible (mode={args.mode}, budget={planning.budget}, "
@@ -243,12 +248,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"solver error: status={result.status} {result.message}", file=sys.stderr)
         return EXIT_SOLVER
 
+    t0 = time.perf_counter()
     try:
         plan = extract_plan(model, result.variable_values, scenario, tables, planning)
     except PlannerError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    t1 = time.perf_counter()
     violations = validate_plan(plan, scenario, tables, planning)
+    timings.update(decode=t1 - t0, validate=time.perf_counter() - t1)
     if violations:
         print("decoded plan fails validation:", file=sys.stderr)
         for v in violations:
@@ -358,7 +366,8 @@ def _sweep_cell(payload: dict) -> dict:
                  "status": "", "objective": "", "mean_theta": "", "mean_len": "",
                  "n_iab": "", "n_ris": "", "cost": ""}
     tables, model, result = _build_and_solve(
-        scenario, radio, planning, payload["mode"], payload["time_limit"], payload["mip_gap"])
+        scenario, radio, planning, payload["mode"], payload["time_limit"], payload["mip_gap"],
+        {})
     row["status"] = result.status
     if result.variable_values is None:
         return row

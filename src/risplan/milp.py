@@ -1,11 +1,19 @@
-"""Solver-agnostic mixed-integer linear program container.
+"""Solver-agnostic mixed-integer linear program container: a columnar store.
 
-Variables are declared with structured keys (tuples such as
-("x", t, c, r)) and stable human-readable names, so models, solutions and
-exported LP files can all be navigated by the same identifiers. The LP
-writer emits a deterministic byte stream; ``read_lp`` parses the dialect
-``export_lp`` produces, which gives external solvers a file-based path
-in and out.
+Variables are columns (names, kind codes, lower and upper bounds), each
+with a structured key such as ("x", t, c, r) and a unique name; keys, ids
+and names map to one another, so models, solutions and LP files share
+identifiers. Rows are columns too (names, sense codes, right-hand sides),
+with their coefficients in CSR arrays: ``indptr``, ``indices`` (variable
+ids) and ``data``. Builders append a whole family with ``add_variables``
+or ``add_rows``; ``add_variable`` and ``add_constraint`` wrap one item. A
+block is checked before anything is stored, so a bad one raises
+ModelError and leaves the model unchanged. A row keeps its entries in
+variable id order, adds up the coefficients of a repeated variable and
+keeps explicit zeros. ``variables`` and ``constraints`` are read-only
+sequences of views built on access. The LP writer emits a deterministic
+byte stream; ``read_lp`` parses the dialect ``export_lp`` produces, which
+gives external solvers a file-based path in and out.
 
 The dialect: sections start at a line holding only ``Maximize``/``max``,
 ``Minimize``/``min``, ``Subject To``/``such that``/``st``/``s.t.``,
@@ -25,37 +33,64 @@ no lower bound as ``x free`` or ``-inf <= x <= hi``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import re
-from dataclasses import dataclass
-from itertools import islice
+from collections import defaultdict, namedtuple
+from collections.abc import Sequence
+
+import numpy as np
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
 
-_SENSES = ("<=", ">=", "=")
+_KINDS = (CONTINUOUS, BINARY)       # a kind's code is its place here
+_SENSES = ("<=", ">=", "=")         # and so is a sense's
 
 VarKey = tuple
+# Read-only views of one variable and one row, built on access.
+Variable = namedtuple("Variable", "name kind lower upper")
+Constraint = namedtuple("Constraint", "name coeffs sense rhs")
 
 
 class ModelError(ValueError):
     """Inconsistent model construction or lookup."""
 
 
-@dataclass
-class Variable:
-    name: str
-    kind: str
-    lower: float
-    upper: float
+def _per_item(values, n: int, what: str, table: tuple[str, ...] = ()) -> np.ndarray:
+    """One value for all n items or one per item, as a new array: floats,
+    or with a table, the codes (places in the table) of its strings."""
+    if table:
+        named = [values] if isinstance(values, str) else values
+        if bad := [v for v in named if v not in table]:
+            raise ModelError(f"unknown {what} {bad[0]!r}")
+        values = [table.index(v) for v in named]
+    try:
+        return np.array(np.broadcast_to(np.asarray(values, np.int8 if table else float), (n,)))
+    except ValueError:
+        raise ModelError(f"{np.size(values)} {what}s for a block of {n}") from None
 
 
-@dataclass
-class Constraint:
-    name: str
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
+def _joined(column: list[np.ndarray]) -> np.ndarray:
+    """A column stored as appended blocks, joined into its one block."""
+    if len(column) > 1:
+        column[:] = [np.concatenate(column)]
+    return column[0]
+
+
+class _Views(Sequence):
+    """A read-only sequence of views, as long as the live list of names."""
+
+    def __init__(self, names: list[str], view):
+        self._names, self._view = names, view
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, index):
+        return self._view(range(len(self._names))[operator.index(index)])
 
 
 class MilpModel:
@@ -68,38 +103,68 @@ class MilpModel:
     def __init__(self, name: str = "model", sense: str = "maximize"):
         if sense not in ("maximize", "minimize"):
             raise ModelError(f"unknown objective sense {sense!r}")
-        self.name = name
-        self.objective_sense = sense
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
+        self.name, self.objective_sense = name, sense
         self.objective: dict[int, float] = {}
-        self._key_to_id: dict[VarKey, int] = {}
-        self._id_to_key: list[VarKey] = []
-        self._name_to_id: dict[str, int] = {}
+        self._names, self._id_to_key = [], []    # by variable id
+        self._key_to_id, self._name_to_id = {}, {}    # key to id, name to id
+        self._row_names: list[str] = []
+        # Columns, each a list of blocks (see _joined).
+        self._kind, self._sense = [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
+        self._lower, self._upper, self._rhs, self._data = ([np.zeros(0)] for _ in range(4))
+        self._indptr, self._indices = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)]
+        self._nnz = 0
+
+    # Views are made per access: a model that held them would be in a
+    # reference cycle, freed only by the cyclic collector.
+    variables = property(lambda self: _Views(self._names, self._variable))
+    constraints = property(lambda self: _Views(self._row_names, self._constraint))
+
+    def _variable(self, i: int) -> Variable:
+        return Variable(self._names[i], _KINDS[_joined(self._kind)[i]],
+                        float(_joined(self._lower)[i]), float(_joined(self._upper)[i]))
+
+    def _constraint(self, i: int) -> Constraint:
+        indptr, indices, data = self.csr()
+        at = slice(indptr[i], indptr[i + 1])
+        return Constraint(self._row_names[i], dict(zip(indices[at].tolist(), data[at].tolist())),
+                          _SENSES[_joined(self._sense)[i]], float(_joined(self._rhs)[i]))
 
     # -- variables ---------------------------------------------------
 
-    def add_variable(self, key: VarKey, kind: str,
-                     lower: float = 0.0, upper: float = math.inf,
-                     name: str | None = None) -> int:
-        if kind not in (BINARY, CONTINUOUS):
-            raise ModelError(f"unknown variable kind {kind!r}")
-        if key in self._key_to_id:
-            raise ModelError(f"duplicate variable key {key!r}")
-        if kind == BINARY:
-            lower, upper = 0.0, 1.0
-        if lower > upper:
-            raise ModelError(f"empty bounds [{lower}, {upper}] for {key!r}")
-        if name is None:
-            name = "_".join(str(part) for part in key)
-        if name in self._name_to_id:
-            raise ModelError(f"duplicate variable name {name!r}")
-        var_id = len(self.variables)
-        self.variables.append(Variable(name=name, kind=kind, lower=lower, upper=upper))
-        self._key_to_id[key] = var_id
-        self._id_to_key.append(key)
-        self._name_to_id[name] = var_id
-        return var_id
+    def add_variables(self, keys, names, kind, lower=0.0, upper=math.inf) -> np.ndarray:
+        """Declare a block of variables and return their ids. ``kind``,
+        ``lower`` and ``upper`` are one value for all or one per variable;
+        binaries get the bounds [0, 1]."""
+        keys, names = list(keys), list(names)
+        n, start = len(keys), len(self._names)
+        if len(names) != n:
+            raise ModelError(f"{len(names)} names for {n} variable keys")
+        codes = _per_item(kind, n, "variable kind", _KINDS)
+        lower = np.where(codes == 1, 0.0, _per_item(lower, n, "lower bound"))
+        upper = np.where(codes == 1, 1.0, _per_item(upper, n, "upper bound"))
+        if (lower > upper).any():
+            i = int(np.argmax(lower > upper))
+            raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {keys[i]!r}")
+        ids = range(start, start + n)
+        maps = [(dict(zip(block, ids)), block, known, what) for block, known, what in (
+            (keys, self._key_to_id, "key"), (names, self._name_to_id, "name"))]
+        for new, block, known, what in maps:
+            if len(new) != n or not known.keys().isdisjoint(new):
+                seen = set(known)
+                twice = next(v for v in block if v in seen or seen.add(v))
+                raise ModelError(f"duplicate variable {what} {twice!r}")
+        for new, _, known, _ in maps:
+            known.update(new)
+        self._names += names
+        self._id_to_key += keys
+        for column, block in ((self._kind, codes), (self._lower, lower), (self._upper, upper)):
+            column.append(block)
+        return np.arange(start, start + n)
+
+    def add_variable(self, key: VarKey, kind: str, lower: float = 0.0,
+                     upper: float = math.inf, name: str | None = None) -> int:
+        name = "_".join(str(part) for part in key) if name is None else name
+        return int(self.add_variables([key], [name], kind, lower, upper)[0])
 
     def var_id(self, key: VarKey) -> int:
         try:
@@ -114,7 +179,7 @@ class MilpModel:
         return self._id_to_key[var_id]
 
     def name_of(self, var_id: int) -> str:
-        return self.variables[var_id].name
+        return self._names[var_id]
 
     def id_of_name(self, name: str) -> int:
         try:
@@ -125,20 +190,55 @@ class MilpModel:
     def keys(self) -> list[VarKey]:
         return list(self._id_to_key)
 
+    def names(self) -> list[str]:
+        return list(self._names)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the variable columns: binary flags, lower and upper bounds."""
+        return _joined(self._kind) == 1, _joined(self._lower).copy(), _joined(self._upper).copy()
+
     # -- constraints and objective ------------------------------------
+
+    def add_rows(self, names, senses, rhs, indptr, indices, data) -> None:
+        """Append a block of rows; row i holds the variable ids ``indices[indptr[i]:
+        indptr[i + 1]]`` with the coefficients at the same places of ``data``.
+        ``senses`` and ``rhs`` are one value for all or one per row."""
+        names = list(names)
+        m = len(names)
+        codes = _per_item(senses, m, "constraint sense", _SENSES)
+        rhs, data = _per_item(rhs, m, "rhs value"), np.array(data, np.float64)
+        indptr, indices = np.asarray(indptr, np.int64), np.array(indices, np.int64)
+        if (indptr.shape != (m + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any()
+                or not indptr[-1] == len(indices) == len(data)):
+            raise ModelError(f"ragged block: {m} rows, indptr of length {len(indptr)}, "
+                             f"{len(indices)} variable ids, {len(data)} coefficients")
+        bad = (indices < 0) | (indices >= len(self._names))
+        if bad.any():
+            at = int(np.argmax(bad))
+            row = names[int(np.searchsorted(indptr, at, side="right")) - 1]
+            raise ModelError(f"constraint {row!r} references unknown variable {indices[at]}")
+        indptr, indices, data = _sorted_rows(indptr, indices, data)
+        self._row_names += names
+        for column, block in ((self._sense, codes), (self._rhs, rhs), (self._indices, indices),
+                              (self._indptr, indptr[1:] + self._nnz), (self._data, data)):
+            column.append(block)
+        self._nnz += len(indices)
 
     def add_constraint(self, name: str, coeffs: dict[int, float],
                        sense: str, rhs: float) -> None:
-        if sense not in _SENSES:
-            raise ModelError(f"unknown constraint sense {sense!r}")
-        n = len(self.variables)
-        if coeffs and (min(coeffs) < 0 or max(coeffs) >= n):
-            var_id = next(v for v in coeffs if not 0 <= v < n)
-            raise ModelError(f"constraint {name!r} references unknown variable {var_id}")
-        self.constraints.append(Constraint(name, dict(coeffs), sense, float(rhs)))
+        self.add_rows([name], sense, rhs, [0, len(coeffs)], list(coeffs), list(coeffs.values()))
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficient matrix: (indptr, indices, data)."""
+        return _joined(self._indptr), _joined(self._indices), _joined(self._data)
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's lower and upper activity bound, from its sense and rhs."""
+        sense, rhs = _joined(self._sense), _joined(self._rhs)
+        return np.where(sense == 0, -np.inf, rhs), np.where(sense == 1, np.inf, rhs)
 
     def set_objective_coeff(self, var_id: int, coeff: float) -> None:
-        if not 0 <= var_id < len(self.variables):
+        if not 0 <= var_id < len(self._names):
             raise ModelError(f"objective references unknown variable {var_id}")
         if coeff == 0.0:
             self.objective.pop(var_id, None)
@@ -146,18 +246,38 @@ class MilpModel:
             self.objective[var_id] = float(coeff)
 
     def evaluate_objective(self, values: dict[str, float]) -> float:
-        return sum(c * values[self.variables[i].name] for i, c in self.objective.items())
+        return sum(c * values[self._names[i]] for i, c in self.objective.items())
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._names)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_names)
+
+    @property
+    def num_nonzeros(self) -> int:
+        """Stored coefficients, explicit zeros included."""
+        return self._nnz
 
     def constraints_named(self, prefix: str) -> list[Constraint]:
-        return [c for c in self.constraints if c.name.startswith(prefix)]
+        return [self._constraint(i) for i, name in enumerate(self._row_names)
+                if name.startswith(prefix)]
+
+
+def _sorted_rows(indptr, indices, data):
+    """The rows with their entries in variable id order, a repeated id
+    once with its coefficients added up in the order given."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    same_row = rows[1:] == rows[:-1]
+    if not (indices[1:][same_row] <= indices[:-1][same_row]).any():
+        return indptr, indices, data
+    order = np.lexsort((indices, rows))
+    rows, indices, data = rows[order], indices[order], data[order]
+    firsts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (indices[1:] != indices[:-1])])
+    rows, indices, data = rows[firsts], indices[firsts], np.add.reduceat(data, firsts)
+    return np.r_[0, np.cumsum(np.bincount(rows, minlength=len(indptr) - 1))], indices, data
 
 
 # -- LP format ---------------------------------------------------------
@@ -184,16 +304,31 @@ def _coef_value(text: str) -> float:
     return 0.0 - value if sign == "-" else value
 
 
-class _Memo(dict):
-    """Maps a key to ``func(key)``, computing each distinct key once."""
-
-    def __init__(self, func):
-        super().__init__()
-        self._func = func
-
-    def __missing__(self, key):
-        value = self[key] = self._func(key)
-        return value
+def _rows_text(var_names: np.ndarray, anchor: str, row_names: list[str], indptr: np.ndarray,
+               indices: np.ndarray, data: np.ndarray, tails: np.ndarray) -> str:
+    """Rows as LP text, one a line: " name: terms" and the row's tail. Terms
+    are in variable id order, zeros left out, an empty row gets the anchor.
+    The text is joined from shared pieces; each coefficient is formatted once."""
+    keep = data != 0.0
+    kept_ptr = np.r_[0, np.cumsum(keep)][indptr]
+    counts = np.diff(kept_ptr)
+    values, which = np.unique(data[keep], return_inverse=True)
+    pieces = []
+    for term in map(_signed_term, values.tolist()):   # later and first term of a row
+        pieces += [f" {term}", f": {term[2:] if term[0] == '+' else term}"]
+    sizes = 3 + 2 * counts + (counts == 0)
+    starts = np.r_[0, np.cumsum(sizes)]
+    tokens = np.empty(starts[-1], dtype=object)
+    tokens[starts[:-1]] = " "
+    tokens[starts[:-1] + 1] = np.array(row_names, dtype=object)
+    tokens[starts[1:] - 1] = tails
+    tokens[starts[:-1][counts == 0] + 2] = f": {anchor}"
+    row = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(len(row)) - kept_ptr[row]
+    at = starts[row] + 2 + 2 * local
+    tokens[at] = np.array(pieces, dtype=object)[2 * which + (local == 0)]
+    tokens[at + 1] = var_names[indices[keep]]
+    return "".join(tokens.tolist())
 
 
 def export_lp(model: MilpModel) -> str:
@@ -203,43 +338,30 @@ def export_lp(model: MilpModel) -> str:
     constraints are written with an explicit zero term so the row (and its
     possible infeasibility) survives the round trip.
     """
-    names = [var.name for var in model.variables]
-    fmt = _Memo(_fmt)
-    term = _Memo(_signed_term)
-    anchor = f"0 {names[0]}" if names else "0 dummy"
-
-    def terms(coeffs: dict[int, float]) -> str:
-        body = " ".join([term[coef] + names[var_id]
-                         for var_id, coef in sorted(coeffs.items()) if coef != 0.0])
-        return body[2:] if body.startswith("+") else body or anchor
-
-    lines: list[str] = [f"\\ {model.name}",
-                        "Maximize" if model.objective_sense == "maximize" else "Minimize",
-                        f" obj: {terms(model.objective)}",
-                        "Subject To"]
-    lines += [f" {con.name}: {terms(con.coeffs)} {con.sense} {fmt[con.rhs]}"
-              for con in model.constraints]
-    bounds: list[str] = []
-    for var in model.variables:
-        if var.kind == BINARY or (var.lower == 0.0 and var.upper == math.inf):
-            continue
-        if var.lower == -math.inf and var.upper == math.inf:
-            bounds.append(f" {var.name} free")
-        elif var.upper == math.inf:
-            bounds.append(f" {var.name} >= {fmt[var.lower]}")
-        elif var.lower == -math.inf:
-            bounds.append(f" -inf <= {var.name} <= {fmt[var.upper]}")
-        else:
-            bounds.append(f" {fmt[var.lower]} <= {var.name} <= {fmt[var.upper]}")
+    names = np.array(model._names, dtype=object)
+    anchor = f"0 {names[0]}" if len(names) else "0 dummy"
+    order = sorted(model.objective)
+    obj_text = _rows_text(names, anchor, ["obj"], np.array([0, len(order)]), np.array(
+        order, np.int64), np.array([model.objective[i] for i in order], float), ["\n"])
+    rhs, which = np.unique(_joined(model._rhs), return_inverse=True)
+    tails = np.array([f" {sense} {_fmt(value)}\n" for value in rhs.tolist() for sense in _SENSES],
+                     dtype=object)[3 * which + _joined(model._sense)]
+    text = [f"\\ {model.name}\n", "Maximize\n" if model.objective_sense == "maximize"
+            else "Minimize\n", obj_text, "Subject To\n",
+            _rows_text(names, anchor, model._row_names, *model.csr(), tails)]
+    binary, lower, upper = model.columns()
+    at = np.flatnonzero(~binary & ((lower != 0.0) | (upper != math.inf)))
+    bounds = [f" {name} free\n" if lo == -math.inf and hi == math.inf
+              else f" {name} >= {_fmt(lo)}\n" if hi == math.inf
+              else f" -inf <= {name} <= {_fmt(hi)}\n" if lo == -math.inf
+              else f" {_fmt(lo)} <= {name} <= {_fmt(hi)}\n"
+              for name, lo, hi in zip(names[at], lower[at].tolist(), upper[at].tolist())]
     if bounds:
-        lines.append("Bounds")
-        lines += bounds
-    binaries = [f" {var.name}" for var in model.variables if var.kind == BINARY]
+        text += ["Bounds\n", *bounds]
+    binaries = names[binary].tolist()
     if binaries:
-        lines.append("Binaries")
-        lines += binaries
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        text += ["Binaries\n ", "\n ".join(binaries), "\n"]
+    return "".join(text) + "End\n"
 
 
 _SECTIONS = {"maximize": "maximize", "max": "maximize",
@@ -267,35 +389,19 @@ _RELATIONS = {"<": "<=", ">": ">="}
 _CHUNK_ROWS = 256
 
 
-class _Declare(dict):
-    """Maps a variable name to its id; a name seen for the first time is
-    declared, binary if it is listed in the Binaries section."""
-
-    def __init__(self, model: MilpModel, binaries: set[str]):
-        super().__init__()
-        self._model = model
-        self._binaries = binaries
-
-    def __missing__(self, name: str) -> int:
-        kind = BINARY if name in self._binaries else CONTINUOUS
-        var_id = self[name] = self._model.add_variable((name,), kind, name=name)
-        return var_id
-
-
-def _parse_terms(expressions: list[str], ids: _Declare,
-                 coef_of: _Memo) -> tuple[list[int], list[float], list[int]]:
+def _parse_terms(expressions: list[str], ids: dict[str, int],
+                 coef_of) -> tuple[list[int], list[float], list[int]]:
     """Parse expressions such as "3 x - 2.5e-3 y + z", all in one pass.
 
     Returns the variable ids and the coefficients of all their terms, in
-    order, and the index of each expression's first term followed by the
-    number of terms.
+    order, and the index of each expression's first term, then the count.
     """
     text = "\n".join(expressions)
     # [text between terms (always empty), coefficient, name, ..., the rest]
     pieces = _TERM_RE.split(text)
     coefs, names = pieces[1::3], pieces[2::3]
     try:
-        values = list(map(coef_of.__getitem__, coefs))
+        values = list(map(coef_of, coefs))
         complete = not pieces[-1].strip()
     except ModelError:
         complete = False
@@ -348,82 +454,69 @@ def read_lp(text: str) -> MilpModel:
                          f"only binary and continuous variables are supported")
     binary_names = " ".join(bodies["binaries"]).split()
     model = MilpModel(name="lp_import", sense=sense)
-    ids = _Declare(model, set(binary_names))
-    coef_of = _Memo(_coef_value)
+    ids: dict[str, int] = defaultdict(itertools.count().__next__)    # new names: next id
+    coef_of = functools.cache(_coef_value)    # each distinct text is parsed once
 
     obj_body = " ".join(" ".join(bodies["objective"]).split())
     if ":" in obj_body:
         obj_body = obj_body.split(":", 1)[1]
-    var_ids, coefs, _ = _parse_terms([obj_body], ids, coef_of)
-    for var_id, coef in zip(var_ids, coefs):
-        model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
+    obj_terms = _parse_terms([obj_body], ids, coef_of)[:2]
 
     # A line with a row name starts a record; any other line continues it.
     records: list[str] = []
     for line in bodies["constraints"]:
-        if ":" in line:
+        if ":" in line or (line.strip() and not records):
             records.append(line)
         elif line.strip():
-            if records:
-                records[-1] += " " + line.strip()
-            else:
-                records.append(line)
-    constraints = model.constraints
+            records[-1] += " " + line.strip()
+    row_names, rels, rhs, indptr, var_ids, coefs = [], [], [], [0], [], []
     for first in range(0, len(records), _CHUNK_ROWS):
-        names, lhs_rows, rels, rhs_texts = [], [], [], []
+        lhs_rows, rhs_texts = [], []
         for record in records[first:first + _CHUNK_ROWS]:
             cname, colon, body = record.partition(":")
-            if colon:
-                cname = cname.strip()
-            else:
-                cname, body = f"c{first + len(names)}", record
-            lhs, equals, rhs = body.partition("=")
-            if not equals or "=" in rhs:
+            cname, body = (cname.strip(), body) if colon else (f"c{len(row_names)}", record)
+            lhs, equals, rhs_text = body.partition("=")
+            if not equals or "=" in rhs_text:
                 raise ModelError(f"cannot parse constraint {record.strip()!r}")
             rel = _RELATIONS.get(lhs[-1:], "=")
-            names.append(cname)
-            lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
+            row_names.append(cname)
             rels.append(rel)
-            rhs_texts.append(rhs)
-        var_ids, coefs, starts = _parse_terms(lhs_rows, ids, coef_of)
-        terms = zip(var_ids, coefs)
-        for cname, rel, rhs, start, stop in zip(names, rels, rhs_texts, starts, starts[1:]):
-            coeffs = dict(islice(terms, stop - start))
-            if len(coeffs) != stop - start:  # a repeated name: add its terms up
-                coeffs = {}
-                for var_id, coef in zip(var_ids[start:stop], coefs[start:stop]):
-                    coeffs[var_id] = coeffs.get(var_id, 0.0) + coef
-            constraints.append(Constraint(cname, coeffs, rel, float(rhs)))
+            lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
+            rhs_texts.append(rhs_text)
+        chunk_ids, chunk_coefs, starts = _parse_terms(lhs_rows, ids, coef_of)
+        rhs += map(float, rhs_texts)
+        indptr += [len(var_ids) + start for start in starts[1:]]
+        var_ids += chunk_ids
+        coefs += chunk_coefs
 
-    for record in bodies["bounds"]:
-        record = record.strip()
-        if not record:
-            continue
+    lows, ups = {}, {}    # bounds by variable id; they apply to binaries too
+    for record in filter(None, map(str.strip, bodies["bounds"])):
+        pieces = [p.strip() for p in _REL_RE.split(record)]
         if record.lower().endswith(" free"):
-            var = model.variables[ids[record[: -len(" free")].strip()]]
-            var.lower, var.upper = -math.inf, math.inf
-            continue
-        pieces = _REL_RE.split(record)
-        if len(pieces) == 5:  # lo <= x <= hi
-            lo, _, name, _, hi = (p.strip() for p in pieces)
-            var = model.variables[ids[name]]
-            var.lower, var.upper = float(lo), float(hi)
+            var_id = ids[record[: -len(" free")].strip()]
+            lows[var_id], ups[var_id] = -math.inf, math.inf
+        elif len(pieces) == 5:  # lo <= x <= hi
+            lows[ids[pieces[2]]], ups[ids[pieces[2]]] = float(pieces[0]), float(pieces[4])
         elif len(pieces) == 3:
-            left, rel, right = (p.strip() for p in pieces)
+            left, rel, right = pieces
             try:
                 value = float(right)
                 name, bound_is_upper = left, rel == "<="
             except ValueError:
                 value = float(left)
                 name, bound_is_upper = right, rel == ">="
-            var = model.variables[ids[name]]
-            if bound_is_upper:
-                var.upper = value
-            else:
-                var.lower = value
+            (ups if bound_is_upper else lows)[ids[name]] = value
         else:
             raise ModelError(f"cannot parse bound {record!r}")
 
     for name in binary_names:
         ids[name]  # declares binaries that appear in no row
+    names, binaries = list(ids), set(binary_names)
+    model.add_variables([(name,) for name in names], names,
+                        [BINARY if name in binaries else CONTINUOUS for name in names])
+    for column, given in ((model._lower, lows), (model._upper, ups)):
+        _joined(column)[list(given)] = list(given.values())
+    for var_id, coef in zip(*obj_terms):
+        model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
+    model.add_rows(row_names, rels, rhs, indptr, var_ids, coefs)
     return model

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -107,23 +108,48 @@ def bh_pairs(tables: LinkBudgetTable) -> list[tuple[int, int]]:
     return list(zip(c_idx.tolist(), d_idx.tolist()))
 
 
-def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig,
-                   t: int, c: int, r: int) -> float:
-    """Airtime a station spends on one served test point: the longer of
-    the direct and the reflected transmission."""
-    return max(cfg.demand_mbps / tables.cap_dir[t, c, r],
-               cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
+def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig, t, c, r) -> float:
+    """Airtime a station spends on a served test point (on each, given index
+    arrays): the longer of the direct and the reflected transmission."""
+    return np.maximum(cfg.demand_mbps / tables.cap_dir[t, c, r],
+                      cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
+
+
+def _names(tags: str | tuple[str, ...], letters: str, *index) -> list[str]:
+    """Names such as "x_t3_c0_r7": a tag, then each index after its letter.
+    With several tags, each index gets one name per tag, in tag order."""
+    patterns = [tag + "".join(f"_{letter}%d" for letter in letters)
+                for tag in ((tags,) if isinstance(tags, str) else tags)]
+    return [p % i for i in zip(*(np.asarray(i).tolist() for i in index)) for p in patterns]
+
+
+def _add_vars(model: MilpModel, tag: str, letters: str, index, kind: str,
+              upper: float = math.inf) -> np.ndarray:
+    """One variable per element of the index arrays, keyed (tag, *index)."""
+    index = [np.asarray(i).tolist() for i in index]
+    return model.add_variables(zip(repeat(tag), *index), _names(tag, letters, *index),
+                               kind, 0.0, upper)
+
+
+def _add_rows(model: MilpModel, names: list[str], sense: str, rhs, *terms) -> None:
+    """Append one row per name, as one block. Each term is (row, variable,
+    coefficient) arrays of entries; any of the three may be one value for all."""
+    parts = [[column.ravel() for column in np.broadcast_arrays(*term)] for term in terms]
+    rows, cols, vals = (np.concatenate([part[i] for part in parts] or [np.zeros(0, np.int64)])
+                        for i in range(3))
+    order = np.lexsort((cols, rows))
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(names)))]
+    model.add_rows(names, sense, rhs, indptr, cols[order], vals[order])
 
 
 class _Backbone:
     """The part of a placement model that both builders share.
 
-    Variables: yIAB, yDON and tTX per site, z and f per backhaul pair, and
-    theta and l per test point with their objective coefficients. Rows:
-    bh_act, tree_in, flow_bal, flow_cap, tx_time, half_duplex and
-    link_len. A builder adds its access layer between the add_* calls, in
-    model order, and reports each of its assignment variables through
-    assign().
+    Variables: yIAB, yDON and tTX per site (builders declare the last two
+    through site_vars), z and f per backhaul pair, theta and l per test
+    point with their objective coefficients. Rows: bh_act, tree_in,
+    flow_bal, flow_cap, tx_time, half_duplex, link_len. A builder adds its
+    access layer in model order and reports assignments through assign().
     """
 
     def __init__(self, name: str, scenario: Scenario, tables: LinkBudgetTable,
@@ -134,119 +160,77 @@ class _Backbone:
                 f"dimension mismatch: tables are {tables.n_test_points} TP x "
                 f"{tables.n_sites} CS, scenario is {scenario.n_test_points} x "
                 f"{scenario.n_sites}")
-        self.model = MilpModel(name=name)
-        self.tables = tables
-        self.cfg = cfg
-        self.n_c = scenario.n_sites
-        self.n_t = scenario.n_test_points
-        self.pairs = bh_pairs(tables)
-        # The backhaul pairs of each station, in pair order, so the
-        # per-station rows are built in time proportional to the pairs they hold.
-        self.out: list[list[int]] = [[] for _ in range(self.n_c)]
-        self.into: list[list[int]] = [[] for _ in range(self.n_c)]
-        # (pair, sign) for each pair leaving (-1) or entering (+1) a station
-        self.touching: list[list[tuple[tuple[int, int], float]]] = [[] for _ in range(self.n_c)]
-        for (c, d) in self.pairs:
-            self.out[c].append(d)
-            self.into[d].append(c)
-            self.touching[c].append(((c, d), -1.0))
-            self.touching[d].append(((c, d), 1.0))
-        # (variable, pull, airtime) per station and (variable, length
-        # share) per test point, in the order assign() reported them.
-        self.served: list[list[tuple[int, float, float]]] = [[] for _ in range(self.n_c)]
-        self.shares: list[list[tuple[int, float]]] = [[] for _ in range(self.n_t)]
+        self.model, self.tables, self.cfg = MilpModel(name=name), tables, cfg
+        self.n_c, self.n_t = scenario.n_sites, scenario.n_test_points
+        self.sites, self.tps = np.arange(self.n_c), np.arange(self.n_t)
+        self.src, self.dst = np.nonzero(tables.delta_bh)    # the backhaul pairs
+        self.pair = np.arange(len(self.src))
+        # (test point, station, variable, pull, airtime, length share) blocks
+        self.assigned: list[list[np.ndarray]] = []
         self.y_iab = self.site_vars("yIAB")
 
-    def site_vars(self, tag: str, kind: str = BINARY, upper: float = 1.0) -> list[int]:
+    def site_vars(self, tag: str, kind: str = BINARY, upper: float = 1.0) -> np.ndarray:
         """One variable per site, named "{tag}_c{c}"."""
-        return [self.model.add_variable((tag, c), kind, 0.0, upper, name=f"{tag}_c{c}")
-                for c in range(self.n_c)]
-
-    def add_donors(self) -> None:
-        self.y_don = self.site_vars("yDON")
+        return _add_vars(self.model, tag, "c", [self.sites], kind, upper)
 
     def add_backhaul(self) -> None:
-        model = self.model
-        self.z = {(c, d): model.add_variable(("z", c, d), BINARY, name=f"z_c{c}_c{d}")
-                  for (c, d) in self.pairs}
-        self.f = {(c, d): model.add_variable(("f", c, d), CONTINUOUS, 0.0, math.inf,
-                                             name=f"f_c{c}_c{d}")
-                  for (c, d) in self.pairs}
-
-    def add_airtime(self) -> None:
-        self.t_tx = self.site_vars("tTX", CONTINUOUS)
+        self.z = _add_vars(self.model, "z", "cc", [self.src, self.dst], BINARY)
+        self.f = _add_vars(self.model, "f", "cc", [self.src, self.dst], CONTINUOUS)
 
     def add_objective(self) -> None:
         model, cfg = self.model, self.cfg
-        self.theta = [model.add_variable(("theta", t), CONTINUOUS, 0.0, math.pi,
-                                         name=f"theta_t{t}") for t in range(self.n_t)]
-        self.l_var = [model.add_variable(("l", t), CONTINUOUS, 0.0, math.inf, name=f"l_t{t}")
-                      for t in range(self.n_t)]
-        for t in range(self.n_t):
-            model.set_objective_coeff(self.theta[t], cfg.mu / cfg.theta_norm_rad)
-            model.set_objective_coeff(self.l_var[t], -(1.0 - cfg.mu) / cfg.len_norm_m)
+        self.theta = _add_vars(model, "theta", "t", [self.tps], CONTINUOUS, math.pi)
+        self.l_var = _add_vars(model, "l", "t", [self.tps], CONTINUOUS)
+        for theta, l_var in zip(self.theta.tolist(), self.l_var.tolist()):
+            model.set_objective_coeff(theta, cfg.mu / cfg.theta_norm_rad)
+            model.set_objective_coeff(l_var, -(1.0 - cfg.mu) / cfg.len_norm_m)
 
-    def assign(self, t: int, c: int, var: int, pull_mbps: float, airtime: float,
-               len_share: float) -> None:
-        """Assignment variable var links test point t to station c: it pulls
-        pull_mbps through c, costs c airtime of transmission and adds
-        len_share to t's mean link length."""
-        self.served[c].append((var, pull_mbps, airtime))
-        self.shares[t].append((var, len_share))
+    def assign(self, t, c, var, pull_mbps, airtime, len_share) -> None:
+        """Assignment variables var link test points t to stations c: each
+        pulls pull_mbps through its station, costs it airtime of
+        transmission and adds len_share to its test point's mean link
+        length. Each argument is an array or one value for all."""
+        self.assigned.append(np.broadcast_arrays(t, c, var, pull_mbps, airtime, len_share))
+
+    def served(self) -> list[np.ndarray]:
+        return [np.concatenate(column) for column in zip(*self.assigned)]
 
     def add_activation_rows(self) -> None:
         """Link activations require both endpoints installed."""
-        y_iab = self.y_iab
-        for (c, d), zv in self.z.items():
-            self.model.add_constraint(f"bh_act_c{c}_c{d}",
-                                      {zv: 1.0, y_iab[c]: -0.5, y_iab[d]: -0.5}, "<=", 0.0)
+        _add_rows(self.model, _names("bh_act", "cc", self.src, self.dst), "<=", 0.0,
+                  (self.pair, self.z, 1.0), (self.pair, self.y_iab[self.src], -0.5),
+                  (self.pair, self.y_iab[self.dst], -0.5))
 
-    def add_tree_rows(self, inflow: list[int], per_unit: float) -> None:
+    def add_tree_rows(self, inflow: np.ndarray, per_unit: float) -> None:
         """Spanning tree: at most one ingress link, none at the donor. Flow
         balance: per_unit * inflow[c] enters at station c, and every
         assignment variable served there pulls its traffic."""
-        model = self.model
-        for c in range(self.n_c):
-            coeffs = {self.z[(d, c)]: 1.0 for d in self.into[c]}
-            coeffs[self.y_don[c]] = 1.0
-            model.add_constraint(f"tree_in_c{c}", coeffs, "<=", 1.0)
-        for c in range(self.n_c):
-            coeffs = {inflow[c]: per_unit}
-            for pair, sign in self.touching[c]:
-                vid = self.f[pair]
-                coeffs[vid] = coeffs.get(vid, 0.0) + sign
-            for var, pull, _ in self.served[c]:
-                coeffs[var] = -pull
-            model.add_constraint(f"flow_bal_c{c}", coeffs, "=", 0.0)
+        _, station, var, pull, _, _ = self.served()
+        _add_rows(self.model, _names("tree_in", "c", self.sites), "<=", 1.0,
+                  (self.dst, self.z, 1.0), (self.sites, self.y_don, 1.0))
+        _add_rows(self.model, _names("flow_bal", "c", self.sites), "=", 0.0,
+                  (self.sites, inflow, per_unit), (self.src, self.f, -1.0),
+                  (self.dst, self.f, 1.0), (station, var, -pull))
 
     def add_capacity_rows(self) -> None:
         """Backhaul capacity; transmit airtime per station (beams to its
         children plus its access links); half duplex: receive plus
         transmit airtime fits in one."""
-        model, cap_bh = self.model, self.tables.cap_bh
-        for (c, d), fv in self.f.items():
-            model.add_constraint(f"flow_cap_c{c}_c{d}",
-                                 {fv: 1.0, self.z[(c, d)]: -cap_bh[c, d]}, "<=", 0.0)
-        for c in range(self.n_c):
-            coeffs = {self.t_tx[c]: 1.0}
-            for d in self.out[c]:
-                coeffs[self.f[(c, d)]] = -1.0 / cap_bh[c, d]
-            for var, _, airtime in self.served[c]:
-                coeffs[var] = -airtime
-            model.add_constraint(f"tx_time_c{c}", coeffs, "=", 0.0)
-        for c in range(self.n_c):
-            coeffs = {self.t_tx[c]: 1.0}
-            for d in self.into[c]:
-                coeffs[self.f[(d, c)]] = 1.0 / cap_bh[d, c]
-            model.add_constraint(f"half_duplex_c{c}", coeffs, "<=", 1.0)
+        cap = self.tables.cap_bh[self.src, self.dst]
+        _, station, var, _, airtime, _ = self.served()
+        _add_rows(self.model, _names("flow_cap", "cc", self.src, self.dst), "<=", 0.0,
+                  (self.pair, self.f, 1.0), (self.pair, self.z, -cap))
+        _add_rows(self.model, _names("tx_time", "c", self.sites), "=", 0.0,
+                  (self.sites, self.t_tx, 1.0), (self.src, self.f, -1.0 / cap),
+                  (station, var, -airtime))
+        _add_rows(self.model, _names("half_duplex", "c", self.sites), "<=", 1.0,
+                  (self.sites, self.t_tx, 1.0), (self.dst, self.f, 1.0 / cap))
 
     def add_length_rows(self) -> None:
         """l_t is at least the active assignment's mean link length."""
-        for t in range(self.n_t):
-            coeffs = {self.l_var[t]: 1.0}
-            for var, share in self.shares[t]:
-                coeffs[var] = -share
-            self.model.add_constraint(f"link_len_t{t}", coeffs, ">=", 0.0)
+        t, _, var, _, _, share = self.served()
+        _add_rows(self.model, _names("link_len", "t", self.tps), ">=", 0.0,
+                  (self.tps, self.l_var, 1.0), (t, var, -share))
 
 
 def aperture_candidates(rays: np.ndarray, fov: float) -> tuple[np.ndarray, np.ndarray]:
@@ -273,113 +257,85 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                     cfg: PlanningConfig) -> MilpModel:
     """Assemble the surface-enabled placement MILP."""
     net = _Backbone(MODE_RIS, scenario, tables, cfg)
-    model, n_c, n_t = net.model, net.n_c, net.n_t
+    model, n_c, sites, tps = net.model, net.n_c, net.sites, net.tps
     demand = cfg.demand_mbps
-    tuples = src_tuples(tables)
-    by_tp: list[list[tuple[int, int]]] = [[] for _ in range(n_t)]
-    by_surface: dict[int, list[tuple[int, int]]] = {}
-    for (t, c, r) in tuples:
-        by_tp[t].append((c, r))
-        by_surface.setdefault(r, []).append((t, c))
+    t, c, r = np.nonzero(tables.delta_src)
+    triple = np.arange(len(t))
 
     y_iab = net.y_iab
     y_ris = net.site_vars("yRIS")
-    net.add_donors()
-    y_don = net.y_don
-    x_ids = [model.add_variable(("x", t, c, r), BINARY, name=f"x_t{t}_c{c}_r{r}")
-             for (t, c, r) in tuples]
-    x_var = dict(zip(tuples, x_ids))
-    # The assignment variables of each (t, c) and (t, r) pair.
-    per_tc: dict[tuple[int, int], list[int]] = {}
-    per_tr: dict[tuple[int, int], list[int]] = {}
-    for (t, c, r), xv in x_var.items():
-        per_tc.setdefault((t, c), []).append(xv)
-        per_tr.setdefault((t, r), []).append(xv)
+    y_don = net.y_don = net.site_vars("yDON")
+    x = _add_vars(model, "x", "tcr", [t, c, r], BINARY)
     net.add_backhaul()
-    net.add_airtime()
-    ris_candidates = sorted(by_surface)
-    # The candidate aperture variables of each surface, and per ray the
-    # ones that cover it.
-    orient: dict[int, list[int]] = {}
-    covering: dict[int, dict[float, list[int]]] = {}
-    for r in ris_candidates:
-        ts, cs = np.array(by_surface[r]).T
-        distinct, cover = aperture_candidates(
-            np.concatenate([tables.phi_a[r, ts], tables.phi_b[r, cs]]), cfg.fov_rad)
-        orient[r] = [model.add_variable(("o", r, k), BINARY, name=f"o_c{r}_k{k}")
-                     for k in range(len(cover))]
-        covering[r] = {ray: [orient[r][k] for k in np.flatnonzero(cover[:, j]).tolist()]
-                       for j, ray in enumerate(distinct.tolist())}
+    net.t_tx = net.site_vars("tTX", CONTINUOUS)
+    # Apertures: an installed surface takes at most one candidate, and
+    # both rays of every active triple must lie in the one it takes. The
+    # per-(t, r) rows, in order of first appearance, aggregate the test
+    # point's side over stations; the per-triple rows ask for one
+    # candidate that covers both rays. Each surface's candidates cover
+    # the rays of its triples, one column per triple.
+    surfaces = np.unique(r)
+    _, heads, tr_of = np.unique(t * n_c + r, return_index=True, return_inverse=True)
+    tr_row = np.argsort(np.argsort(heads))[tr_of]
+    is_head = np.isin(triple, heads)
+    orient_terms, cover_a_terms, cover_t_terms = [], [], []
+    for j, s in enumerate(surfaces.tolist()):
+        mine = np.flatnonzero(r == s)
+        ray_a, ray_b = tables.phi_a[s, t[mine]], tables.phi_b[s, c[mine]]
+        distinct, cover = aperture_candidates(np.concatenate([ray_a, ray_b]), cfg.fov_rad)
+        orient = _add_vars(model, "o", "ck", [np.full(len(cover), s), range(len(cover))], BINARY)
+        cover_a = cover[:, np.searchsorted(distinct, ray_a)]
+        cover_b = cover[:, np.searchsorted(distinct, ray_b)]
+        orient_terms += [(j, orient, 1.0), (j, y_ris[s], -1.0)]
+        row, k = np.nonzero(cover_a[:, is_head[mine]].T)
+        cover_a_terms.append((tr_row[mine[is_head[mine]][row]], orient[k], -1.0))
+        row, k = np.nonzero((cover_a & cover_b).T)
+        cover_t_terms.append((mine[row], orient[k], -1.0))
     net.add_objective()
-    theta = net.theta
 
     # A served test point pulls D from its serving station, which spends
     # the longer of the direct and reflected airtime on it.
-    for (t, c, r), xv in zip(tuples, x_ids):
-        net.assign(t, c, xv, demand, access_airtime(tables, cfg, t, c, r),
-                   0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r]))
+    net.assign(t, c, x, demand, access_airtime(tables, cfg, t, c, r),
+               0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r]))
 
     # One technology per site; donors only where a station stands.
-    for c in range(n_c):
-        model.add_constraint(f"colocation_c{c}", {y_iab[c]: 1.0, y_ris[c]: 1.0}, "<=", 1.0)
-        model.add_constraint(f"donor_iab_c{c}", {y_don[c]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
-
-    model.add_constraint(
-        "budget",
-        {**{y_iab[c]: cfg.price_iab for c in range(n_c)},
-         **{y_ris[c]: cfg.price_ris for c in range(n_c)}},
-        "<=", cfg.budget)
+    _add_rows(model, _names(("colocation", "donor_iab"), "c", sites), "<=",
+              np.tile([1.0, 0.0], n_c), (2 * sites, y_iab, 1.0), (2 * sites, y_ris, 1.0),
+              (2 * sites + 1, y_don, 1.0), (2 * sites + 1, y_iab, -1.0))
+    model.add_constraint("budget", {**dict.fromkeys(y_iab.tolist(), cfg.price_iab),
+                                    **dict.fromkeys(y_ris.tolist(), cfg.price_ris)},
+                         "<=", cfg.budget)
 
     net.add_activation_rows()
     # A test point is served from an installed station; the surface side
     # follows from the aperture rows (x <= sum of o <= yRIS).
-    for (t, c), xs in per_tc.items():
-        model.add_constraint(f"src_iab_t{t}_c{c}",
-                             {**dict.fromkeys(xs, 1.0), y_iab[c]: -1.0}, "<=", 0.0)
+    tc, tc_row = np.unique(t * n_c + c, return_inverse=True)
+    _add_rows(model, _names("src_iab", "tc", tc // n_c, tc % n_c), "<=", 0.0,
+              (tc_row, x, 1.0), (np.arange(len(tc)), y_iab[tc % n_c], -1.0))
 
     # Exactly one serving pair per test point. A test point with no
     # feasible pair yields an empty row "0 = 1": correctly infeasible.
-    for t in range(n_t):
-        model.add_constraint(
-            f"one_src_t{t}", {x_var[(t, c, r)]: 1.0 for (c, r) in by_tp[t]}, "=", 1.0)
+    _add_rows(model, _names("one_src", "t", tps), "=", 1.0, (t, x, 1.0))
 
     # Core injection |T| * D at the donor.
-    net.add_tree_rows(y_don, float(n_t) * demand)
+    net.add_tree_rows(y_don, float(net.n_t) * demand)
     net.add_capacity_rows()
 
     # A surface serves its test points by time sharing.
-    for r in ris_candidates:
-        coeffs = {x_var[(t, c, r)]: cfg.xi * demand / tables.cap_ref[t, c, r]
-                  for (t, c) in by_surface[r]}
-        model.add_constraint(f"ris_airtime_c{r}", coeffs, "<=", 1.0)
+    _add_rows(model, _names("ris_airtime", "c", surfaces), "<=", 1.0,
+              (np.searchsorted(surfaces, r), x, cfg.xi * demand / tables.cap_ref[t, c, r]))
 
-    # Apertures: an installed surface takes at most one candidate, and
-    # both rays of every active triple must lie in the one it takes. The
-    # per-(t, r) rows aggregate the test point's side over stations; the
-    # per-triple rows ask for one candidate that covers both rays.
-    for r in ris_candidates:
-        model.add_constraint(f"orient_c{r}",
-                             {**dict.fromkeys(orient[r], 1.0), y_ris[r]: -1.0}, "<=", 0.0)
-    for (t, r), xs in per_tr.items():
-        ray = float(tables.phi_a[r, t])
-        model.add_constraint(f"cover_a_t{t}_r{r}", {**dict.fromkeys(xs, 1.0),
-                                                    **dict.fromkeys(covering[r][ray], -1.0)},
-                             "<=", 0.0)
-    for (t, c, r), xv in x_var.items():
-        on_b = set(covering[r][float(tables.phi_b[r, c])])
-        both = [ov for ov in covering[r][float(tables.phi_a[r, t])] if ov in on_b]
-        model.add_constraint(f"cover_t{t}_c{c}_r{r}", {xv: 1.0, **dict.fromkeys(both, -1.0)},
-                             "<=", 0.0)
+    _add_rows(model, _names("orient", "c", surfaces), "<=", 0.0, *orient_terms)
+    heads.sort()
+    _add_rows(model, _names("cover_a", "tr", t[heads], r[heads]), "<=", 0.0,
+              (tr_row, x, 1.0), *cover_a_terms)
+    _add_rows(model, _names("cover", "tcr", t, c, r), "<=", 0.0, (triple, x, 1.0), *cover_t_terms)
     net.add_length_rows()
 
     # theta_t is capped by the active pair's table angle: exactly one x
     # per test point is active at integer points.
-    for t in range(n_t):
-        coeffs = {theta[t]: 1.0}
-        for (c, r) in by_tp[t]:
-            coeffs[x_var[(t, c, r)]] = -float(tables.theta[t, c, r])
-        model.add_constraint(f"cut_theta_t{t}", coeffs, "<=", 0.0)
-
+    _add_rows(model, _names("cut_theta", "t", tps), "<=", 0.0,
+              (tps, net.theta, 1.0), (t, x, -tables.theta[t, c, r]))
     return model
 
 
@@ -388,94 +344,71 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     """Assemble the station-only placement MILP (primary + backup station
     per test point, both demands flowing through the tree)."""
     net = _Backbone(MODE_BASELINE, scenario, tables, cfg)
-    model, n_c, n_t = net.model, net.n_c, net.n_t
+    model, n_t, sites, tps = net.model, net.n_t, net.sites, net.tps
     demand = cfg.demand_mbps
-    acc = [(t, c) for t in range(n_t) for c in range(n_c)
-           if tables.delta_acc[t, c] == 1]
-    sites_of: list[list[int]] = [[] for _ in range(n_t)]
-    for (t, c) in acc:
-        sites_of[t].append(c)
+    t, c = np.nonzero(tables.delta_acc == 1)
+    pair = np.arange(len(t))
 
     y_iab = net.y_iab
-    net.add_donors()
-    y_don = net.y_don
-    x_var = {(t, c): model.add_variable(("x", t, c), BINARY, name=f"x_t{t}_c{c}")
-             for (t, c) in acc}
-    s_var = {(t, c): model.add_variable(("s", t, c), BINARY, name=f"s_t{t}_c{c}")
-             for (t, c) in acc}
+    y_don = net.y_don = net.site_vars("yDON")
+    x = _add_vars(model, "x", "tc", [t, c], BINARY)
+    s = _add_vars(model, "s", "tc", [t, c], BINARY)
     net.add_backhaul()
     w_var = net.site_vars("w", CONTINUOUS, math.inf)
-    net.add_airtime()
+    net.t_tx = net.site_vars("tTX", CONTINUOUS)
     net.add_objective()
     theta = net.theta
 
     # The primary link pulls D and the backup xi * D from their stations.
-    for (t, c) in acc:
-        for var, pull in ((x_var[(t, c)], demand), (s_var[(t, c)], cfg.xi * demand)):
-            net.assign(t, c, var, pull, pull / tables.cap_acc[t, c], 0.5 * tables.len_tc[t, c])
+    for var, pull in ((x, demand), (s, cfg.xi * demand)):
+        net.assign(t, c, var, pull, pull / tables.cap_acc[t, c], 0.5 * tables.len_tc[t, c])
 
-    for c in range(n_c):
-        model.add_constraint(f"donor_iab_c{c}", {y_don[c]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
-    model.add_constraint("single_donor", {y_don[c]: 1.0 for c in range(n_c)}, "<=", 1.0)
-    model.add_constraint("budget", {y_iab[c]: cfg.price_iab for c in range(n_c)},
+    _add_rows(model, _names("donor_iab", "c", sites), "<=", 0.0,
+              (sites, y_don, 1.0), (sites, y_iab, -1.0))
+    model.add_constraint("single_donor", dict.fromkeys(y_don.tolist(), 1.0), "<=", 1.0)
+    model.add_constraint("budget", dict.fromkeys(y_iab.tolist(), cfg.price_iab),
                          "<=", cfg.budget)
 
     net.add_activation_rows()
-    for (t, c) in acc:
-        model.add_constraint(f"x_act_t{t}_c{c}",
-                             {x_var[(t, c)]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
-        model.add_constraint(f"s_act_t{t}_c{c}",
-                             {s_var[(t, c)]: 1.0, y_iab[c]: -1.0}, "<=", 0.0)
-        # Primary and backup must differ: dual connectivity is the point.
-        model.add_constraint(f"distinct_t{t}_c{c}",
-                             {x_var[(t, c)]: 1.0, s_var[(t, c)]: 1.0}, "<=", 1.0)
-
-    for t in range(n_t):
-        model.add_constraint(f"one_primary_t{t}",
-                             {x_var[(t, c)]: 1.0 for c in sites_of[t]}, "=", 1.0)
-        model.add_constraint(f"one_backup_t{t}",
-                             {s_var[(t, c)]: 1.0 for c in sites_of[t]}, "=", 1.0)
+    # Primary and backup must differ: dual connectivity is the point.
+    _add_rows(model, _names(("x_act", "s_act", "distinct"), "tc", t, c), "<=",
+              np.tile([0.0, 0.0, 1.0], len(t)), (3 * pair, x, 1.0), (3 * pair, y_iab[c], -1.0),
+              (3 * pair + 1, s, 1.0), (3 * pair + 1, y_iab[c], -1.0),
+              (3 * pair + 2, x, 1.0), (3 * pair + 2, s, 1.0))
+    _add_rows(model, _names(("one_primary", "one_backup"), "t", tps), "=", 1.0,
+              (2 * t, x, 1.0), (2 * t + 1, s, 1.0))
 
     # Wired inflow w_c, capped at the donor.
     net.add_tree_rows(w_var, 1.0)
-    for c in range(n_c):
-        model.add_constraint(f"wired_cap_c{c}",
-                             {w_var[c]: 1.0, y_don[c]: -cfg.wired_capacity_mbps},
-                             "<=", 0.0)
+    _add_rows(model, _names("wired_cap", "c", sites), "<=", 0.0,
+              (sites, w_var, 1.0), (sites, y_don, -cfg.wired_capacity_mbps))
     net.add_capacity_rows()
 
     # Angular separation rows bind only when x_t,c and s_t,r are both
-    # active; c == r pairs are excluded by the distinctness row.
-    for t in range(n_t):
-        for c in sites_of[t]:
-            for r in sites_of[t]:
-                if r == c:
-                    continue
-                model.add_constraint(
-                    f"ang_sep_t{t}_c{c}_r{r}",
-                    {theta[t]: 1.0, x_var[(t, c)]: TWO_PI, s_var[(t, r)]: TWO_PI},
-                    "<=", tables.theta[t, c, r] + 2.0 * TWO_PI)
+    # active; c == r pairs are excluded by the distinctness row. Primary p
+    # meets every access pair q of its test point, in pair order.
+    n_sites = np.bincount(t, minlength=n_t)
+    p = np.repeat(pair, n_sites[t])
+    q = np.r_[0, np.cumsum(n_sites)][t[p]] + np.arange(len(p)) - np.repeat(
+        np.r_[0, np.cumsum(n_sites[t])][:-1], n_sites[t])
+    p, q = p[p != q], q[p != q]
+    sep, row = tables.theta[t[p], c[p], c[q]], np.arange(len(p))
+    _add_rows(model, _names("ang_sep", "tcr", t[p], c[p], c[q]), "<=", sep + 2.0 * TWO_PI,
+              (row, theta[t[p]], 1.0), (row, x[p], TWO_PI), (row, s[q], TWO_PI))
     net.add_length_rows()
 
     # Strengthening cuts, redundant at integer points: with the primary
     # (or backup) station fixed, the separation can never exceed the best
     # partner's angle. Without these the LP bound floats theta_t to pi.
-    for t in range(n_t):
-        sites_t = sites_of[t]
-        best_for = {c: max((float(tables.theta[t, c, r]) for r in sites_t if r != c),
-                           default=0.0)
-                    for c in sites_t}
-        if not sites_t:
-            continue
-        model.add_constraint(
-            f"cut_theta_x_t{t}",
-            {theta[t]: 1.0, **{x_var[(t, c)]: -best_for[c] for c in sites_t}},
-            "<=", 0.0)
-        model.add_constraint(
-            f"cut_theta_s_t{t}",
-            {theta[t]: 1.0, **{s_var[(t, c)]: -best_for[c] for c in sites_t}},
-            "<=", 0.0)
-
+    best = np.full(len(t), -np.inf)
+    np.maximum.at(best, p, sep)
+    best[best == -np.inf] = 0.0
+    served = np.flatnonzero(n_sites)
+    row = np.zeros(n_t, np.int64)
+    row[served] = 2 * np.arange(len(served))
+    _add_rows(model, _names(("cut_theta_x", "cut_theta_s"), "t", served), "<=", 0.0,
+              (row[served], theta[served], 1.0), (row[served] + 1, theta[served], 1.0),
+              (row[t], x, -best), (row[t] + 1, s, -best))
     return model
 
 
@@ -549,56 +482,50 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     mode = model.name
     if mode not in (MODE_RIS, MODE_BASELINE):
         raise PlannerError(f"model {model.name!r} is not a planning model")
-    missing = [v.name for v in model.variables if v.name not in solution]
+    missing = [name for name in model.names() if name not in solution]
     if missing:
         raise PlannerError(f"solution missing variables, e.g. {missing[:3]}")
 
-    def val(key) -> float:
+    def val(*key) -> float:
         return solution[model.name_of(model.var_id(key))]
 
-    n_c = scenario.n_sites
-    n_t = scenario.n_test_points
+    def on(*key) -> bool:    # the binary with this key exists and is 1
+        return model.has_var(key) and _round_binary(model.name_of(model.var_id(key)),
+                                                    val(*key)) == 1
 
-    iab = tuple(c for c in range(n_c)
-                if _round_binary(f"yIAB_c{c}", val(("yIAB", c))) == 1)
-    donors = [c for c in range(n_c)
-              if _round_binary(f"yDON_c{c}", val(("yDON", c))) == 1]
+    n_c, n_t = scenario.n_sites, scenario.n_test_points
+    iab = tuple(c for c in range(n_c) if on("yIAB", c))
+    donors = [c for c in range(n_c) if on("yDON", c)]
     if len(donors) != 1:
         raise PlannerError(f"decode-time infeasibility: {len(donors)} donors active")
     donor = donors[0]
 
     if mode == MODE_RIS:
-        ris = tuple(c for c in range(n_c)
-                    if _round_binary(f"yRIS_c{c}", val(("yRIS", c))) == 1)
+        ris = tuple(c for c in range(n_c) if on("yRIS", c))
         chosen: dict[int, tuple[int, int]] = {}
         for (t, c, r) in src_tuples(tables):
-            if model.has_var(("x", t, c, r)) and _round_binary(
-                    f"x_t{t}_c{c}_r{r}", val(("x", t, c, r))) == 1:
+            if on("x", t, c, r):
                 if t in chosen:
                     raise PlannerError(f"decode-time infeasibility: test point {t} "
                                        f"has multiple active pairs")
                 chosen[t] = (c, r)
         wired = float(n_t) * cfg.demand_mbps
     else:
-        ris = ()
-        chosen = {}
+        ris, chosen = (), {}
         for t in range(n_t):
-            primary = [c for c in range(n_c) if model.has_var(("x", t, c))
-                       and _round_binary(f"x_t{t}_c{c}", val(("x", t, c))) == 1]
-            backup = [c for c in range(n_c) if model.has_var(("s", t, c))
-                      and _round_binary(f"s_t{t}_c{c}", val(("s", t, c))) == 1]
+            primary = [c for c in range(n_c) if on("x", t, c)]
+            backup = [c for c in range(n_c) if on("s", t, c)]
             if len(primary) != 1 or len(backup) != 1:
                 raise PlannerError(f"decode-time infeasibility: test point {t} has "
                                    f"{len(primary)} primary / {len(backup)} backup links")
             chosen[t] = (primary[0], backup[0])
-        wired = float(val(("w", donor)))
+        wired = float(val("w", donor))
 
     if sorted(chosen) != list(range(n_t)):
         raise PlannerError("decode-time infeasibility: incomplete assignment")
     assignments = tuple(chosen[t] for t in range(n_t))
 
-    active = [(c, d) for (c, d) in bh_pairs(tables)
-              if _round_binary(f"z_c{c}_c{d}", val(("z", c, d))) == 1]
+    active = [(c, d) for (c, d) in bh_pairs(tables) if on("z", c, d)]
     orientations: dict[int, float] = {}
     if mode == MODE_RIS:
         serving = {c for (c, _) in assignments}
@@ -613,7 +540,7 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     donor, kept = _canonical_topology(donor, active, serving)
     iab = tuple(c for c in iab if c in kept)
     edges = [(c, d) for (c, d) in active if c in kept and d in kept]
-    flows = {(c, d): float(val(("f", c, d))) for (c, d) in edges}
+    flows = {(c, d): float(val("f", c, d)) for (c, d) in edges}
 
     theta_per_tp = tuple(float(tables.theta[t, a, b])
                          for t, (a, b) in enumerate(assignments))
@@ -633,21 +560,11 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
             f"decode drift: recomputed objective {objective!r} vs "
             f"solver objective {solver_objective!r}")
 
-    return NetworkPlan(
-        mode=mode,
-        donor=donor,
-        iab_nodes=iab,
-        ris_sites=ris,
-        assignments=assignments,
-        backhaul_edges=tuple(edges),
-        flows_mbps=flows,
-        wired_inflow_mbps=wired,
-        orientations_rad=orientations,
-        theta_per_tp=theta_per_tp,
-        len_per_tp=len_per_tp,
-        total_cost=total_cost,
-        objective_value=objective,
-    )
+    return NetworkPlan(mode=mode, donor=donor, iab_nodes=iab, ris_sites=ris,
+                       assignments=assignments, backhaul_edges=tuple(edges), flows_mbps=flows,
+                       wired_inflow_mbps=wired, orientations_rad=orientations,
+                       theta_per_tp=theta_per_tp, len_per_tp=len_per_tp,
+                       total_cost=total_cost, objective_value=objective)
 
 
 # -- plan persistence ---------------------------------------------------

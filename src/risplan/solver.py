@@ -8,6 +8,8 @@ engine leaks out. External solvers can be reached through LP files
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -15,7 +17,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
-from .milp import BINARY, MilpModel
+from .milp import MilpModel
 
 # One home for the numeric tolerances used across solve/validate/oracle.
 FEASIBILITY_TOL = 1e-6
@@ -46,40 +48,33 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
         return SolveResult(STATUS_OPTIMAL, 0.0, {}, 0.0)
     sign = -1.0 if model.objective_sense == "maximize" else 1.0
     c = np.zeros(n)
-    for var_id, coef in model.objective.items():
-        c[var_id] = sign * coef
-    integrality = np.array([1 if v.kind == BINARY else 0 for v in model.variables])
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
+    c[list(model.objective)] = sign * np.array(list(model.objective.values()))
+    binary, lower, upper = model.columns()
 
     constraints = []
-    if model.constraints:
-        rows, cols, data = [], [], []
-        lo = np.empty(len(model.constraints))
-        hi = np.empty(len(model.constraints))
-        for i, con in enumerate(model.constraints):
-            for var_id, coef in con.coeffs.items():
-                rows.append(i)
-                cols.append(var_id)
-                data.append(coef)
-            if con.sense == "<=":
-                lo[i], hi[i] = -np.inf, con.rhs
-            elif con.sense == ">=":
-                lo[i], hi[i] = con.rhs, np.inf
-            else:
-                lo[i], hi[i] = con.rhs, con.rhs
-        a = sparse.csr_array((data, (rows, cols)), shape=(len(model.constraints), n))
-        constraints.append(LinearConstraint(a, lo, hi))
+    if model.num_constraints:
+        indptr, indices, data = model.csr()
+        a = sparse.csr_array((data, indices, indptr), shape=(model.num_constraints, n),
+                             copy=True)
+        constraints.append(LinearConstraint(a, *model.row_bounds()))
 
     options: dict = {"presolve": True, "mip_rel_gap": mip_rel_gap}
     if time_limit_s is not None:
         options["time_limit"] = float(time_limit_s)
 
+    # HiGHS prints some lines straight to file descriptor 1; point it at
+    # standard error for the call, so standard output carries results only.
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
     start = time.perf_counter()
-    res = scipy_milp(c=c, constraints=constraints,
-                     integrality=integrality, bounds=Bounds(lower, upper),
-                     options=options)
-    elapsed = time.perf_counter() - start
+    try:
+        res = scipy_milp(c=c, constraints=constraints, integrality=binary.astype(np.int64),
+                         bounds=Bounds(lower, upper), options=options)
+    finally:
+        elapsed = time.perf_counter() - start
+        os.dup2(saved, 1)
+        os.close(saved)
 
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
     nodes = getattr(res, "mip_node_count", None)
@@ -87,20 +82,13 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
     stats = {"node_count": int(nodes) if nodes is not None else 0,
              "dual_bound": (sign * float(bound)
                             if bound is not None and math.isfinite(bound) else None)}
-    if res.status == 0:
-        values = {model.variables[i].name: float(res.x[i]) for i in range(n)}
-        return SolveResult(STATUS_OPTIMAL, sign * float(res.fun), values,
+    status = {0: STATUS_OPTIMAL, 1: STATUS_TIME_LIMIT, 2: STATUS_INFEASIBLE}.get(res.status,
+                                                                               STATUS_ERROR)
+    if status in (STATUS_OPTIMAL, STATUS_TIME_LIMIT) and res.x is not None:
+        return SolveResult(status, sign * float(res.fun), dict(zip(model.names(), res.x.tolist())),
                            elapsed, gap, res.message, **stats)
-    if res.status == 1:
-        if res.x is not None:
-            values = {model.variables[i].name: float(res.x[i]) for i in range(n)}
-            return SolveResult(STATUS_TIME_LIMIT, sign * float(res.fun), values,
-                               elapsed, gap, res.message, **stats)
-        return SolveResult(STATUS_TIME_LIMIT, None, None, elapsed, math.inf, res.message,
-                           **stats)
-    if res.status == 2:
-        return SolveResult(STATUS_INFEASIBLE, None, None, elapsed, 0.0, res.message, **stats)
-    return SolveResult(STATUS_ERROR, None, None, elapsed, 0.0, res.message, **stats)
+    return SolveResult(status, None, None, elapsed,
+                       math.inf if status == STATUS_TIME_LIMIT else 0.0, res.message, **stats)
 
 
 def solve(model: MilpModel, time_limit_s: float | None = None,

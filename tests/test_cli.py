@@ -74,6 +74,18 @@ class TestPlan:
         model = read_lp(lp.read_text())
         assert (stats["rows"], stats["variables"]) == (model.num_constraints,
                                                        model.num_variables)
+        assert stats["nonzeros"] == sum(len(row.coeffs) for row in model.constraints)
+
+    def test_manifest_stage_timings(self, scenario_file, tmp_path):
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--scenario", str(scenario_file), "--budget", "2.3",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        timings = doc["timings_s"]
+        stages = {"link_tables", "build", "solve", "decode", "validate"}
+        assert set(timings) == stages | {"total"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert timings["total"] >= sum(timings[stage] for stage in stages)
 
     def test_infeasible_exit_3(self, scenario_file, tmp_path):
         code = main(["plan", "--scenario", str(scenario_file), "--mode", "baseline",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from risplan.milp import (BINARY, CONTINUOUS, MilpModel, ModelError, export_lp,
@@ -62,6 +63,93 @@ class TestModelConstruction:
     def test_objective_sense_validation(self):
         with pytest.raises(ModelError):
             MilpModel(sense="mid")
+
+
+class TestColumnarStore:
+    """Block appends: checked in full before anything is stored, rows kept
+    in variable id order with repeated entries summed."""
+
+    @pytest.mark.parametrize("block, message", [
+        (dict(indices=[0, 3], data=[1.0, 1.0]), "unknown variable 3"),
+        (dict(indices=[0, -1], data=[1.0, 1.0]), "unknown variable -1"),
+        (dict(senses=["<=", "<"]), "unknown constraint sense '<'"),
+        (dict(senses=["<=", ">=", "="]), "3 constraint senses"),
+        (dict(rhs=[1.0, 2.0, 3.0]), "3 rhs values"),
+        (dict(data=[1.0]), "ragged"),
+        (dict(indptr=[0, 1]), "ragged"),
+        (dict(indptr=[0, 2, 1]), "ragged"),
+    ])
+    def test_bad_block_adds_no_row(self, block, message):
+        m = small_model()
+        before = (m.num_constraints, m.num_nonzeros, [tuple(c) for c in m.constraints])
+        args = dict(names=["a", "b"], senses="<=", rhs=1.0, indptr=[0, 1, 2],
+                    indices=[0, 1], data=[1.0, 2.0])
+        with pytest.raises(ModelError, match=message):
+            m.add_rows(**{**args, **block})
+        assert (m.num_constraints, m.num_nonzeros, [tuple(c) for c in m.constraints]) == before
+        assert export_lp(m) == export_lp(small_model())
+
+    def test_bad_variable_block_adds_nothing(self):
+        m = small_model()
+        with pytest.raises(ModelError, match="duplicate variable key"):
+            m.add_variables([("p",), ("q",), ("p",)], ["p", "q", "r"], BINARY)
+        with pytest.raises(ModelError, match="duplicate variable name 'x'"):
+            m.add_variables([("p",)], ["x"], BINARY)
+        with pytest.raises(ModelError, match="unknown variable kind"):
+            m.add_variables([("p",), ("q",)], ["p", "q"], [BINARY, "integer"])
+        with pytest.raises(ModelError, match="empty bounds"):
+            m.add_variables([("p",), ("q",)], ["p", "q"], CONTINUOUS, [0.0, 2.0], 1.0)
+        assert m.num_variables == 3 and not m.has_var(("p",))
+        assert export_lp(m) == export_lp(small_model())
+
+    def test_block_ids_and_bounds(self):
+        m = small_model()
+        ids = m.add_variables([("p", 0), ("p", 1)], ["p0", "p1"], [CONTINUOUS, BINARY],
+                              -1.0, [4.0, 9.0])
+        assert ids.tolist() == [3, 4]
+        assert [tuple(m.variables[i]) for i in ids] == [
+            ("p0", CONTINUOUS, -1.0, 4.0), ("p1", BINARY, 0.0, 1.0)]
+
+    def test_repeated_entries_summed_and_sorted(self):
+        m = small_model()
+        m.add_rows(["r"], "<=", 3.0, [0, 4], [2, 0, 2, 1], [1.5, 1.0, 2.0, -1.0])
+        assert m.constraints[-1].coeffs == {0: 1.0, 1: -1.0, 2: 3.5}
+        indptr, indices, data = m.csr()
+        assert indices[indptr[-2]:].tolist() == [0, 1, 2]
+        assert m.num_nonzeros == 4 + 3
+
+    def test_explicit_zero_stored_not_written(self):
+        m = small_model()
+        m.add_constraint("zero", {0: 0.0, 2: 1.0}, "<=", 1.0)
+        m.add_constraint("only_zero", {1: 0.0}, ">=", -1.0)
+        indptr, _, data = m.csr()
+        assert data[indptr[-3]:].tolist() == [0.0, 1.0, 0.0]
+        lines = export_lp(m).splitlines()
+        assert " zero: 1 u <= 1" in lines and " only_zero: 0 x >= -1" in lines
+
+    def test_views_read_only(self):
+        m = small_model()
+        row = m.constraints_named("pick")[0]
+        assert (row.name, row.coeffs, row.sense, row.rhs) == ("pick_one", {0: 1.0, 1: 1.0},
+                                                               "<=", 1.0)
+        with pytest.raises(AttributeError):
+            row.rhs = 5.0
+        with pytest.raises(AttributeError):
+            m.variables[0].upper = 5.0
+        with pytest.raises(TypeError):
+            m.constraints[0] = row
+        row.coeffs[0] = 7.0     # a copy: the model keeps its coefficient
+        assert m.constraints[0].coeffs == {0: 1.0, 1: 1.0}
+
+    def test_views_are_sequences(self):
+        m = small_model()
+        assert len(m.variables) == 3 and m.variables and m.constraints
+        assert [v.name for v in m.variables] == ["x", "y", "u"]
+        assert m.variables[-1].name == "u" and m.constraints[-1].name == "cap"
+        with pytest.raises(IndexError):
+            m.constraints[2]
+        assert not MilpModel().constraints
+        assert np.array_equal(m.row_bounds()[0], [-math.inf, -math.inf])
 
 
 class TestLpExport:

@@ -1,4 +1,8 @@
+import os
+
+import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import restrict_tuples
 from risplan.planner import build_baseline_model, build_ris_model, extract_plan
@@ -80,3 +84,84 @@ class TestSolve:
         assert res.status in ("time_limit", "optimal")
         if res.status == "time_limit" and res.variable_values is None:
             assert res.objective_value is None
+
+
+class TestSolverOutput:
+    """Text the solver library prints to file descriptor 1 goes to
+    standard error, so standard output carries results only."""
+
+    def test_library_output_goes_to_stderr(self, small_instance, default_cfg, monkeypatch,
+                                           capfd):
+        real_milp = solver.scipy_milp
+
+        def leaky(**kwargs):
+            os.write(1, b"leak\n")
+            return real_milp(**kwargs)
+
+        monkeypatch.setattr(solver, "scipy_milp", leaky)
+        res = solve(build_ris_model(*small_instance, default_cfg))
+        assert res.status == STATUS_OPTIMAL
+        out, err = capfd.readouterr()
+        assert "leak" in err and "leak" not in out
+
+    def test_stdout_restored_after_a_crash(self, small_instance, default_cfg, monkeypatch,
+                                           capfd):
+        def crash(**kwargs):
+            os.write(1, b"leak\n")
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(solver, "scipy_milp", crash)
+        assert solve(build_ris_model(*small_instance, default_cfg)).status == STATUS_ERROR
+        os.write(1, b"after\n")
+        out, err = capfd.readouterr()
+        assert out == "after\n" and "leak" in err
+
+
+class TestHandoff:
+    """The arrays handed to scipy.optimize.milp equal ones built
+    independently from the row views, byte for byte."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("builder", [build_ris_model, build_baseline_model],
+                             ids=["surface", "station-only"])
+    def test_arrays_match_row_views(self, small_instance, builder, mu, monkeypatch):
+        model = builder(*small_instance, PlanningConfig(mu=mu, budget=2.3))
+        seen = {}
+
+        def capture(**kwargs):
+            seen.update(kwargs)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(solver, "scipy_milp", capture)
+        assert solve(model).message == "RuntimeError: captured"
+
+        rows, cols, data = [], [], []
+        for i, row in enumerate(model.constraints):
+            for var_id, coef in row.coeffs.items():
+                rows.append(i)
+                cols.append(var_id)
+                data.append(coef)
+        want = sparse.csr_array((data, (rows, cols)),
+                                shape=(model.num_constraints, model.num_variables))
+        (con,) = seen["constraints"]
+        got = con.A
+        for field in ("data", "indices", "indptr"):
+            mine, theirs = getattr(got, field), getattr(want, field)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field
+        assert got.has_sorted_indices and want.has_sorted_indices
+
+        senses = [row.sense for row in model.constraints]
+        rhs = np.array([row.rhs for row in model.constraints])
+        np.testing.assert_array_equal(con.lb, np.where(np.array(senses) == "<=", -np.inf, rhs))
+        np.testing.assert_array_equal(con.ub, np.where(np.array(senses) == ">=", np.inf, rhs))
+        sign = -1.0 if model.objective_sense == "maximize" else 1.0
+        c = np.zeros(model.num_variables)
+        for var_id, coef in model.objective.items():
+            c[var_id] = sign * coef
+        assert seen["c"].tobytes() == c.tobytes()
+        variables = list(model.variables)
+        integrality = np.array([1 if v.kind == "binary" else 0 for v in variables])
+        assert seen["integrality"].dtype == integrality.dtype
+        np.testing.assert_array_equal(seen["integrality"], integrality)
+        np.testing.assert_array_equal(seen["bounds"].lb, [v.lower for v in variables])
+        np.testing.assert_array_equal(seen["bounds"].ub, [v.upper for v in variables])

@@ -4,6 +4,10 @@ blockage, and sweep parameter grids into long-format CSV.
 Exit codes: 0 success, 2 validation problem (bad flags, malformed files,
 plan fails validation), 3 proven infeasible, 4 solver failure. Infeasible
 is a result, not a crash, so shell experiment scripts can branch on it.
+`main` maps the error classes to exit codes: a scenario, radio or
+resilience validation error ends any command with exit 2. A PlannerError
+maps by where it is raised, so the commands catch it themselves: a plan
+file that cannot be loaded exits 2, a plan that fails to decode exits 4.
 
 Every command is deterministic given its flags (seeds included); outputs
 are written atomically and listed, with content digests, in a manifest
@@ -35,13 +39,16 @@ from .resilience import (ResilienceError, evaluate, report_summary_csv,
                          report_to_dict, report_trials_csv)
 from .scenario import (PlanningConfig, Scenario, ScenarioError, generate,
                        load, load_planning, save)
-from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, solve
+from .solver import STATUS_INFEASIBLE, STATUS_TIME_LIMIT, solve
 from .validate import validate_plan
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
+
+# Errors that mean a bad flag or input file: any command ends with exit 2.
+_FLAG_ERRORS = (ScenarioError, RadioModelError, ResilienceError)
 
 SWEEP_COLUMNS = ("seed", "budget", "mu", "mode", "status", "objective",
                  "mean_theta", "mean_len", "n_iab", "n_ris", "cost")
@@ -80,89 +87,64 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
 
 # -- config assembly ------------------------------------------------------
 
-_RADIO_FLAGS = {
-    "tx_power": "tx_power_dbm",
-    "carrier_freq": "carrier_freq_hz",
-    "bs_elements": "bs_array_elements",
-    "ris_elements": "ris_elements",
-    "ris_side": "ris_side_m",
-    "bandwidth": "bandwidth_hz",
-    "noise_figure": "noise_figure_db",
-    "pathloss_intercept": "pathloss_intercept_db",
-    "pathloss_exponent": "pathloss_exponent",
-    "ris_element_gain": "ris_element_gain_db",
-}
+# One (flag, field, type, help) table per config dataclass.
+_RADIO_FLAGS = (
+    ("--tx-power", "tx_power_dbm", float, "transmit power, dBm (default 30)"),
+    ("--carrier-freq", "carrier_freq_hz", float, "carrier frequency, Hz (default 28e9)"),
+    ("--bs-elements", "bs_array_elements", int, "station array elements (default 64)"),
+    ("--ris-elements", "ris_elements", int, "surface elements (default 10000)"),
+    ("--ris-side", "ris_side_m", float, "surface side, meters (default 0.5)"),
+    ("--bandwidth", "bandwidth_hz", float, "channel bandwidth, Hz (default 400e6)"),
+    ("--noise-figure", "noise_figure_db", float, "receiver noise figure, dB (default 7)"),
+    ("--pathloss-intercept", "pathloss_intercept_db", float,
+     "path loss at 1 m, dB (default 61.4)"),
+    ("--pathloss-exponent", "pathloss_exponent", float, "path loss exponent (default 2)"),
+    ("--ris-element-gain", "ris_element_gain_db", float,
+     "reflected-budget aperture constant, dB (default: derived)"),
+)
 
-_PLANNING_FLAGS = {
-    "mu": "mu",
-    "budget": "budget",
-    "demand": "demand_mbps",
-    "xi": "xi",
-    "price_iab": "price_iab",
-    "price_ris": "price_ris",
-    "fov": "fov_rad",
-    "theta_norm": "theta_norm_rad",
-    "len_norm": "len_norm_m",
-    "wired_capacity": "wired_capacity_mbps",
-}
-
-
-def _add_radio_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("radio model")
-    g.add_argument("--tx-power", type=float, help="transmit power, dBm (default 30)")
-    g.add_argument("--carrier-freq", type=float, help="carrier frequency, Hz (default 28e9)")
-    g.add_argument("--bs-elements", type=int, help="station array elements (default 64)")
-    g.add_argument("--ris-elements", type=int, help="surface elements (default 10000)")
-    g.add_argument("--ris-side", type=float, help="surface side, meters (default 0.5)")
-    g.add_argument("--bandwidth", type=float, help="channel bandwidth, Hz (default 400e6)")
-    g.add_argument("--noise-figure", type=float, help="receiver noise figure, dB (default 7)")
-    g.add_argument("--pathloss-intercept", type=float, help="path loss at 1 m, dB (default 61.4)")
-    g.add_argument("--pathloss-exponent", type=float, help="path loss exponent (default 2)")
-    g.add_argument("--ris-element-gain", type=float,
-                   help="reflected-budget aperture constant, dB (default: derived)")
+_PLANNING_FLAGS = (
+    ("--mu", "mu", float, "objective weight in [0, 1] (default 0.5)"),
+    ("--budget", "budget", float, "installation budget (default 5)"),
+    ("--demand", "demand_mbps", float, "per-test-point demand, Mbps (default 100)"),
+    ("--xi", "xi", float, "backup demand fraction (default 0.5)"),
+    ("--price-iab", "price_iab", float, "station price (default 1)"),
+    ("--price-ris", "price_ris", float, "surface price (default 0.1)"),
+    ("--fov", "fov_rad", float, "surface field of view, radians (default pi)"),
+    ("--theta-norm", "theta_norm_rad", float, "angle normalizer, radians (default pi)"),
+    ("--len-norm", "len_norm_m", float, "length normalizer, meters (default 500)"),
+    ("--wired-capacity", "wired_capacity_mbps", float,
+     "donor wired capacity, Mbps (default 1e9)"),
+)
 
 
-def _add_planning_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("planning")
-    g.add_argument("--mu", type=float, help="objective weight in [0, 1] (default 0.5)")
-    g.add_argument("--budget", type=float, help="installation budget (default 5)")
-    g.add_argument("--demand", type=float, help="per-test-point demand, Mbps (default 100)")
-    g.add_argument("--xi", type=float, help="backup demand fraction (default 0.5)")
-    g.add_argument("--price-iab", type=float, help="station price (default 1)")
-    g.add_argument("--price-ris", type=float, help="surface price (default 0.1)")
-    g.add_argument("--fov", type=float, help="surface field of view, radians (default pi)")
-    g.add_argument("--theta-norm", type=float, help="angle normalizer, radians (default pi)")
-    g.add_argument("--len-norm", type=float, help="length normalizer, meters (default 500)")
-    g.add_argument("--wired-capacity", type=float,
-                   help="donor wired capacity, Mbps (default 1e9)")
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    for title, table in (("planning", _PLANNING_FLAGS), ("radio model", _RADIO_FLAGS)):
+        g = parser.add_argument_group(title)
+        for flag, _field, kind, help_text in table:
+            g.add_argument(flag, type=kind, help=help_text)
 
 
-def radio_config_from_args(args: argparse.Namespace) -> RadioConfig:
-    overrides = {field: getattr(args, flag)
-                 for flag, field in _RADIO_FLAGS.items()
-                 if getattr(args, flag, None) is not None}
-    return RadioConfig(**overrides)
+def _configs_from_args(args: argparse.Namespace, embedded: PlanningConfig | None = None
+                       ) -> tuple[RadioConfig, PlanningConfig]:
+    """The radio and planning configs: given flags over embedded (or the
+    planning defaults) and over the radio defaults."""
+    def given(table) -> dict:
+        values = {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _, _ in table}
+        return {field: value for field, value in values.items() if value is not None}
+    return (RadioConfig(**given(_RADIO_FLAGS)),
+            replace(embedded or PlanningConfig(), **given(_PLANNING_FLAGS)))
 
 
-def planning_config_from_args(args: argparse.Namespace,
-                              embedded: PlanningConfig | None) -> PlanningConfig:
-    base = embedded if embedded is not None else PlanningConfig()
-    overrides = {field: getattr(args, flag)
-                 for flag, field in _PLANNING_FLAGS.items()
-                 if getattr(args, flag, None) is not None}
-    return replace(base, **overrides)
+def _fields(config: RadioConfig | PlanningConfig) -> dict:
+    """A config's fields in sorted order, leaving out the radio's MCS table."""
+    return {k: getattr(config, k) for k in sorted(type(config).__dataclass_fields__)
+            if k != "mcs_table"}
 
 
 def _config_doc(radio: RadioConfig, planning: PlanningConfig, extra: dict) -> dict:
-    doc = {
-        "radio": {k: getattr(radio, k) for k in sorted(RadioConfig.__dataclass_fields__)
-                  if k != "mcs_table"},
-        "planning": {k: getattr(planning, k)
-                     for k in sorted(PlanningConfig.__dataclass_fields__)},
-    }
-    doc["radio"]["mcs_table"] = [list(row) for row in radio.mcs_table]
-    doc.update(extra)
-    return doc
+    return {"radio": dict(_fields(radio), mcs_table=[list(row) for row in radio.mcs_table]),
+            "planning": _fields(planning), **extra}
 
 
 # -- commands -------------------------------------------------------------
@@ -170,11 +152,7 @@ def _config_doc(radio: RadioConfig, planning: PlanningConfig, extra: dict) -> di
 
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        scenario = generate(args.width, args.height, args.n_cs, args.n_tp, args.seed)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    scenario = generate(args.width, args.height, args.n_cs, args.n_tp, args.seed)
     out = Path(args.out)
     save(scenario, out)
     config_doc = {"width": args.width, "height": args.height,
@@ -186,42 +164,54 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_and_solve(scenario: Scenario, radio: RadioConfig, planning: PlanningConfig,
-                     mode: str, time_limit: float | None, mip_rel_gap: float,
-                     timings: dict[str, float]):
-    """Link tables, model and solve result; each stage's time goes into timings."""
+def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, RadioConfig, PlanningConfig]:
+    """The scenario and the configs: flags over its planning block over defaults."""
+    scenario = load(args.scenario)
+    return (scenario, *_configs_from_args(args, load_planning(args.scenario)))
+
+
+def _plan_stages(scenario: Scenario, radio: RadioConfig, planning: PlanningConfig,
+                 mode: str, time_limit: float | None, mip_rel_gap: float,
+                 timings: dict[str, float]):
+    """Link tables, model, solve, decode and audit; each stage's time goes
+    into timings. Returns the model, the solve result, the plan, and why
+    there is no plan: None when the solver found no solution (the result's
+    status says which), the decode's PlannerError, or the audit's violations.
+    """
     t0 = time.perf_counter()
     tables = build_link_tables(scenario, radio)
     t1 = time.perf_counter()
-    if mode == MODE_RIS:
-        model = build_ris_model(scenario, tables, planning)
-    else:
-        model = build_baseline_model(scenario, tables, planning)
+    build = build_ris_model if mode == MODE_RIS else build_baseline_model
+    model = build(scenario, tables, planning)
     t2 = time.perf_counter()
     result = solve(model, time_limit_s=time_limit, mip_rel_gap=mip_rel_gap)
-    timings.update(link_tables=t1 - t0, build=t2 - t1, solve=time.perf_counter() - t2)
-    return tables, model, result
+    t3 = time.perf_counter()
+    timings.update(link_tables=t1 - t0, build=t2 - t1, solve=t3 - t2)
+    if result.variable_values is None:
+        return model, result, None, None
+    try:
+        plan = extract_plan(model, result.variable_values, scenario, tables, planning)
+    except PlannerError as exc:
+        return model, result, None, exc
+    t4 = time.perf_counter()
+    violations = validate_plan(plan, scenario, tables, planning)
+    timings.update(decode=t4 - t3, validate=time.perf_counter() - t4)
+    if violations:
+        return model, result, None, violations
+    return model, result, plan, None
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        scenario = load(args.scenario)
-        embedded = load_planning(args.scenario)
-        radio = radio_config_from_args(args)
-        planning = planning_config_from_args(args, embedded)
-    except (ScenarioError, RadioModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    scenario, radio, planning = _load_inputs(args)
     timings: dict[str, float] = {}
-    tables, model, result = _build_and_solve(
+    model, result, plan, problem = _plan_stages(
         scenario, radio, planning, args.mode, args.time_limit, args.mip_gap, timings)
 
     outputs: list[Path] = []
     out = Path(args.out)
     if args.export_lp:
-        lp_path = out.with_suffix(out.suffix + ".lp") if out.suffix else out.with_suffix(".lp")
+        lp_path = out.with_suffix(out.suffix + ".lp")
         write_atomic(lp_path, export_lp(model))
         outputs.append(lp_path)
         print(f"wrote LP model ({model.num_variables} variables, "
@@ -244,22 +234,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
             write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs,
                            solver_stats)
         return EXIT_INFEASIBLE
-    if result.status not in (STATUS_OPTIMAL, STATUS_TIME_LIMIT) or result.variable_values is None:
+    if result.variable_values is None:
         print(f"solver error: status={result.status} {result.message}", file=sys.stderr)
         return EXIT_SOLVER
-
-    t0 = time.perf_counter()
-    try:
-        plan = extract_plan(model, result.variable_values, scenario, tables, planning)
-    except PlannerError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    if isinstance(problem, PlannerError):
+        print(f"solver error: {problem}", file=sys.stderr)
         return EXIT_SOLVER
-    t1 = time.perf_counter()
-    violations = validate_plan(plan, scenario, tables, planning)
-    timings.update(decode=t1 - t0, validate=time.perf_counter() - t1)
-    if violations:
+    if problem:
         print("decoded plan fails validation:", file=sys.stderr)
-        for v in violations:
+        for v in problem:
             print(f"  {v}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -281,13 +264,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
+    scenario, radio, planning = _load_inputs(args)
     try:
-        scenario = load(args.scenario)
-        embedded = load_planning(args.scenario)
-        radio = radio_config_from_args(args)
-        planning = planning_config_from_args(args, embedded)
         plan = load_plan(args.plan)
-    except (ScenarioError, RadioModelError, PlannerError) as exc:
+    except PlannerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -304,13 +284,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print(f"  {v}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    try:
-        report = evaluate(plan, scenario, args.counts, args.trials, args.seed,
-                          self_blockage=not args.no_self_blockage,
-                          obstacle_length_m=args.obstacle_length)
-    except ResilienceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    report = evaluate(plan, scenario, args.counts, args.trials, args.seed,
+                      self_blockage=not args.no_self_blockage,
+                      obstacle_length_m=args.obstacle_length)
     timings["evaluate"] = time.perf_counter() - t2
 
     prefix = Path(args.out)
@@ -343,14 +319,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- sweep ----------------------------------------------------------------
 
 
-def _cell_id(seed: int, budget: float, mu: float, mode: str) -> str:
-    return f"s{seed}_b{budget:g}_m{mu:g}_{mode}"
+def _cell_id(payload: dict) -> str:
+    return f"s{payload['seed']}_b{payload['budget']:g}_m{payload['mu']:g}_{payload['mode']}"
 
 
 def _error_status(message: str) -> str:
     """A sweep status for a failed cell, with commas and line breaks taken
     out so the CSV keeps its columns."""
     return "error:" + " ".join(message.replace(",", ";").split())
+
+
+def _blank_row(payload: dict, status: str) -> dict:
+    """A cell's CSV row with only its grid point and status filled in."""
+    row = {col: "" for col in SWEEP_COLUMNS}
+    row.update(seed=payload["seed"], budget=payload["budget"], mu=payload["mu"],
+               mode=payload["mode"], status=status)
+    return row
 
 
 def _sweep_cell(payload: dict) -> dict:
@@ -361,24 +345,15 @@ def _sweep_cell(payload: dict) -> dict:
     radio = RadioConfig(**payload["radio"])
     planning = PlanningConfig(**{**payload["planning"],
                                  "budget": payload["budget"], "mu": payload["mu"]})
-    row: dict = {"seed": payload["seed"], "budget": payload["budget"],
-                 "mu": payload["mu"], "mode": payload["mode"],
-                 "status": "", "objective": "", "mean_theta": "", "mean_len": "",
-                 "n_iab": "", "n_ris": "", "cost": ""}
-    tables, model, result = _build_and_solve(
+    _, result, plan, problem = _plan_stages(
         scenario, radio, planning, payload["mode"], payload["time_limit"], payload["mip_gap"],
         {})
-    row["status"] = result.status
-    if result.variable_values is None:
-        return row
-    try:
-        plan = extract_plan(model, result.variable_values, scenario, tables, planning)
-    except PlannerError as exc:
-        row["status"] = _error_status(str(exc))
-        return row
-    violations = validate_plan(plan, scenario, tables, planning)
-    if violations:
-        row["status"] = f"error:{len(violations)} violations"
+    row = _blank_row(payload, result.status)
+    if isinstance(problem, PlannerError):
+        row["status"] = _error_status(str(problem))
+    elif problem:
+        row["status"] = f"error:{len(problem)} violations"
+    if plan is None:
         return row
     row.update(objective=repr(plan.objective_value),
                mean_theta=repr(plan.mean_theta), mean_len=repr(plan.mean_len),
@@ -395,42 +370,21 @@ def _sweep_cell(payload: dict) -> dict:
     return row
 
 
-# Errors that mean a bad flag: they end a sweep with exit code 2.
-_FLAG_ERRORS = (ScenarioError, RadioModelError, ResilienceError)
-
-
-def _crashed_row(payload: dict, exc: Exception) -> dict:
-    """The row of a cell whose run raised: its status names the error."""
-    row = {col: "" for col in SWEEP_COLUMNS}
-    row.update(seed=payload["seed"], budget=payload["budget"], mu=payload["mu"],
-               mode=payload["mode"], status=_error_status(f"{type(exc).__name__}: {exc}"))
-    return row
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    try:
-        radio = radio_config_from_args(args)
-        planning = planning_config_from_args(args, None)
-        for mode in args.modes:
-            if mode not in (MODE_RIS, MODE_BASELINE):
-                raise ScenarioError(f"unknown mode {mode!r}")
-    except (ScenarioError, RadioModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    radio, planning = _configs_from_args(args)
+    for mode in args.modes:
+        if mode not in (MODE_RIS, MODE_BASELINE):
+            raise ScenarioError(f"unknown mode {mode!r}")
 
     out_dir = Path(args.out_dir)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    planning_doc = {k: getattr(planning, k)
-                    for k in sorted(PlanningConfig.__dataclass_fields__)}
-    radio_doc = {k: getattr(radio, k) for k in sorted(RadioConfig.__dataclass_fields__)
-                 if k != "mcs_table"}
     base_payload = {
         "width": args.width, "height": args.height,
         "n_cs": args.n_cs, "n_tp": args.n_tp,
-        "radio": radio_doc, "planning": planning_doc,
+        "radio": _fields(radio), "planning": _fields(planning),
         "time_limit": args.time_limit, "mip_gap": args.mip_gap,
         "sim_counts": args.sim_counts or [], "sim_trials": args.sim_trials,
         "sim_seed": args.sim_seed,
@@ -442,27 +396,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for seed in args.seeds for budget in args.budgets
             for mu in args.mus for mode in args.modes]
 
+    def cell_path(payload: dict) -> Path:
+        return cells_dir / f"{_cell_id(payload)}.json"
+
     pending: list[tuple[int, dict]] = []
     rows: dict[int, dict] = {}
     for idx, (seed, budget, mu, mode) in enumerate(grid):
         payload = dict(base_payload, seed=seed, budget=budget, mu=mu, mode=mode)
-        digest = _digest_config(payload)
-        cell_path = cells_dir / f"{_cell_id(seed, budget, mu, mode)}.json"
-        if cell_path.exists():
-            try:
-                cached = json.loads(cell_path.read_text())
-            except json.JSONDecodeError:
-                cached = None
-            if cached and cached.get("digest") == digest:
-                rows[idx] = cached["row"]
-                continue
+        try:
+            cached = json.loads(cell_path(payload).read_text())
+        except (FileNotFoundError, json.JSONDecodeError):
+            cached = None
+        if cached and cached.get("digest") == _digest_config(payload):
+            rows[idx] = cached["row"]
+            continue
         pending.append((idx, payload))
-
-    def record(idx: int, payload: dict, row: dict) -> None:
-        rows[idx] = row
-        cell_path = cells_dir / f"{_cell_id(payload['seed'], payload['budget'], payload['mu'], payload['mode'])}.json"
-        write_atomic(cell_path, json.dumps(
-            {"digest": _digest_config(payload), "row": row}, indent=2) + "\n")
 
     def run(idx: int, payload: dict, cell) -> None:
         try:
@@ -470,12 +418,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except _FLAG_ERRORS:
             raise
         except Exception as exc:
-            cell_id = _cell_id(payload["seed"], payload["budget"], payload["mu"], payload["mode"])
-            print(f"sweep cell {cell_id} failed:", file=sys.stderr)
+            print(f"sweep cell {_cell_id(payload)} failed:", file=sys.stderr)
             traceback.print_exception(exc, file=sys.stderr)
-            rows[idx] = _crashed_row(payload, exc)  # not cached: a rerun retries it
+            # Not cached: a rerun retries it.
+            rows[idx] = _blank_row(payload, _error_status(f"{type(exc).__name__}: {exc}"))
             return
-        record(idx, payload, row)
+        rows[idx] = row
+        write_atomic(cell_path(payload), json.dumps(
+            {"digest": _digest_config(payload), "row": row}, indent=2) + "\n")
 
     if args.jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -490,13 +440,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     csv_lines = [",".join(SWEEP_COLUMNS)]
     resilience_lines = ["seed,budget,mu,mode,obstacle_count,mean,std"]
-    has_resilience = False
     for idx in range(len(grid)):
         row = rows[idx]
         csv_lines.append(",".join(str(row[col]) for col in SWEEP_COLUMNS))
         extra = row.get("_resilience")
         if extra:
-            has_resilience = True
             for j, k in enumerate(extra["counts"]):
                 resilience_lines.append(
                     f"{row['seed']},{row['budget']},{row['mu']},{row['mode']},"
@@ -505,7 +453,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep_csv = out_dir / "sweep.csv"
     write_atomic(sweep_csv, "\n".join(csv_lines) + "\n")
     outputs = [sweep_csv]
-    if has_resilience:
+    if len(resilience_lines) > 1:
         res_csv = out_dir / "sweep_resilience.csv"
         write_atomic(res_csv, "\n".join(resilience_lines) + "\n")
         outputs.append(res_csv)
@@ -525,6 +473,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _add_area_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--width", type=float, default=300.0, help="area width, m")
+    parser.add_argument("--height", type=float, default=400.0, help="area height, m")
+    parser.add_argument("--n-cs", type=int, default=25, help="candidate sites")
+    parser.add_argument("--n-tp", type=int, default=15, help="test points")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="risplan",
@@ -534,10 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="draw a random planning instance")
-    p_gen.add_argument("--width", type=float, default=300.0, help="area width, m")
-    p_gen.add_argument("--height", type=float, default=400.0, help="area height, m")
-    p_gen.add_argument("--n-cs", type=int, default=25, help="candidate sites")
-    p_gen.add_argument("--n-tp", type=int, default=15, help="test points")
+    _add_area_flags(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="scenario JSON path")
     p_gen.set_defaults(func=cmd_generate)
@@ -551,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--export-lp", action="store_true",
                         help="write the model in LP format next to the plan")
     p_plan.add_argument("--out", required=True, help="plan JSON path")
-    _add_planning_flags(p_plan)
-    _add_radio_flags(p_plan)
+    _add_config_flags(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo blockage evaluation of a plan")
@@ -567,8 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--obstacle-length", type=float, default=5.0, help="meters")
     p_sim.add_argument("--out", required=True,
                        help="output prefix; writes .trials.csv, .summary.csv, .json")
-    _add_planning_flags(p_sim)
-    _add_radio_flags(p_sim)
+    _add_config_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="grid of plan runs aggregated to CSV")
@@ -576,10 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--budgets", type=float, nargs="+", required=True)
     p_sweep.add_argument("--mus", type=float, nargs="+", default=[0.5])
     p_sweep.add_argument("--modes", nargs="+", default=[MODE_RIS, MODE_BASELINE])
-    p_sweep.add_argument("--width", type=float, default=300.0)
-    p_sweep.add_argument("--height", type=float, default=400.0)
-    p_sweep.add_argument("--n-cs", type=int, default=25)
-    p_sweep.add_argument("--n-tp", type=int, default=15)
+    _add_area_flags(p_sweep)
     p_sweep.add_argument("--time-limit", type=float, default=None)
     p_sweep.add_argument("--mip-gap", type=float, default=0.0)
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -588,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sim-trials", type=int, default=20)
     p_sweep.add_argument("--sim-seed", type=int, default=0)
     p_sweep.add_argument("--out-dir", required=True)
-    _add_planning_flags(p_sweep)
-    _add_radio_flags(p_sweep)
+    _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -600,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, RadioModelError, ResilienceError) as exc:
+    except _FLAG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

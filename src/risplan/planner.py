@@ -592,25 +592,55 @@ def plan_to_dict(plan: NetworkPlan) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _list_of(ok):
+    return lambda value: isinstance(value, list) and all(ok(v) for v in value)
+
+
+def _row_of(*oks):
+    return lambda value: (isinstance(value, list) and len(value) == len(oks)
+                          and all(ok(v) for ok, v in zip(oks, value)))
+
+
+def _field(doc: dict, key: str, ok):
+    """doc[key], or PlannerError when it has the wrong shape or type."""
+    if not ok(doc[key]):
+        raise PlannerError(f"malformed plan field {key!r}")
+    return doc[key]
+
+
 def plan_from_dict(doc: dict) -> NetworkPlan:
+    if not isinstance(doc, dict):
+        raise PlannerError("plan document must be a JSON object")
+    pairs = _list_of(_row_of(_is_int, _is_int))
+    numbers = _list_of(_is_number)
     try:
         if doc["version"] != PLAN_FORMAT_VERSION:
             raise PlannerError(f"unsupported plan file version {doc['version']!r}")
-        metrics = doc["metrics"]
+        metrics = _field(doc, "metrics", lambda value: isinstance(value, dict))
         return NetworkPlan(
             mode=doc["mode"],
-            donor=doc["donor"],
-            iab_nodes=tuple(doc["iab_nodes"]),
-            ris_sites=tuple(doc["ris_sites"]),
-            assignments=tuple((a, b) for a, b in doc["assignments"]),
-            backhaul_edges=tuple((c, d) for c, d in doc["backhaul"]),
-            flows_mbps={(c, d): f for c, d, f in doc["flows"]},
-            wired_inflow_mbps=metrics["wired_inflow_mbps"],
-            orientations_rad={r: phi for r, phi in doc["orientations"]},
-            theta_per_tp=tuple(metrics["theta_per_tp"]),
-            len_per_tp=tuple(metrics["len_per_tp"]),
-            total_cost=metrics["total_cost"],
-            objective_value=metrics["objective_value"],
+            donor=_field(doc, "donor", _is_int),
+            iab_nodes=tuple(_field(doc, "iab_nodes", _list_of(_is_int))),
+            ris_sites=tuple(_field(doc, "ris_sites", _list_of(_is_int))),
+            assignments=tuple((a, b) for a, b in _field(doc, "assignments", pairs)),
+            backhaul_edges=tuple((c, d) for c, d in _field(doc, "backhaul", pairs)),
+            flows_mbps={(c, d): f for c, d, f in _field(
+                doc, "flows", _list_of(_row_of(_is_int, _is_int, _is_number)))},
+            wired_inflow_mbps=_field(metrics, "wired_inflow_mbps", _is_number),
+            orientations_rad={r: phi for r, phi in _field(
+                doc, "orientations", _list_of(_row_of(_is_int, _is_number)))},
+            theta_per_tp=tuple(_field(metrics, "theta_per_tp", numbers)),
+            len_per_tp=tuple(_field(metrics, "len_per_tp", numbers)),
+            total_cost=_field(metrics, "total_cost", _is_number),
+            objective_value=_field(metrics, "objective_value", _is_number),
         )
     except KeyError as exc:
         raise PlannerError(f"plan document missing field {exc.args[0]!r}") from None

@@ -69,10 +69,6 @@ class Scenario:
     def n_test_points(self) -> int:
         return len(self.test_points)
 
-    @property
-    def diagonal_m(self) -> float:
-        return math.hypot(self.area_width, self.area_height)
-
 
 @dataclass(frozen=True)
 class PlanningConfig:
@@ -149,10 +145,15 @@ def _planning_to_dict(planning: PlanningConfig) -> dict:
 
 
 def _planning_from_dict(raw: dict) -> PlanningConfig:
+    if not isinstance(raw, dict):
+        raise ScenarioFormatError("planning block must be a JSON object")
     known = {f for f in PlanningConfig.__dataclass_fields__}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioFormatError(f"unknown planning keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ScenarioFormatError(f"malformed planning field {key}: expected a number")
     return PlanningConfig(**raw)
 
 

@@ -19,9 +19,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
 from .milp import MilpModel
 
-# One home for the numeric tolerances used across solve/validate/oracle.
+# Feasibility tolerance of the plan audit (validate.validate_plan).
 FEASIBILITY_TOL = 1e-6
-OBJECTIVE_REL_TOL = 1e-6
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"

@@ -122,6 +122,58 @@ class TestPlan:
         assert main(["plan", "--scenario", str(path), "--mode", "baseline",
                      "--budget", "3", "--out", str(tmp_path / "p.json")]) == 0
 
+    def test_malformed_planning_block_exit_2(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        for block in (["mu"], {"mu": "x"}, {"budget": None}, {"xi": True}):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(dict(doc, planning=block)))
+            code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "p.json")])
+            assert code == 2, block
+            assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
+
+    def test_every_config_flag_reaches_manifest(self, scenario_file, tmp_path):
+        # One non-default value per radio and planning flag, with the
+        # section and field of the effective config it must land in.
+        flags = {
+            "--tx-power": ("radio", "tx_power_dbm", 31.5),
+            "--carrier-freq": ("radio", "carrier_freq_hz", 29e9),
+            "--bs-elements": ("radio", "bs_array_elements", 32),
+            "--ris-elements": ("radio", "ris_elements", 9000),
+            "--ris-side": ("radio", "ris_side_m", 0.4),
+            "--bandwidth": ("radio", "bandwidth_hz", 300e6),
+            "--noise-figure": ("radio", "noise_figure_db", 6.5),
+            "--pathloss-intercept": ("radio", "pathloss_intercept_db", 61.0),
+            "--pathloss-exponent": ("radio", "pathloss_exponent", 2.25),
+            "--ris-element-gain": ("radio", "ris_element_gain_db", 9.5),
+            "--mu": ("planning", "mu", 0.25),
+            "--budget": ("planning", "budget", 7.5),
+            "--demand": ("planning", "demand_mbps", 50.0),
+            "--xi": ("planning", "xi", 0.25),
+            "--price-iab": ("planning", "price_iab", 1.5),
+            "--price-ris": ("planning", "price_ris", 0.2),
+            "--fov": ("planning", "fov_rad", 2.5),
+            "--theta-norm": ("planning", "theta_norm_rad", 3.0),
+            "--len-norm": ("planning", "len_norm_m", 400.0),
+            "--wired-capacity": ("planning", "wired_capacity_mbps", 5e8),
+        }
+        for mode in ("ris", "baseline"):
+            out = tmp_path / f"{mode}.json"
+            argv = ["plan", "--scenario", str(scenario_file), "--mode", mode,
+                    "--export-lp", "--out", str(out)]
+            for flag, (_, _, value) in flags.items():
+                argv += [flag, str(value)]
+            assert main(argv) in (0, 3)
+            config = json.loads(out.with_suffix(".json.manifest.json").read_text())[
+                "effective_config"]
+            for flag, (section, field, value) in flags.items():
+                assert config[section][field] == value, flag
+            # Every field but the MCS table has a flag.
+            covered = {(section, field) for section, field, _ in flags.values()}
+            assert covered == {(section, field) for section in ("radio", "planning")
+                               for field in config[section] if field != "mcs_table"}
+            assert config["mode"] == mode
+
 
 @pytest.fixture(scope="module")
 def plan_file(scenario_file, tmp_path_factory):
@@ -196,6 +248,21 @@ class TestSimulate:
         code = main(["simulate", "--plan", str(bad), "--scenario", str(scenario_file),
                      "--counts", "0", "--out", str(tmp_path / "r")])
         assert code == 2
+        # Documents of the wrong shape or type are rejected as they load.
+        good = json.loads(plan_file.read_text())
+        malformed = [[], "plan", dict(good, assignments=[[1]] * 3),
+                     dict(good, assignments=5), dict(good, assignments=[["a", "b"]] * 3),
+                     dict(good, donor="0"), dict(good, iab_nodes=[1.5]),
+                     dict(good, backhaul=[[0]]), dict(good, flows=[[0, 1]]),
+                     dict(good, flows=[[0, 1, "x"]]), dict(good, orientations={"1": 0.5}),
+                     dict(good, orientations=[[1, None]]), dict(good, metrics=[]),
+                     dict(good, metrics=dict(good["metrics"], theta_per_tp=3)),
+                     dict(good, metrics=dict(good["metrics"], total_cost="1"))]
+        for doc in malformed:
+            bad.write_text(json.dumps(doc))
+            code = main(["simulate", "--plan", str(bad), "--scenario", str(scenario_file),
+                         "--counts", "0", "--out", str(tmp_path / "r")])
+            assert code == 2, doc
 
 
 class TestSweep:

@@ -9,6 +9,11 @@ stateless.
 Segment intersection has one implementation, the numpy kernel
 ``segments_cross``, for closed segments (touching endpoints and collinear
 overlap cross); obstacle masks and blockage scan with ``first_crossing``.
+``first_crossing`` answers many segments against one obstacle list, or
+against one list per trial, and runs the kernel only on the pairs whose
+closed bounding boxes overlap. It works in blocks of at most
+CROSSING_BLOCK_CELLS (trial, segment, obstacle) cells, so no temporary
+grid grows with the input.
 """
 
 from __future__ import annotations
@@ -135,18 +140,52 @@ def segment_coords(segments: Sequence[Segment2D]) -> np.ndarray:
 
 
 def first_crossing(ax, ay, bx, by, obstacles: np.ndarray) -> np.ndarray:
-    """Index of the first row of ``obstacles`` (n, 4) that crosses each
-    segment a_i-b_i, or n where none does. Obstacles are scanned in blocks
-    of about CROSSING_BLOCK_CELLS pairs to bound the temporary grids."""
-    ax, ay, bx, by = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
-    n = obstacles.shape[0]
-    first = np.full(ax.shape[0], n)
-    step = max(1, CROSSING_BLOCK_CELLS // max(1, ax.shape[0]))
-    for start in range(0, n, step):
-        hit = segments_cross(ax, ay, bx, by, *obstacles[start:start + step].T)
-        found = hit.any(axis=1) & (first == n)
-        first[found] = start + hit[found].argmax(axis=1)
-    return first
+    """Index of the first row of ``obstacles`` that crosses each segment
+    a_i-b_i, or n where none does. ``obstacles`` is (n, 4) as x1, y1, x2,
+    y2, giving an (m,) result, or (trials, n, 4), giving one row of
+    indices per trial, (trials, m).
+
+    Only pairs whose closed, axis-aligned bounding boxes overlap reach
+    ``segments_cross``. Two closed segments that meet share a point, and
+    that point lies in both boxes, so a skipped pair cannot meet. (The
+    orientation arithmetic of ``segments_cross`` rounds, so on nearly
+    collinear pairs whose boxes are apart it could report a crossing that
+    the box test rightly rules out.)"""
+    ax, ay, bx, by = (np.asarray(v, dtype=float) for v in (ax, ay, bx, by))
+    obstacles = np.asarray(obstacles, dtype=float)
+    trials, n, m = obstacles.shape[:-2], obstacles.shape[-2], ax.shape[0]
+    grid = obstacles.reshape(math.prod(trials), n, 4)
+    rows = grid.reshape(-1, 4)
+    first = np.full(grid.shape[0] * m, n)       # per (trial, segment)
+    seg_box = [np.minimum(ax, bx)[:, None], np.minimum(ay, by)[:, None],
+               np.maximum(ax, bx)[:, None], np.maximum(ay, by)[:, None]]
+    obs_box = [np.minimum(grid[..., 0], grid[..., 2])[:, None, :],
+               np.minimum(grid[..., 1], grid[..., 3])[:, None, :],
+               np.maximum(grid[..., 0], grid[..., 2])[:, None, :],
+               np.maximum(grid[..., 1], grid[..., 3])[:, None, :]]
+    # Blocks of at most CROSSING_BLOCK_CELLS cells: several whole trials,
+    # or a run of obstacles of one trial.
+    o_step = max(1, min(n, CROSSING_BLOCK_CELLS // max(1, m)))
+    t_step = max(1, CROSSING_BLOCK_CELLS // max(1, m * o_step))
+    for t0 in range(0, grid.shape[0], t_step):
+        for o0 in range(0, n, o_step):
+            block = np.s_[t0:t0 + t_step, :, o0:o0 + o_step]
+            near = ((seg_box[0] <= obs_box[2][block]) & (obs_box[0][block] <= seg_box[2])
+                    & (seg_box[1] <= obs_box[3][block]) & (obs_box[1][block] <= seg_box[3]))
+            key, obs = np.divmod(np.flatnonzero(near), near.shape[2])
+            key += t0 * m
+            obs += o0
+            seg = key % m
+            hit = segments_cross(ax[seg], ay[seg], bx[seg], by[seg],
+                                 *rows[key // m * n + obs].T)
+            # Cells come in C order, so the first hit of each (trial,
+            # segment) run is its lowest obstacle index.
+            key, obs = key[hit], obs[hit]
+            lead = np.ones(len(key), dtype=bool)
+            lead[1:] = key[1:] != key[:-1]
+            key, obs = key[lead], obs[lead]
+            first[key] = np.minimum(first[key], obs)
+    return first.reshape(trials + (m,))
 
 
 def sector_contains(sector: Sector, target: Point2D) -> bool:

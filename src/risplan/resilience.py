@@ -12,9 +12,15 @@ activates its first k entries, so the served set shrinks monotonically
 as k grows; trial seeds are spawned from (base_seed, trial_index) via
 numpy's SeedSequence, making serial and parallel runs agree bit for bit.
 
-A trial is drawn as arrays (``_draw_trial``), and ``evaluate`` tests all
-of a trial's (leg, obstacle) pairs in one kernel call without building
-per-obstacle objects; ``sample_trial`` wraps the same draw in objects.
+Trials are drawn as arrays, many at a time (``_draw_trials``): each
+trial's raw uniforms come from its own generator, then one elementwise
+transform turns all of them into obstacles and sectors. ``evaluate``
+answers every (trial, leg, obstacle) triple of a batch through one
+``first_crossing`` call, which skips pairs whose bounding boxes do not
+overlap and bounds its temporary grids; ``sample_trial`` is the same
+draw for one seed, wrapped in objects. Batches hold at most
+TRIAL_BLOCK_OBSTACLES drawn obstacles, so memory does not grow with the
+number of trials.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from .planner import MODE_BASELINE, MODE_RIS, NetworkPlan
 from .scenario import Scenario
 
 DEFAULT_OBSTACLE_LENGTH_M = 5.0
+# Obstacles drawn per batch of trials in ``evaluate`` (at least one trial).
+TRIAL_BLOCK_OBSTACLES = 1 << 18
 SECTOR_SPANS = (2.0 * math.pi / 3.0, 8.0 * math.pi / 9.0)
 
 LINK_ACCESS_DIRECT = "access_direct"
@@ -69,46 +77,53 @@ def trial_seed_for(base_seed: int, trial_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _draw_trial(area_width: float, area_height: float, n_obstacles: int, n_tps: int,
-                seed: int, obstacle_length_m: float):
-    """One trial as arrays: obstacles (n_obstacles, 4) as x1, y1, x2, y2,
-    then sector spans and centers (n_tps,). The draws are, per obstacle,
-    center x, center y and angle in [0, pi); then, per test point, a span
-    choice (the narrow span below 0.5) and a center in [0, 2*pi)."""
+def _draw_trials(area_width: float, area_height: float, n_obstacles: int, n_tps: int,
+                 seeds, obstacle_length_m: float):
+    """Trials as arrays, one per seed: obstacles (trials, n_obstacles, 4)
+    as x1, y1, x2, y2, then sector spans and centers (trials, n_tps). Each
+    trial draws from ``default_rng(seed)``, per obstacle, center x, center
+    y and angle in [0, pi); then, per test point, a span choice (the
+    narrow span below 0.5) and a center in [0, 2*pi). The transform of
+    the draws is elementwise, so a trial does not depend on its batch."""
     if n_obstacles < 0:
         raise ResilienceError("max_obstacles must be non-negative")
     if not (math.isfinite(obstacle_length_m) and obstacle_length_m > 0.0):
         raise ResilienceError(f"obstacle length {obstacle_length_m!r} must be finite and > 0")
-    rng = np.random.default_rng(seed)
-    draws = rng.random((n_obstacles, 3)) * np.array([area_width, area_height, math.pi])
+    raw = np.empty((len(seeds), n_obstacles, 3))
+    sector = np.empty((len(seeds), n_tps, 2))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.random(out=raw[i])
+        rng.random(out=sector[i])
+    draws = raw * np.array([area_width, area_height, math.pi])
     # math.cos / math.sin, not numpy's: endpoints stay on the platform libm.
-    angles, half = draws[:, 2].tolist(), obstacle_length_m / 2.0
-    dx, dy = (half * np.array(list(map(f, angles)), dtype=float) for f in (math.cos, math.sin))
-    cx, cy = draws[:, 0], draws[:, 1]
-    obstacles = np.column_stack((cx - dx, cy - dy, cx + dx, cy + dy))
+    angles, half = draws[..., 2].ravel().tolist(), obstacle_length_m / 2.0
+    dx, dy = (half * np.fromiter(map(f, angles), float, len(angles)).reshape(draws.shape[:2])
+              for f in (math.cos, math.sin))
+    cx, cy = draws[..., 0], draws[..., 1]
+    obstacles = np.stack((cx - dx, cy - dy, cx + dx, cy + dy), axis=-1)
     # A length lost in rounding against the center leaves a point, not an obstacle.
-    points = (obstacles[:, 0] == obstacles[:, 2]) & (obstacles[:, 1] == obstacles[:, 3])
+    points = (obstacles[..., 0] == obstacles[..., 2]) & (obstacles[..., 1] == obstacles[..., 3])
     if points.any():
         raise ResilienceError(f"obstacle length {obstacle_length_m!r} is too short: obstacle "
-                              f"{int(points.argmax())} has coincident endpoints")
-    sector = rng.random((n_tps, 2))
-    spans = np.where(sector[:, 0] < 0.5, SECTOR_SPANS[0], SECTOR_SPANS[1])
-    return obstacles, spans, (sector[:, 1] * TWO_PI) % TWO_PI
+                              f"{int(points.argmax()) % n_obstacles} has coincident endpoints")
+    spans = np.where(sector[..., 0] < 0.5, SECTOR_SPANS[0], SECTOR_SPANS[1])
+    return obstacles, spans, (sector[..., 1] * TWO_PI) % TWO_PI
 
 
 def sample_trial(area_width: float, area_height: float, max_obstacles: int,
                  tp_positions: tuple[Point2D, ...], seed: int,
                  obstacle_length_m: float = DEFAULT_OBSTACLE_LENGTH_M) -> BlockageTrial:
     """Draw one trial as objects: ``max_obstacles`` ordered obstacles, then
-    one sector per test point, in ``_draw_trial``'s fixed order."""
-    obstacles, spans, centers = _draw_trial(area_width, area_height, max_obstacles,
-                                            len(tp_positions), seed, obstacle_length_m)
+    one sector per test point, in ``_draw_trials``'s fixed order."""
+    obstacles, spans, centers = _draw_trials(area_width, area_height, max_obstacles,
+                                             len(tp_positions), [seed], obstacle_length_m)
     return BlockageTrial(
         trial_seed=int(seed),
         obstacles=tuple(Segment2D(Point2D(x1, y1), Point2D(x2, y2))
-                        for x1, y1, x2, y2 in obstacles.tolist()),
+                        for x1, y1, x2, y2 in obstacles[0].tolist()),
         self_blockage=tuple(Sector(origin=tp, center_azimuth=c, span=w) for tp, c, w
-                            in zip(tp_positions, centers.tolist(), spans.tolist())))
+                            in zip(tp_positions, centers[0].tolist(), spans[0].tolist())))
 
 
 def is_link_blocked(link: Segment2D, trial: BlockageTrial, tp_index: int,
@@ -166,19 +181,22 @@ def evaluate(plan: NetworkPlan, scenario: Scenario, obstacle_counts: list[int],
     legs = [(tps[t], sites[c]) for t, pair in enumerate(plan.assignments) for c in pair]
     ends = np.array([(a.x, a.y, b.x, b.y) for a, b in legs]).T
     rays = np.array([azimuth(a, b) for a, b in legs]).reshape(n_t, 2)
-    active = np.array(counts)[:, None, None]
+    active = np.array(counts)[:, None, None, None]
 
     per_trial: list[tuple[float, ...]] = []
-    for trial_index in range(n_trials):
-        obstacles, spans, centers = _draw_trial(
-            scenario.area_width, scenario.area_height, counts[-1], n_t,
-            trial_seed_for(base_seed, trial_index), obstacle_length_m)
-        first = first_crossing(*ends, obstacles).reshape(n_t, 2)
-        usable = first >= active                                    # (K, T, 2)
+    block = max(1, TRIAL_BLOCK_OBSTACLES // max(1, counts[-1]))
+    for start in range(0, n_trials, block):
+        seeds = [trial_seed_for(base_seed, i)
+                 for i in range(start, min(n_trials, start + block))]
+        obstacles, spans, centers = _draw_trials(
+            scenario.area_width, scenario.area_height, counts[-1], n_t, seeds,
+            obstacle_length_m)
+        first = first_crossing(*ends, obstacles).reshape(len(seeds), n_t, 2)
+        usable = first >= active                                    # (K, B, T, 2)
         if self_blockage:
-            usable &= ~within_fov(centers[:, None], rays, spans[:, None])
-        served = usable.any(axis=2).sum(axis=1)
-        per_trial.append(tuple(int(v) / n_t for v in served))
+            usable &= ~within_fov(centers[..., None], rays, spans[..., None])
+        served = usable.any(axis=3).sum(axis=2).T                   # (B, K)
+        per_trial.extend(tuple(v / n_t for v in row) for row in served.tolist())
 
     matrix = np.array(per_trial)
     return ResilienceReport(

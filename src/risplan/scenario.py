@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +97,9 @@ class PlanningConfig:
     wired_capacity_mbps: float = 1e9
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ScenarioError(f"{f.name} must be finite")
         if not 0.0 <= self.mu <= 1.0:
             raise ScenarioError("mu must lie in [0, 1]")
         if not 0.0 <= self.xi <= 1.0:

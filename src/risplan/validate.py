@@ -107,17 +107,38 @@ def _half_duplex_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTabl
         aud.require_le(f"half_duplex_c{c}", rx + tx, 1.0)
 
 
+def _index_checks(aud: _Auditor, plan: NetworkPlan, n_t: int, n_c: int) -> None:
+    """Every site number names a site of the scenario, and every
+    per-test-point tuple has one entry per test point. The other checks
+    index the link tables with these numbers."""
+    sites = [("donor", plan.donor)]
+    sites += [("iab_nodes", c) for c in plan.iab_nodes]
+    sites += [("ris_sites", c) for c in plan.ris_sites]
+    sites += [(f"assignment_t{t}", c) for t, pair in enumerate(plan.assignments) for c in pair]
+    sites += [("backhaul_edges", c) for edge in plan.backhaul_edges for c in edge]
+    sites += [("flows", c) for edge in plan.flows_mbps for c in edge]
+    sites += [("orientations", c) for c in plan.orientations_rad]
+    for where, c in sites:
+        aud.require_true(f"site_index_{where}", 0 <= c < n_c, detail=float(c))
+    for name, values in (("assignment_partition", plan.assignments),
+                         ("theta_per_tp_length", plan.theta_per_tp),
+                         ("len_per_tp_length", plan.len_per_tp)):
+        aud.require_true(name, len(values) == n_t, detail=float(len(values) - n_t))
+
+
 def validate_plan(plan: NetworkPlan, scenario: Scenario, tables: LinkBudgetTable,
                   cfg: PlanningConfig, tol: float = FEASIBILITY_TOL) -> list[Violation]:
     """Check a plan against every constraint of its mode; empty list means
-    feasible within ``tol``."""
+    feasible within ``tol``. A plan whose site numbers or per-test-point
+    tuples do not fit the scenario gets only those violations."""
     aud = _Auditor(tol)
     n_t = scenario.n_test_points
     demand = cfg.demand_mbps
     installed = set(plan.iab_nodes)
 
-    aud.require_true("assignment_partition", len(plan.assignments) == n_t,
-                     detail=float(len(plan.assignments) - n_t))
+    _index_checks(aud, plan, n_t, scenario.n_sites)
+    if aud.violations:
+        return sorted(aud.violations, key=lambda v: v.constraint_name)
     aud.require_true("donor_requires_iab", plan.donor in installed)
 
     if plan.mode == MODE_RIS:

@@ -132,6 +132,25 @@ class TestPlan:
             assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--budget", "--len-norm", "--mu", "--wired-capacity"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_flag_exit_2(self, scenario_file, tmp_path, capsys, flag, value):
+        code = main(["plan", "--scenario", str(scenario_file), f"{flag}={value}",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
+
+    def test_non_finite_planning_block_exit_2(self, scenario_file, tmp_path, capsys):
+        doc = json.loads(scenario_file.read_text())
+        for block in ({"budget": float("nan")}, {"len_norm_m": float("inf")}):
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(dict(doc, planning=block)))
+            code = main(["plan", "--scenario", str(path), "--out", str(tmp_path / "p.json")])
+            assert code == 2, block
+            assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_every_config_flag_reaches_manifest(self, scenario_file, tmp_path):
         # One non-default value per radio and planning flag, with the
         # section and field of the effective config it must land in.
@@ -263,6 +282,26 @@ class TestSimulate:
             code = main(["simulate", "--plan", str(bad), "--scenario", str(scenario_file),
                          "--counts", "0", "--out", str(tmp_path / "r")])
             assert code == 2, doc
+
+
+    def test_plan_out_of_range_for_scenario_exit_2(self, scenario_file, plan_file,
+                                                   tmp_path, capsys):
+        # Well-formed documents whose site numbers or per-test-point lists
+        # do not fit the scenario fail the audit, not the table lookups.
+        good = json.loads(plan_file.read_text())
+        bad = tmp_path / "bad_plan.json"
+        misfits = [dict(good, assignments=[[99, 99]] * 3),
+                   dict(good, assignments=[[-1, b] for _, b in good["assignments"]]),
+                   dict(good, donor=6),
+                   dict(good, metrics=dict(good["metrics"], theta_per_tp=[])),
+                   dict(good, metrics=dict(good["metrics"], len_per_tp=[1.0]))]
+        for doc in misfits:
+            bad.write_text(json.dumps(doc))
+            code = main(["simulate", "--plan", str(bad), "--scenario", str(scenario_file),
+                         "--counts", "0", "--out", str(tmp_path / "r")])
+            assert code == 2, doc
+            assert "plan fails validation" in capsys.readouterr().err
+        assert not (tmp_path / "r.trials.csv").exists()
 
 
 class TestSweep:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import risplan.geometry as geometry
 from risplan.geometry import (GeometryError, Point2D, Sector, Segment2D,
                               angular_separation, azimuth, circular_distance,
-                              minimal_covering_arc, sector_contains,
+                              first_crossing, minimal_covering_arc, sector_contains,
                               segments_cross, segments_intersect, within_fov)
 
 TWO_PI = 2 * math.pi
@@ -121,6 +122,49 @@ class TestSegmentsIntersect:
                 want = _closed_segments_meet(*a, *b, *c, *d)
                 assert grid[i, j] == want, (a, b, c, d)
                 assert segments_intersect(S(*a, *b), S(*c, *d)) == want, (a, b, c, d)
+
+
+def _lattice_segments():
+    """Every segment between two distinct points of the 4 x 4 integer
+    lattice, as an (n, 4) array: axis-parallel segments (zero-width
+    boxes), shared endpoints and collinear overlaps all occur."""
+    coords = [(x, y) for x in range(4) for y in range(4)]
+    return np.array([a + b for a in coords for b in coords if a != b], dtype=float)
+
+
+def _first_crossing_brute(segs, obstacles):
+    """First crossing from the full segment x obstacle grid."""
+    grid = segments_cross(*(segs[:, None, i] for i in range(4)),
+                          *(obstacles[None, :, i] for i in range(4)))
+    return np.where(grid.any(axis=1), grid.argmax(axis=1), len(obstacles))
+
+
+class TestFirstCrossing:
+    @pytest.mark.parametrize("cells", [1 << 16, 64, 1])
+    def test_lattice_matches_full_grid(self, monkeypatch, cells):
+        monkeypatch.setattr(geometry, "CROSSING_BLOCK_CELLS", cells)
+        segs = _lattice_segments()
+        rng = np.random.default_rng(8)
+        for obstacles in (segs, segs[rng.permutation(len(segs))]):
+            got = first_crossing(*segs.T, obstacles)
+            assert got.tolist() == _first_crossing_brute(segs, obstacles).tolist()
+
+    @pytest.mark.parametrize("cells", [1 << 16, 64, 1])
+    def test_trial_batch_matches_one_call_per_trial(self, monkeypatch, cells):
+        monkeypatch.setattr(geometry, "CROSSING_BLOCK_CELLS", cells)
+        segs = _lattice_segments()
+        rng = np.random.default_rng(9)
+        batch = np.stack([segs[rng.permutation(len(segs))[:40]] for _ in range(6)])
+        got = first_crossing(*segs.T, batch)
+        assert got.shape == (6, len(segs))
+        for trial, obstacles in zip(got, batch):
+            assert trial.tolist() == _first_crossing_brute(segs, obstacles).tolist()
+
+    def test_empty_inputs(self):
+        segs = _lattice_segments()
+        assert first_crossing(*segs.T, np.zeros((0, 4))).tolist() == [0] * len(segs)
+        assert first_crossing([], [], [], [], segs).shape == (0,)
+        assert first_crossing(*segs[:2].T, np.zeros((3, 0, 4))).tolist() == [[0, 0]] * 3
 
 
 def _closed_segments_meet(ax, ay, bx, by, cx, cy, dx, dy):

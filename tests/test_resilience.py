@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import risplan.geometry as geometry
+import risplan.resilience as resilience
 from risplan.geometry import Point2D, Sector, Segment2D, azimuth, segments_intersect
 from risplan.planner import (build_baseline_model, build_ris_model, extract_plan,
                              load_plan)
@@ -79,6 +81,21 @@ class TestSampleTrial:
     def test_negative_count_rejected(self):
         with pytest.raises(ResilienceError):
             sample_trial(100.0, 100.0, -1, (Point2D(1, 1),), seed=0)
+
+    @pytest.mark.parametrize("n_obstacles", [0, 1, 60])
+    def test_equals_its_trial_in_a_batch(self, n_obstacles):
+        # A trial drawn alone equals the same seed drawn among others.
+        tps = tuple(Point2D(10.0 * i + 1, 5.0) for i in range(5))
+        seeds = [trial_seed_for(31, i) for i in range(7)]
+        obstacles, spans, centers = resilience._draw_trials(
+            190.0, 253.0, n_obstacles, len(tps), seeds, 5.0)
+        assert obstacles.shape == (7, n_obstacles, 4) and spans.shape == (7, 5)
+        for i, seed in enumerate(seeds):
+            trial = sample_trial(190.0, 253.0, n_obstacles, tps, seed)
+            assert [[o.a.x, o.a.y, o.b.x, o.b.y] for o in trial.obstacles] == obstacles[i].tolist()
+            assert [s.span for s in trial.self_blockage] == spans[i].tolist()
+            assert [s.center_azimuth for s in trial.self_blockage] == centers[i].tolist()
+            assert [s.origin for s in trial.self_blockage] == list(tps)
 
     @pytest.mark.parametrize("length", [0.0, -5.0, math.nan, math.inf])
     def test_bad_obstacle_length_rejected(self, length):
@@ -205,6 +222,18 @@ class TestEvaluate:
         assert plan.theta_per_tp[0] == pytest.approx(math.pi)
         report = evaluate(plan, scenario, [0], 500, base_seed=17)
         assert report.served_mean == (1.0,)
+
+    @pytest.mark.parametrize("self_blockage", [True, False])
+    def test_block_sizes_do_not_change_the_report(self, ris_plan, monkeypatch,
+                                                  self_blockage):
+        plan, scenario = ris_plan
+        args = (plan, scenario, [0, 5, 20, 60, 150], 15)
+        want = evaluate(*args, base_seed=7, self_blockage=self_blockage)
+        monkeypatch.setattr(geometry, "CROSSING_BLOCK_CELLS", 64)
+        assert evaluate(*args, base_seed=7, self_blockage=self_blockage) == want
+        # Four trials per drawn batch, the last one short.
+        monkeypatch.setattr(resilience, "TRIAL_BLOCK_OBSTACLES", 4 * 150)
+        assert evaluate(*args, base_seed=7, self_blockage=self_blockage) == want
 
     @pytest.mark.parametrize("length", [0.0, -5.0, math.nan, math.inf])
     def test_bad_obstacle_length_rejected(self, ris_plan, length):

@@ -153,3 +153,17 @@ class TestPlanningConfig:
     def test_negative_budget_rejected(self):
         with pytest.raises(ScenarioError):
             PlanningConfig(budget=-1.0)
+
+    @pytest.mark.parametrize("name", sorted(PlanningConfig.__dataclass_fields__))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ScenarioError, match=f"{name} must be finite"):
+            PlanningConfig(**{name: value})
+
+    def test_non_finite_planning_block_rejected(self, tmp_path):
+        path = tmp_path / "s.json"
+        save(generate(100.0, 100.0, 3, 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(doc, planning={"budget": math.nan})))
+        with pytest.raises(ScenarioError, match="budget must be finite"):
+            load_planning(path)

@@ -80,6 +80,43 @@ class TestConstructedViolations:
         assert "donor_requires_iab" in names(violations)
 
 
+class TestIndicesFitScenario:
+    """Site numbers and per-test-point lists that do not fit the scenario
+    are violations, reported before any table lookup."""
+
+    @pytest.mark.parametrize("bad_site", [99, 6, -1])
+    def test_assignment_site_out_of_range(self, solved_plan, bad_site):
+        plan, scenario, tables, cfg = solved_plan
+        misfit = replace(plan, assignments=((bad_site, bad_site),) * scenario.n_test_points)
+        violations = validate_plan(misfit, scenario, tables, cfg)
+        assert set(names(violations)) == {
+            f"site_index_assignment_t{t}" for t in range(scenario.n_test_points)}
+        assert all(v.lhs_value == bad_site for v in violations)
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("donor", -1, "site_index_donor"),
+        ("iab_nodes", (0, 6), "site_index_iab_nodes"),
+        ("ris_sites", (-2,), "site_index_ris_sites"),
+        ("backhaul_edges", ((0, 7),), "site_index_backhaul_edges"),
+        ("flows_mbps", {(-1, 0): 1.0}, "site_index_flows"),
+        ("orientations_rad", {6: 0.0}, "site_index_orientations"),
+    ])
+    def test_other_site_numbers_out_of_range(self, solved_plan, field, value, name):
+        plan, scenario, tables, cfg = solved_plan
+        assert scenario.n_sites == 6
+        violations = validate_plan(replace(plan, **{field: value}), scenario, tables, cfg)
+        assert names(violations) == [name]
+
+    @pytest.mark.parametrize("field", ["theta_per_tp", "len_per_tp", "assignments"])
+    def test_per_test_point_lists_must_match(self, solved_plan, field):
+        plan, scenario, tables, cfg = solved_plan
+        name = "assignment_partition" if field == "assignments" else f"{field}_length"
+        for values in (getattr(plan, field)[:-1], (), getattr(plan, field) * 2):
+            violations = validate_plan(replace(plan, **{field: values}), scenario, tables, cfg)
+            assert names(violations) == [name]
+            assert violations[0].lhs_value == len(values) - scenario.n_test_points
+
+
 class TestBackhaulArborescence:
     """Constructed violations of the tree rooted at the donor. The budget
     is lifted so the extra stations are the only fault."""

@@ -172,19 +172,14 @@ def first_crossing(ax, ay, bx, by, obstacles: np.ndarray) -> np.ndarray:
             block = np.s_[t0:t0 + t_step, :, o0:o0 + o_step]
             near = ((seg_box[0] <= obs_box[2][block]) & (obs_box[0][block] <= seg_box[2])
                     & (seg_box[1] <= obs_box[3][block]) & (obs_box[1][block] <= seg_box[3]))
+            # key: the (trial, segment) entry of ``first``; obs: the obstacle.
             key, obs = np.divmod(np.flatnonzero(near), near.shape[2])
             key += t0 * m
             obs += o0
             seg = key % m
             hit = segments_cross(ax[seg], ay[seg], bx[seg], by[seg],
                                  *rows[key // m * n + obs].T)
-            # Cells come in C order, so the first hit of each (trial,
-            # segment) run is its lowest obstacle index.
-            key, obs = key[hit], obs[hit]
-            lead = np.ones(len(key), dtype=bool)
-            lead[1:] = key[1:] != key[:-1]
-            key, obs = key[lead], obs[lead]
-            first[key] = np.minimum(first[key], obs)
+            np.minimum.at(first, key[hit], obs[hit])
     return first.reshape(trials + (m,))
 
 

@@ -11,8 +11,8 @@ file that cannot be loaded exits 2, a plan that fails to decode exits 4.
 
 Every command is deterministic given its flags (seeds included); outputs
 are written atomically and listed, with content digests, in a manifest
-JSON next to the primary artifact. Wall-clock timings live only in the
-manifest so data files stay byte-reproducible.
+JSON next to the primary artifact. Wall-clock timings live only in
+manifests and sweep cell caches so data files stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def _digest_config(doc: dict) -> str:
 
 def write_manifest(primary_out: Path, command: str, config_doc: dict,
                    scenario_digest: str | None, timings: dict,
-                   outputs: list[Path], solver: dict | None = None) -> Path:
+                   outputs: list[Path], extra: dict | None = None) -> Path:
     manifest = {
         "command": command,
         "config_digest": _digest_config(config_doc),
@@ -77,9 +77,8 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
         "tool_version": __version__,
         "timings_s": timings,
         "outputs": {str(p): _sha256_file(p) for p in outputs},
+        **(extra or {}),
     }
-    if solver is not None:
-        manifest["solver"] = solver
     path = primary_out.with_suffix(primary_out.suffix + ".manifest.json")
     write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -201,6 +200,15 @@ def _plan_stages(scenario: Scenario, radio: RadioConfig, planning: PlanningConfi
     return model, result, plan, None
 
 
+def _solver_stats(model, result) -> dict:
+    """A solve's record for manifests; model size is counted before HiGHS
+    presolves it."""
+    return {"status": result.status, "gap": result.gap,
+            "node_count": result.node_count, "dual_bound": result.dual_bound,
+            "rows": model.num_constraints, "variables": model.num_variables,
+            "nonzeros": model.num_nonzeros}
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     scenario, radio, planning = _load_inputs(args)
@@ -221,18 +229,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
         "mode": args.mode, "scenario": str(args.scenario),
         "time_limit": args.time_limit, "mip_gap": args.mip_gap})
     scenario_digest = _sha256_file(Path(args.scenario))
-    # Model size is counted before HiGHS presolves it.
-    solver_stats = {"status": result.status, "gap": result.gap,
-                    "node_count": result.node_count, "dual_bound": result.dual_bound,
-                    "rows": model.num_constraints, "variables": model.num_variables,
-                    "nonzeros": model.num_nonzeros}
+    solver = {"solver": _solver_stats(model, result)}
 
     if result.status == STATUS_INFEASIBLE:
         print(f"status: infeasible (mode={args.mode}, budget={planning.budget}, "
               f"mu={planning.mu}); no plan written")
         if outputs:
-            write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs,
-                           solver_stats)
+            write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs, solver)
         return EXIT_INFEASIBLE
     if result.variable_values is None:
         print(f"solver error: status={result.status} {result.message}", file=sys.stderr)
@@ -249,8 +252,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     save_plan(plan, out)
     outputs.insert(0, out)
     timings["total"] = time.perf_counter() - started
-    write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs,
-                   solver_stats)
+    write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs, solver)
 
     gap_note = f", gap {result.gap:.2%}" if result.status == STATUS_TIME_LIMIT else ""
     print(f"status: {result.status}{gap_note}")
@@ -337,24 +339,32 @@ def _blank_row(payload: dict, status: str) -> dict:
     return row
 
 
+def _cell(row: dict, solver: dict | None = None, timings: dict | None = None) -> dict:
+    """A sweep cell's result: its CSV row, the solve's record and the stage
+    timings (None where unknown: a failed cell, or one cached without them)."""
+    return {"row": row, "solver": solver, "timings_s": timings}
+
+
 def _sweep_cell(payload: dict) -> dict:
-    """One sweep cell: generate, solve, decode; returns a CSV row dict.
-    Runs in a worker process; everything in/out is plain data."""
+    """One sweep cell: generate, solve, decode; returns the cell's result
+    (see _cell). Runs in a worker process; everything in/out is plain data."""
     scenario = generate(payload["width"], payload["height"],
                         payload["n_cs"], payload["n_tp"], payload["seed"])
     radio = RadioConfig(**payload["radio"])
     planning = PlanningConfig(**{**payload["planning"],
                                  "budget": payload["budget"], "mu": payload["mu"]})
-    _, result, plan, problem = _plan_stages(
+    timings: dict[str, float] = {}
+    model, result, plan, problem = _plan_stages(
         scenario, radio, planning, payload["mode"], payload["time_limit"], payload["mip_gap"],
-        {})
+        timings)
     row = _blank_row(payload, result.status)
+    cell = _cell(row, _solver_stats(model, result), timings)
     if isinstance(problem, PlannerError):
         row["status"] = _error_status(str(problem))
     elif problem:
         row["status"] = f"error:{len(problem)} violations"
     if plan is None:
-        return row
+        return cell
     row.update(objective=repr(plan.objective_value),
                mean_theta=repr(plan.mean_theta), mean_len=repr(plan.mean_len),
                n_iab=len(plan.iab_nodes), n_ris=len(plan.ris_sites),
@@ -367,7 +377,7 @@ def _sweep_cell(payload: dict) -> dict:
             "mean": list(report.served_mean),
             "std": list(report.served_std),
         }
-    return row
+    return cell
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -392,7 +402,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "decode_version": DECODE_VERSION,
     }
 
-    grid = [(seed, budget, mu, mode)
+    grid = [dict(base_payload, seed=seed, budget=budget, mu=mu, mode=mode)
             for seed in args.seeds for budget in args.budgets
             for mu in args.mus for mode in args.modes]
 
@@ -400,32 +410,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return cells_dir / f"{_cell_id(payload)}.json"
 
     pending: list[tuple[int, dict]] = []
-    rows: dict[int, dict] = {}
-    for idx, (seed, budget, mu, mode) in enumerate(grid):
-        payload = dict(base_payload, seed=seed, budget=budget, mu=mu, mode=mode)
+    cells: dict[int, dict] = {}
+    for idx, payload in enumerate(grid):
         try:
             cached = json.loads(cell_path(payload).read_text())
         except (FileNotFoundError, json.JSONDecodeError):
             cached = None
         if cached and cached.get("digest") == _digest_config(payload):
-            rows[idx] = cached["row"]
+            cells[idx] = _cell(cached["row"], cached.get("solver"), cached.get("timings_s"))
             continue
         pending.append((idx, payload))
 
     def run(idx: int, payload: dict, cell) -> None:
         try:
-            row = cell()
+            result = cell()
         except _FLAG_ERRORS:
             raise
         except Exception as exc:
             print(f"sweep cell {_cell_id(payload)} failed:", file=sys.stderr)
             traceback.print_exception(exc, file=sys.stderr)
             # Not cached: a rerun retries it.
-            rows[idx] = _blank_row(payload, _error_status(f"{type(exc).__name__}: {exc}"))
+            cells[idx] = _cell(_blank_row(payload, _error_status(f"{type(exc).__name__}: {exc}")))
             return
-        rows[idx] = row
+        cells[idx] = result
         write_atomic(cell_path(payload), json.dumps(
-            {"digest": _digest_config(payload), "row": row}, indent=2) + "\n")
+            {"digest": _digest_config(payload), **result}, indent=2) + "\n")
 
     if args.jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -440,8 +449,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     csv_lines = [",".join(SWEEP_COLUMNS)]
     resilience_lines = ["seed,budget,mu,mode,obstacle_count,mean,std"]
-    for idx in range(len(grid)):
-        row = rows[idx]
+    cells_in_order = [cells[idx] for idx in range(len(grid))]
+    rows = [cell["row"] for cell in cells_in_order]
+    for row in rows:
         csv_lines.append(",".join(str(row[col]) for col in SWEEP_COLUMNS))
         extra = row.get("_resilience")
         if extra:
@@ -461,10 +471,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config_doc = dict(base_payload, seeds=list(args.seeds),
                       budgets=list(args.budgets), mus=list(args.mus),
                       modes=list(args.modes))
+    telemetry = {_cell_id(payload): {"solver": cell["solver"], "timings_s": cell["timings_s"]}
+                 for payload, cell in zip(grid, cells_in_order)}
     write_manifest(sweep_csv, "sweep", config_doc, None,
-                   {"total": time.perf_counter() - started}, outputs)
-    n_solved = sum(1 for r in rows.values() if r["status"] == "optimal")
-    n_infeasible = sum(1 for r in rows.values() if r["status"] == "infeasible")
+                   {"total": time.perf_counter() - started}, outputs, {"cells": telemetry})
+    n_solved = sum(1 for r in rows if r["status"] == "optimal")
+    n_infeasible = sum(1 for r in rows if r["status"] == "infeasible")
     print(f"{len(grid)} cells: {n_solved} optimal, {n_infeasible} infeasible, "
           f"{len(grid) - n_solved - n_infeasible} other; wrote {sweep_csv}")
     return EXIT_OK

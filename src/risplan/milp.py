@@ -33,7 +33,6 @@ no lower bound as ``x free`` or ``-inf <= x <= hi``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -336,8 +335,17 @@ def export_lp(model: MilpModel) -> str:
 
     Variables appear in declaration order inside each section; empty
     constraints are written with an explicit zero term so the row (and its
-    possible infeasibility) survives the round trip.
+    possible infeasibility) survives the round trip. A variable name must
+    read back as itself: letters, digits and underscores, not starting
+    with a digit, and not a section keyword (ModelError otherwise).
     """
+    if not (all(map(_NAME_RE.fullmatch, model._names))
+            and _SECTIONS.keys().isdisjoint(map(str.lower, model._names))):
+        bad = next(name for name in model._names
+                   if not _NAME_RE.fullmatch(name) or name.lower() in _SECTIONS)
+        raise ModelError(f"variable name {bad!r} cannot be written in LP format: a name "
+                         f"is letters, digits and underscores, not starting with a "
+                         f"digit, and not a section keyword")
     names = np.array(model._names, dtype=object)
     anchor = f"0 {names[0]}" if len(names) else "0 dummy"
     order = sorted(model.objective)
@@ -372,6 +380,7 @@ _SECTIONS = {"maximize": "maximize", "max": "maximize",
              "generals": "generals", "general": "generals", "end": "end"}
 _LONGEST_KEYWORD = max(map(len, _SECTIONS))
 
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # The text before a term's name. Newlines, which separate expressions
 # parsed together, may only lead it.
@@ -389,40 +398,63 @@ _RELATIONS = {"<": "<=", ">": ">="}
 _CHUNK_ROWS = 256
 
 
+class _Coefficients:
+    """Codes for the texts before term names (" - 2.5 ", "\n+ 3 "): each
+    distinct text gets the next code, and is parsed once for its value and
+    the number of newlines it holds."""
+
+    def __init__(self):
+        self.code: dict[str, int] = defaultdict(itertools.count().__next__)
+        self.values: list[float] = []
+        self.newlines: list[int] = []
+
+    def codes(self, texts: list[str]) -> np.ndarray:
+        """The codes of the texts; raises ModelError for a text that is not
+        a coefficient."""
+        codes = np.fromiter(map(self.code.__getitem__, texts), np.int64, len(texts))
+        fresh = np.flatnonzero(codes >= len(self.values))
+        if len(fresh):
+            _, first = np.unique(codes[fresh], return_index=True)
+            new = [texts[i] for i in fresh[first].tolist()]
+            self.values += map(_coef_value, new)
+            self.newlines += map(operator.methodcaller("count", "\n"), new)
+        return codes
+
+
 def _parse_terms(expressions: list[str], ids: dict[str, int],
-                 coef_of) -> tuple[list[int], list[float], list[int]]:
+                 coefficients: _Coefficients) -> tuple[np.ndarray, np.ndarray, int]:
     """Parse expressions such as "3 x - 2.5e-3 y + z", all in one pass.
 
-    Returns the variable ids and the coefficients of all their terms, in
-    order, and the index of each expression's first term, then the count.
+    Returns the variable ids and the coefficient codes of all their terms,
+    in order, and the number of empty expressions at the end. A newline
+    leads each expression, so the text before an expression's first term
+    holds one newline, plus one for each empty expression just before it.
     """
-    text = "\n".join(expressions)
     # [text between terms (always empty), coefficient, name, ..., the rest]
-    pieces = _TERM_RE.split(text)
-    coefs, names = pieces[1::3], pieces[2::3]
+    pieces = _TERM_RE.split("\n" + "\n".join(expressions))
     try:
-        values = list(map(coef_of, coefs))
+        codes = coefficients.codes(pieces[1::3])
         complete = not pieces[-1].strip()
     except ModelError:
         complete = False
     if not complete:
-        if len(expressions) > 1:
-            for expression in expressions:  # raise for the first bad one
-                _parse_terms([expression], ids, coef_of)
-        if _DANGLING_RE.search(text):
-            raise ModelError(f"dangling coefficient in expression {text!r}")
-        raise ModelError(f"cannot parse expression {text!r}")
-    var_ids = list(map(ids.__getitem__, names))
-    # A newline before a term's coefficient marks the start of an
-    # expression; two mark an empty expression before it.
-    firsts = [i for i, coef in enumerate(coefs) if "\n" in coef]
-    if len(firsts) == len(expressions) - 1:  # no expression is empty
-        return var_ids, values, [0, *firsts, len(var_ids)]
-    starts = [0]
-    for index in firsts:
-        starts += [index] * coefs[index].count("\n")
-    starts += [len(var_ids)] * (len(expressions) + 1 - len(starts))
-    return var_ids, values, starts
+        raise _expression_error(expressions)
+    names = pieces[2::3]
+    return (np.fromiter(map(ids.__getitem__, names), np.int64, len(names)), codes,
+            pieces[-1].count("\n"))
+
+
+def _expression_error(expressions: list[str]) -> ModelError:
+    """The error for the first expression that does not parse on its own,
+    or else for all of them together."""
+    def parses(expression: str) -> bool:
+        pieces = _TERM_RE.split(expression)
+        return not pieces[-1].strip() and all(map(_COEF_RE.fullmatch, pieces[1::3]))
+
+    text = next((e for e in expressions if not parses(e)), "\n".join(expressions))
+    if _DANGLING_RE.search(text):
+        return ModelError(f"dangling coefficient in expression {text!r}")
+    return ModelError(f"cannot parse expression {text!r}")
 
 
 def read_lp(text: str) -> MilpModel:
@@ -455,12 +487,12 @@ def read_lp(text: str) -> MilpModel:
     binary_names = " ".join(bodies["binaries"]).split()
     model = MilpModel(name="lp_import", sense=sense)
     ids: dict[str, int] = defaultdict(itertools.count().__next__)    # new names: next id
-    coef_of = functools.cache(_coef_value)    # each distinct text is parsed once
+    coefficients = _Coefficients()
 
     obj_body = " ".join(" ".join(bodies["objective"]).split())
     if ":" in obj_body:
         obj_body = obj_body.split(":", 1)[1]
-    obj_terms = _parse_terms([obj_body], ids, coef_of)[:2]
+    obj_ids, obj_codes, _ = _parse_terms([obj_body], ids, coefficients)
 
     # A line with a row name starts a record; any other line continues it.
     records: list[str] = []
@@ -469,7 +501,11 @@ def read_lp(text: str) -> MilpModel:
             records.append(line)
         elif line.strip():
             records[-1] += " " + line.strip()
-    row_names, rels, rhs, indptr, var_ids, coefs = [], [], [], [0], [], []
+    row_names, rels, rhs = [], [], []
+    # Per chunk: the terms' variable ids and coefficient codes; and where
+    # each empty expression at a chunk's end starts, by term index.
+    id_chunks, code_chunks, tail_starts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], []
+    n_terms = 0
     for first in range(0, len(records), _CHUNK_ROWS):
         lhs_rows, rhs_texts = [], []
         for record in records[first:first + _CHUNK_ROWS]:
@@ -483,11 +519,18 @@ def read_lp(text: str) -> MilpModel:
             rels.append(rel)
             lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
             rhs_texts.append(rhs_text)
-        chunk_ids, chunk_coefs, starts = _parse_terms(lhs_rows, ids, coef_of)
+        chunk_ids, chunk_codes, trailing = _parse_terms(lhs_rows, ids, coefficients)
         rhs += map(float, rhs_texts)
-        indptr += [len(var_ids) + start for start in starts[1:]]
-        var_ids += chunk_ids
-        coefs += chunk_coefs
+        id_chunks.append(chunk_ids)
+        code_chunks.append(chunk_codes)
+        n_terms += len(chunk_ids)
+        tail_starts += [n_terms] * trailing
+    values = np.array(coefficients.values, np.float64)
+    codes = np.concatenate(code_chunks)
+    # Each newline before a term starts one row there.
+    leads = np.array(coefficients.newlines, np.int64)[codes]
+    firsts = np.flatnonzero(leads)
+    indptr = np.r_[np.sort(np.r_[np.repeat(firsts, leads[firsts]), tail_starts]), n_terms]
 
     lows, ups = {}, {}    # bounds by variable id; they apply to binaries too
     for record in filter(None, map(str.strip, bodies["bounds"])):
@@ -511,12 +554,14 @@ def read_lp(text: str) -> MilpModel:
 
     for name in binary_names:
         ids[name]  # declares binaries that appear in no row
-    names, binaries = list(ids), set(binary_names)
-    model.add_variables([(name,) for name in names], names,
-                        [BINARY if name in binaries else CONTINUOUS for name in names])
+    names = list(ids)
+    model.add_variables(zip(names), names, CONTINUOUS)
+    binary = np.fromiter(map(ids.__getitem__, binary_names), np.int64, len(binary_names))
+    _joined(model._kind)[binary] = _KINDS.index(BINARY)
+    _joined(model._upper)[binary] = 1.0
     for column, given in ((model._lower, lows), (model._upper, ups)):
         _joined(column)[list(given)] = list(given.values())
-    for var_id, coef in zip(*obj_terms):
+    for var_id, coef in zip(obj_ids.tolist(), values[obj_codes].tolist()):
         model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
-    model.add_rows(row_names, rels, rhs, indptr, var_ids, coefs)
+    model.add_rows(row_names, rels, rhs, indptr, np.concatenate(id_chunks), values[codes])
     return model

@@ -3,6 +3,11 @@
 ``solve`` takes a model and returns a SolveResult; nothing else about the
 engine leaks out. External solvers can be reached through LP files
 (milp.export_lp / milp.read_lp).
+
+scipy is imported on the first solve, not with this module, so work that
+never solves (scenarios, LP files, blockage simulation) does not pay for
+loading it. Without scipy, a solve returns the error status and a message
+that names the missing module.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
 
 from .milp import MilpModel
 
@@ -40,8 +43,17 @@ class SolveResult:
     dual_bound: float | None = None     # in the model's own objective sense
 
 
+def scipy_milp(**kwargs):
+    """scipy.optimize.milp, imported on the first call."""
+    from scipy.optimize import milp
+    return milp(**kwargs)
+
+
 def _solve_highs(model: MilpModel, time_limit_s: float | None,
                  mip_rel_gap: float) -> SolveResult:
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint
+
     n = model.num_variables
     if n == 0:
         return SolveResult(STATUS_OPTIMAL, 0.0, {}, 0.0)

@@ -341,6 +341,38 @@ class TestSweep:
         assert main(args) == 0
         assert csv_path.read_bytes() == fresh  # other decoder: recomputed
 
+    def test_cell_telemetry_in_cache_and_manifest(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.0",
+                "--modes", "ris", "baseline", "--width", "200", "--height", "200",
+                "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]
+        manifest_path = out_dir / "sweep.csv.manifest.json"
+        assert main(args) == 0
+        cells = json.loads(manifest_path.read_text())["cells"]
+        assert list(cells) == ["s1_b2.3_m0_ris", "s1_b2.3_m0_baseline"]
+        for cell_id, telemetry in cells.items():
+            cached = json.loads((out_dir / "cells" / f"{cell_id}.json").read_text())
+            assert telemetry == {"solver": cached["solver"], "timings_s": cached["timings_s"]}
+            solver = telemetry["solver"]
+            assert set(solver) == {"status", "gap", "node_count", "dual_bound",
+                                   "rows", "variables", "nonzeros"}
+            assert solver["status"] == "optimal" and solver["gap"] == 0.0
+            assert min(solver["rows"], solver["variables"], solver["nonzeros"]) > 0
+            assert set(telemetry["timings_s"]) == {"link_tables", "build", "solve",
+                                                   "decode", "validate"}
+        # A cell cached without telemetry is reused, not recomputed, and
+        # reports null; the CSV does not change.
+        csv = (out_dir / "sweep.csv").read_bytes()
+        old = out_dir / "cells" / "s1_b2.3_m0_ris.json"
+        cached = json.loads(old.read_text())
+        old.write_text(json.dumps({"digest": cached["digest"], "row": cached["row"]}))
+        assert main(args) == 0
+        assert (out_dir / "sweep.csv").read_bytes() == csv
+        assert "solver" not in json.loads(old.read_text())
+        cells = json.loads(manifest_path.read_text())["cells"]
+        assert cells["s1_b2.3_m0_ris"] == {"solver": None, "timings_s": None}
+        assert cells["s1_b2.3_m0_baseline"]["solver"]["status"] == "optimal"
+
     def test_unknown_mode_exit_2(self, tmp_path):
         code = main(["sweep", "--seeds", "1", "--budgets", "2",
                      "--modes", "hybrid", "--out-dir", str(tmp_path / "s")])

@@ -368,3 +368,34 @@ class TestLpBoundsAndKinds:
     def test_empty_generals_section_accepted(self):
         parsed = read_lp("Maximize\n obj: x\nSubject To\n c: x <= 2.5\nGenerals\nEnd\n")
         assert solve(parsed).objective_value == pytest.approx(2.5)
+
+
+class TestLpNames:
+    """export_lp writes only variable names that read back as themselves."""
+
+    @pytest.mark.parametrize("name", ["end", "End", "st", "BIN", "bounds", "min", "max",
+                                      "binaries", "generals", "minimize"])
+    def test_section_keyword_name_rejected(self, name):
+        # Under Binaries, " end" alone on a line would start a section and
+        # the variable would read back continuous.
+        m = MilpModel(name="keyword")
+        m.add_variable((name,), BINARY)
+        with pytest.raises(ModelError, match=f"variable name '{name}'"):
+            export_lp(m)
+
+    @pytest.mark.parametrize("name", ["a b", "3x", "x-y", "x:y", "x\\y", ""])
+    def test_non_identifier_name_rejected(self, name):
+        # "a b" would read back as the two variables a and b.
+        m = MilpModel(name="odd")
+        m.add_variable(("ok",), CONTINUOUS)
+        m.add_variable((name,), BINARY)
+        with pytest.raises(ModelError, match="cannot be written in LP format"):
+            export_lp(m)
+
+    def test_names_near_keywords_round_trip(self):
+        m = MilpModel(name="near")
+        names = ["end_", "bins", "st2", "_max", "x_t3_c7_r12"]
+        for name in names:
+            m.add_variable((name,), BINARY)
+        parsed = read_lp(export_lp(m))
+        assert [(v.name, v.kind) for v in parsed.variables] == [(n, BINARY) for n in names]

@@ -44,7 +44,8 @@ class SolveResult:
 
 
 def scipy_milp(**kwargs):
-    """scipy.optimize.milp, imported on the first call."""
+    """scipy.optimize.milp, loaded on first use; a module attribute, so
+    tests can replace the solver call."""
     from scipy.optimize import milp
     return milp(**kwargs)
 

@@ -173,9 +173,11 @@ def _plan_stages(scenario: Scenario, radio: RadioConfig, planning: PlanningConfi
                  mode: str, time_limit: float | None, mip_rel_gap: float,
                  timings: dict[str, float]):
     """Link tables, model, solve, decode and audit; each stage's time goes
-    into timings. Returns the model, the solve result, the plan, and why
-    there is no plan: None when the solver found no solution (the result's
-    status says which), the decode's PlannerError, or the audit's violations.
+    into timings, and ``highs`` is the part of ``solve`` spent in HiGHS
+    (``SolveResult.solve_time_s``). Returns the model, the solve result,
+    the plan, and why there is no plan: None when the solver found no
+    solution (the result's status says which), the decode's PlannerError,
+    or the audit's violations.
     """
     t0 = time.perf_counter()
     tables = build_link_tables(scenario, radio)
@@ -185,7 +187,8 @@ def _plan_stages(scenario: Scenario, radio: RadioConfig, planning: PlanningConfi
     t2 = time.perf_counter()
     result = solve(model, time_limit_s=time_limit, mip_rel_gap=mip_rel_gap)
     t3 = time.perf_counter()
-    timings.update(link_tables=t1 - t0, build=t2 - t1, solve=t3 - t2)
+    timings.update(link_tables=t1 - t0, build=t2 - t1, solve=t3 - t2,
+                   highs=result.solve_time_s)
     if result.variable_values is None:
         return model, result, None, None
     try:

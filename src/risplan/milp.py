@@ -13,7 +13,9 @@ variable id order, adds up the coefficients of a repeated variable and
 keeps explicit zeros. ``variables`` and ``constraints`` are read-only
 sequences of views built on access. The LP writer emits a deterministic
 byte stream; ``read_lp`` parses the dialect ``export_lp`` produces, which
-gives external solvers a file-based path in and out.
+gives external solvers a file-based path in and out. Both work a block of
+rows at a time: besides the text and the model, they hold a few blocks,
+not the whole text in pieces.
 
 The dialect: sections start at a line holding only ``Maximize``/``max``,
 ``Minimize``/``min``, ``Subject To``/``such that``/``st``/``s.t.``,
@@ -330,6 +332,16 @@ def _rows_text(var_names: np.ndarray, anchor: str, row_names: list[str], indptr:
     return "".join(tokens.tolist())
 
 
+def _unreadable_row_name(names: list[str]) -> str | None:
+    """The first row name that read_lp would not return as it is: one that
+    holds a ':', a '\\' or a line break, or has whitespace at either end."""
+    joined = "\0".join(names)
+    if joined.isascii() and not any(map(joined.__contains__, _ROW_NAME_FAULTS)):
+        return None
+    return next((name for name in names if ":" in name or "\\" in name
+                 or name != name.strip() or len(name.splitlines()) > 1), None)
+
+
 def export_lp(model: MilpModel) -> str:
     """Serialize to LP format, deterministically (same model, same bytes).
 
@@ -337,7 +349,9 @@ def export_lp(model: MilpModel) -> str:
     constraints are written with an explicit zero term so the row (and its
     possible infeasibility) survives the round trip. A variable name must
     read back as itself: letters, digits and underscores, not starting
-    with a digit, and not a section keyword (ModelError otherwise).
+    with a digit, and not a section keyword; a row name must too: no ':',
+    '\\' or line break, and no whitespace at either end (ModelError
+    otherwise). Rows are formatted a block of ``_WRITE_ROWS`` at a time.
     """
     if not (all(map(_NAME_RE.fullmatch, model._names))
             and _SECTIONS.keys().isdisjoint(map(str.lower, model._names))):
@@ -346,17 +360,27 @@ def export_lp(model: MilpModel) -> str:
         raise ModelError(f"variable name {bad!r} cannot be written in LP format: a name "
                          f"is letters, digits and underscores, not starting with a "
                          f"digit, and not a section keyword")
+    if (bad := _unreadable_row_name(model._row_names)) is not None:
+        raise ModelError(f"row name {bad!r} cannot be written in LP format: a row name "
+                         f"holds no ':', '\\' or line break and no whitespace at either end")
     names = np.array(model._names, dtype=object)
     anchor = f"0 {names[0]}" if len(names) else "0 dummy"
     order = sorted(model.objective)
     obj_text = _rows_text(names, anchor, ["obj"], np.array([0, len(order)]), np.array(
         order, np.int64), np.array([model.objective[i] for i in order], float), ["\n"])
+    text = [f"\\ {model.name}\n", "Maximize\n" if model.objective_sense == "maximize"
+            else "Minimize\n", obj_text, "Subject To\n"]
     rhs, which = np.unique(_joined(model._rhs), return_inverse=True)
     tails = np.array([f" {sense} {_fmt(value)}\n" for value in rhs.tolist() for sense in _SENSES],
-                     dtype=object)[3 * which + _joined(model._sense)]
-    text = [f"\\ {model.name}\n", "Maximize\n" if model.objective_sense == "maximize"
-            else "Minimize\n", obj_text, "Subject To\n",
-            _rows_text(names, anchor, model._row_names, *model.csr(), tails)]
+                     dtype=object)
+    tail_of = 3 * which + _joined(model._sense)
+    indptr, indices, data = model.csr()
+    for first in range(0, model.num_constraints, _WRITE_ROWS):
+        rows = slice(first, first + _WRITE_ROWS)
+        ptr = indptr[first:first + _WRITE_ROWS + 1]
+        terms = slice(ptr[0], ptr[-1])
+        text.append(_rows_text(names, anchor, model._row_names[rows], ptr - ptr[0],
+                               indices[terms], data[terms], tails[tail_of[rows]]))
     binary, lower, upper = model.columns()
     at = np.flatnonzero(~binary & ((lower != 0.0) | (upper != math.inf)))
     bounds = [f" {name} free\n" if lo == -math.inf and hi == math.inf
@@ -369,7 +393,8 @@ def export_lp(model: MilpModel) -> str:
     binaries = names[binary].tolist()
     if binaries:
         text += ["Binaries\n ", "\n ".join(binaries), "\n"]
-    return "".join(text) + "End\n"
+    text.append("End\n")
+    return "".join(text)
 
 
 _SECTIONS = {"maximize": "maximize", "max": "maximize",
@@ -393,31 +418,50 @@ _TERM_RE = re.compile(
 _DANGLING_RE = re.compile(rf"{_NUMBER}\s*$")
 _REL_RE = re.compile(r"(<=|>=|=)")
 _RELATIONS = {"<": "<=", ">": ">="}
-# Constraint records parsed together: enough to spread the cost of each
-# pass over many rows, few enough to keep the transient lists small.
+# Rows formatted together by export_lp, and constraint records parsed
+# together by read_lp: enough to spread the cost of each pass over many
+# rows, few enough to keep the transient lists small.
+_WRITE_ROWS = 4096
 _CHUNK_ROWS = 256
+# read_lp splits its text into lines a block of about this many
+# characters at a time, and ends a chunk of records once it holds as many.
+_BLOCK_CHARS = 1 << 18
+# Distinct coefficient texts read_lp remembers; past that, it starts over.
+_KEPT_CODES = 1 << 16
+# The ASCII characters a row name may not hold: read_lp splits a record at
+# its first ':', cuts comments at '\\', and splits and strips at whitespace.
+_ROW_NAME_FAULTS = ":\\ \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
 class _Coefficients:
     """Codes for the texts before term names (" - 2.5 ", "\n+ 3 "): each
     distinct text gets the next code, and is parsed once for its value and
-    the number of newlines it holds."""
+    the number of newlines it holds, kept at its code in ``values`` and
+    ``newlines``. A code holds until the next call: once more than
+    ``_KEPT_CODES`` texts are known, a call forgets them all first."""
 
     def __init__(self):
         self.code: dict[str, int] = defaultdict(itertools.count().__next__)
-        self.values: list[float] = []
-        self.newlines: list[int] = []
+        self.parsed = 0
+        self.values, self.newlines = np.zeros(64), np.zeros(64, np.int64)
 
     def codes(self, texts: list[str]) -> np.ndarray:
         """The codes of the texts; raises ModelError for a text that is not
         a coefficient."""
+        if self.parsed > _KEPT_CODES:
+            self.__init__()
         codes = np.fromiter(map(self.code.__getitem__, texts), np.int64, len(texts))
-        fresh = np.flatnonzero(codes >= len(self.values))
+        fresh = np.flatnonzero(codes >= self.parsed)
         if len(fresh):
             _, first = np.unique(codes[fresh], return_index=True)
             new = [texts[i] for i in fresh[first].tolist()]
-            self.values += map(_coef_value, new)
-            self.newlines += map(operator.methodcaller("count", "\n"), new)
+            values = list(map(_coef_value, new))
+            start, self.parsed = self.parsed, self.parsed + len(new)
+            if self.parsed > len(self.values):      # room for twice as many
+                self.values, self.newlines = (np.resize(column, 2 * self.parsed)
+                                              for column in (self.values, self.newlines))
+            self.values[start:self.parsed] = values
+            self.newlines[start:self.parsed] = list(map(operator.methodcaller("count", "\n"), new))
         return codes
 
 
@@ -457,83 +501,136 @@ def _expression_error(expressions: list[str]) -> ModelError:
     return ModelError(f"cannot parse expression {text!r}")
 
 
+def _blocks(text: str, start: int, stop: int):
+    """text[start:stop] in blocks of about ``_BLOCK_CHARS`` characters, each
+    cut after a newline so that no line is split, with where each starts.
+    start and stop are the starts of lines or the end of the text."""
+    while start < stop:
+        cut = text.find("\n", min(start + _BLOCK_CHARS, stop) - 1, stop) + 1 or stop
+        yield start, text[start:cut]
+        start = cut
+
+
+def _uncommented(lines: list[str], block: str) -> list[str]:
+    """The lines of a block with their comments cut off."""
+    return [line.partition("\\")[0] for line in lines] if "\\" in block else lines
+
+
+def _sections(text: str) -> list[tuple[str, int, int]]:
+    """Each section in text order: its keyword's section and the span of
+    its body, from the end of its header line to the start of the next
+    header line. A header line holds only a section keyword."""
+    heads = []      # (section, start of the header line, end of it)
+    for start, block in _blocks(text, 0, len(text)):
+        lines = block.splitlines(keepends=True)
+        for i, head in enumerate(map(str.strip, _uncommented(lines, block))):
+            if len(head) <= _LONGEST_KEYWORD and head.lower() in _SECTIONS:
+                at = start + sum(map(len, lines[:i]))
+                heads.append((_SECTIONS[head.lower()], at, at + len(lines[i])))
+    stops = [at for _, at, _ in heads[1:]] + [len(text)]
+    return [(section, body, stop) for (section, _, body), stop in zip(heads, stops)]
+
+
+def _record_chunks(lines):
+    """Constraint records, each one string, in chunks of at most
+    ``_CHUNK_ROWS`` records that end once they hold ``_BLOCK_CHARS``
+    characters. A line with a row name starts a record and any other line
+    that is not blank continues it."""
+    chunk, size, record = [], 0, None
+    for line in lines:
+        if ":" in line or (record is None and line.strip()):
+            if record is not None:
+                chunk.append(record)
+                size += len(record)
+                if len(chunk) == _CHUNK_ROWS or size >= _BLOCK_CHARS:
+                    yield chunk
+                    chunk, size = [], 0
+            record = line
+        elif line.strip():
+            record += " " + line.strip()
+    if record is not None:
+        yield chunk + [record]
+
+
+def _declare_new(model: MilpModel, ids: dict[str, int]) -> None:
+    """Declare, as continuous, the names that ``ids`` numbered after the
+    model's last variable."""
+    new = list(itertools.islice(reversed(ids), len(ids) - model.num_variables))[::-1]
+    model.add_variables(zip(new), new, CONTINUOUS)
+
+
+def _add_records(model: MilpModel, records: list[str], ids: dict[str, int],
+                 coefficients: _Coefficients) -> None:
+    """Parse constraint records and append them to the model as one block
+    of rows, after declaring the variables they name first."""
+    row_names, rels, lhs_rows, rhs_texts = [], [], [], []
+    for record in records:
+        cname, colon, body = record.partition(":")
+        cname, body = ((cname.strip(), body) if colon
+                       else (f"c{model.num_constraints + len(row_names)}", record))
+        lhs, equals, rhs_text = body.partition("=")
+        if not equals or "=" in rhs_text:
+            raise ModelError(f"cannot parse constraint {record.strip()!r}")
+        rel = _RELATIONS.get(lhs[-1:], "=")
+        row_names.append(cname)
+        rels.append(rel)
+        lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
+        rhs_texts.append(rhs_text)
+    var_ids, codes, trailing = _parse_terms(lhs_rows, ids, coefficients)
+    rhs = list(map(float, rhs_texts))
+    # Each newline before a term starts one row there; the empty rows at
+    # the end start after the last term.
+    leads = coefficients.newlines[codes]
+    firsts = np.flatnonzero(leads)
+    indptr = np.r_[np.repeat(firsts, leads[firsts]), np.full(trailing + 1, len(var_ids))]
+    _declare_new(model, ids)
+    model.add_rows(row_names, rels, rhs, indptr, var_ids, coefficients.values[codes])
+
+
 def read_lp(text: str) -> MilpModel:
     """Parse the LP dialect produced by ``export_lp``.
 
     Variable keys in the returned model are singleton tuples of the name;
     structural keys are not recoverable from a flat file. Variables are
-    declared in order of first appearance. See the module docstring for
-    the accepted dialect.
+    declared in order of first appearance: in the objective, then in the
+    rows, the bounds and the binaries. See the module docstring for the
+    accepted dialect. The text is read a section at a time and its lines a
+    block at a time; its rows are parsed and appended to the model a chunk
+    at a time (see ``_record_chunks``).
     """
-    lines = text.splitlines()
-    if "\\" in text:
-        lines = [line.partition("\\")[0] if "\\" in line else line for line in lines]
-    # A section header is a line holding only one of the section keywords.
-    heads = [i for i, line in enumerate(lines)
-             if len(head := line.strip()) <= _LONGEST_KEYWORD and head.lower() in _SECTIONS]
-    bodies: dict[str, list[str]] = {section: [] for section in (
-        "objective", "constraints", "bounds", "binaries", "generals", "end")}
+    spans: dict[str, list[tuple[int, int]]] = defaultdict(list)
     sense = "maximize"
-    for head, stop in zip(heads, heads[1:] + [len(lines)]):
-        section = _SECTIONS[lines[head].strip().lower()]
+    for section, start, stop in _sections(text):
         if section in ("maximize", "minimize"):
             sense, section = section, "objective"
-        bodies[section] += lines[head + 1:stop]
+        spans[section].append((start, stop))
 
-    generals = " ".join(bodies["generals"]).split()
-    if generals:
-        raise ModelError(f"integer variable {generals[0]!r} in a Generals section: "
-                         f"only binary and continuous variables are supported")
-    binary_names = " ".join(bodies["binaries"]).split()
+    def blocks(section: str):
+        """The lines of the section's bodies, comments cut off, a block at a time."""
+        for start, stop in spans[section]:
+            for _, block in _blocks(text, start, stop):
+                yield _uncommented(block.splitlines(), block)
+
+    for lines in blocks("generals"):
+        if generals := " ".join(lines).split():
+            raise ModelError(f"integer variable {generals[0]!r} in a Generals section: "
+                             f"only binary and continuous variables are supported")
     model = MilpModel(name="lp_import", sense=sense)
     ids: dict[str, int] = defaultdict(itertools.count().__next__)    # new names: next id
     coefficients = _Coefficients()
 
-    obj_body = " ".join(" ".join(bodies["objective"]).split())
+    obj_body = " ".join(" ".join(itertools.chain.from_iterable(blocks("objective"))).split())
     if ":" in obj_body:
         obj_body = obj_body.split(":", 1)[1]
     obj_ids, obj_codes, _ = _parse_terms([obj_body], ids, coefficients)
+    obj_values = coefficients.values[obj_codes]
+    _declare_new(model, ids)
 
-    # A line with a row name starts a record; any other line continues it.
-    records: list[str] = []
-    for line in bodies["constraints"]:
-        if ":" in line or (line.strip() and not records):
-            records.append(line)
-        elif line.strip():
-            records[-1] += " " + line.strip()
-    row_names, rels, rhs = [], [], []
-    # Per chunk: the terms' variable ids and coefficient codes; and where
-    # each empty expression at a chunk's end starts, by term index.
-    id_chunks, code_chunks, tail_starts = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], []
-    n_terms = 0
-    for first in range(0, len(records), _CHUNK_ROWS):
-        lhs_rows, rhs_texts = [], []
-        for record in records[first:first + _CHUNK_ROWS]:
-            cname, colon, body = record.partition(":")
-            cname, body = (cname.strip(), body) if colon else (f"c{len(row_names)}", record)
-            lhs, equals, rhs_text = body.partition("=")
-            if not equals or "=" in rhs_text:
-                raise ModelError(f"cannot parse constraint {record.strip()!r}")
-            rel = _RELATIONS.get(lhs[-1:], "=")
-            row_names.append(cname)
-            rels.append(rel)
-            lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
-            rhs_texts.append(rhs_text)
-        chunk_ids, chunk_codes, trailing = _parse_terms(lhs_rows, ids, coefficients)
-        rhs += map(float, rhs_texts)
-        id_chunks.append(chunk_ids)
-        code_chunks.append(chunk_codes)
-        n_terms += len(chunk_ids)
-        tail_starts += [n_terms] * trailing
-    values = np.array(coefficients.values, np.float64)
-    codes = np.concatenate(code_chunks)
-    # Each newline before a term starts one row there.
-    leads = np.array(coefficients.newlines, np.int64)[codes]
-    firsts = np.flatnonzero(leads)
-    indptr = np.r_[np.sort(np.r_[np.repeat(firsts, leads[firsts]), tail_starts]), n_terms]
+    for chunk in _record_chunks(itertools.chain.from_iterable(blocks("constraints"))):
+        _add_records(model, chunk, ids, coefficients)
 
     lows, ups = {}, {}    # bounds by variable id; they apply to binaries too
-    for record in filter(None, map(str.strip, bodies["bounds"])):
+    for record in filter(None, map(str.strip, itertools.chain.from_iterable(blocks("bounds")))):
         pieces = [p.strip() for p in _REL_RE.split(record)]
         if record.lower().endswith(" free"):
             var_id = ids[record[: -len(" free")].strip()]
@@ -552,16 +649,20 @@ def read_lp(text: str) -> MilpModel:
         else:
             raise ModelError(f"cannot parse bound {record!r}")
 
-    for name in binary_names:
-        ids[name]  # declares binaries that appear in no row
-    names = list(ids)
-    model.add_variables(zip(names), names, CONTINUOUS)
-    binary = np.fromiter(map(ids.__getitem__, binary_names), np.int64, len(binary_names))
+    binaries = [np.zeros(0, np.int64)]
+    for lines in blocks("binaries"):
+        names = " ".join(lines).split()    # a binary in no row is declared here
+        binaries.append(np.fromiter(map(ids.__getitem__, names), np.int64, len(names)))
+    _declare_new(model, ids)
+    # Each column becomes one block now, not on its first use.
+    for column in (model._kind, model._lower, model._upper, model._sense, model._rhs,
+                   model._indptr, model._indices, model._data):
+        _joined(column)
+    binary = np.concatenate(binaries)
     _joined(model._kind)[binary] = _KINDS.index(BINARY)
     _joined(model._upper)[binary] = 1.0
     for column, given in ((model._lower, lows), (model._upper, ups)):
         _joined(column)[list(given)] = list(given.values())
-    for var_id, coef in zip(obj_ids.tolist(), values[obj_codes].tolist()):
+    for var_id, coef in zip(obj_ids.tolist(), obj_values.tolist()):
         model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
-    model.add_rows(row_names, rels, rhs, indptr, np.concatenate(id_chunks), values[codes])
     return model

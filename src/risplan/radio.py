@@ -122,48 +122,75 @@ def noise_power_dbm(cfg: RadioConfig) -> float:
     return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(cfg.bandwidth_hz) + cfg.noise_figure_db
 
 
-def path_loss_db(distance_m: float, cfg: RadioConfig) -> float:
-    """Log-distance path loss: intercept + 10*exponent*log10(d)."""
-    if distance_m <= 0.0:
-        raise RadioModelError(f"non-positive distance {distance_m!r}")
-    return cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * math.log10(distance_m)
+def _path_loss(distance_m, cfg: RadioConfig):
+    """Log-distance path loss of distances in meters, elementwise."""
+    return cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * np.log10(distance_m)
 
 
 def _bs_gain_db(cfg: RadioConfig) -> float:
     return 10.0 * math.log10(cfg.bs_array_elements)
 
 
-def direct_snr_db(tp: Point2D, cs: Point2D, cfg: RadioConfig) -> float:
-    """SNR of the direct base-station -> terminal link (omni receiver)."""
-    d = math.hypot(cs.x - tp.x, cs.y - tp.y)
+def _direct_snr(path_loss, cfg: RadioConfig):
+    """SNR of direct base-station -> terminal links (omni receiver)."""
+    return cfg.tx_power_dbm + _bs_gain_db(cfg) - path_loss - noise_power_dbm(cfg)
+
+
+def _backhaul_snr(path_loss, cfg: RadioConfig):
+    """SNR between base stations; the array gain counts at both ends."""
+    return cfg.tx_power_dbm + 2.0 * _bs_gain_db(cfg) - path_loss - noise_power_dbm(cfg)
+
+
+def _reflected_snr(loss_in, loss_out, cfg: RadioConfig):
+    """SNR of surface-reflected paths, from the path losses of the station
+    -> surface and surface -> terminal hops. The element count enters as
+    20*log10(N) (the N^2 beamforming law) and the two hops contribute
+    additive path losses (product of distances in linear terms)."""
+    ris_gain = 20.0 * math.log10(cfg.ris_elements) + cfg.ris_aperture_gain_db()
+    return (cfg.tx_power_dbm + _bs_gain_db(cfg) + ris_gain - noise_power_dbm(cfg)
+            - loss_in - loss_out)
+
+
+def _rates_from_snr(snr_db, cfg: RadioConfig):
+    """The rate ladder, elementwise: the rate of the best entry whose
+    threshold is <= the SNR; 0 below the lowest entry (and for NaN),
+    saturating at the top entry."""
+    thresholds = np.array([s for s, _ in cfg.mcs_table])
+    rates = np.array([0.0] + [eff * cfg.bandwidth_hz / 1e6 for _, eff in cfg.mcs_table])
+    idx = np.searchsorted(thresholds, snr_db, side="right")
+    return np.where(snr_db >= thresholds[0], rates[idx], 0.0)
+
+
+def _distance(a: Point2D, b: Point2D) -> float:
+    """Length of a link, computed as the tables compute it; a link needs two
+    distinct endpoints."""
+    d = np.hypot(b.x - a.x, b.y - a.y)
     if d == 0.0:
         raise RadioModelError("degenerate link: coincident endpoints")
-    return cfg.tx_power_dbm + _bs_gain_db(cfg) - path_loss_db(d, cfg) - noise_power_dbm(cfg)
+    return d
+
+
+def path_loss_db(distance_m: float, cfg: RadioConfig) -> float:
+    """Log-distance path loss: intercept + 10*exponent*log10(d)."""
+    if distance_m <= 0.0:
+        raise RadioModelError(f"non-positive distance {distance_m!r}")
+    return float(_path_loss(distance_m, cfg))
+
+
+def direct_snr_db(tp: Point2D, cs: Point2D, cfg: RadioConfig) -> float:
+    """SNR of the direct base-station -> terminal link (omni receiver)."""
+    return float(_direct_snr(_path_loss(_distance(tp, cs), cfg), cfg))
 
 
 def backhaul_snr_db(cs_a: Point2D, cs_b: Point2D, cfg: RadioConfig) -> float:
     """SNR between two base stations; the array gain counts at both ends."""
-    d = math.hypot(cs_b.x - cs_a.x, cs_b.y - cs_a.y)
-    if d == 0.0:
-        raise RadioModelError("degenerate link: coincident endpoints")
-    return (cfg.tx_power_dbm + 2.0 * _bs_gain_db(cfg)
-            - path_loss_db(d, cfg) - noise_power_dbm(cfg))
+    return float(_backhaul_snr(_path_loss(_distance(cs_a, cs_b), cfg), cfg))
 
 
 def reflected_snr_db(tp: Point2D, cs: Point2D, ris: Point2D, cfg: RadioConfig) -> float:
-    """SNR of the surface-reflected path cs -> ris -> tp.
-
-    The defining structure: the element count enters as 20*log10(N) (the
-    N^2 beamforming law) and the two hops contribute additive path losses
-    (product of distances in linear terms).
-    """
-    d1 = math.hypot(ris.x - cs.x, ris.y - cs.y)
-    d2 = math.hypot(tp.x - ris.x, tp.y - ris.y)
-    if d1 == 0.0 or d2 == 0.0:
-        raise RadioModelError("degenerate link: coincident endpoints")
-    return (cfg.tx_power_dbm + _bs_gain_db(cfg)
-            + 20.0 * math.log10(cfg.ris_elements) + cfg.ris_aperture_gain_db()
-            - path_loss_db(d1, cfg) - path_loss_db(d2, cfg) - noise_power_dbm(cfg))
+    """SNR of the surface-reflected path cs -> ris -> tp (see _reflected_snr)."""
+    d_in, d_out = _distance(cs, ris), _distance(tp, ris)
+    return float(_reflected_snr(_path_loss(d_in, cfg), _path_loss(d_out, cfg), cfg))
 
 
 def snr_to_rate_mbps(snr_db: float, cfg: RadioConfig) -> float:
@@ -172,13 +199,7 @@ def snr_to_rate_mbps(snr_db: float, cfg: RadioConfig) -> float:
     Piecewise constant and monotone; 0 below the lowest entry, saturating
     at the top entry. Thresholds are inclusive.
     """
-    rate = 0.0
-    for min_snr, eff in cfg.mcs_table:
-        if snr_db >= min_snr:
-            rate = eff * cfg.bandwidth_hz / 1e6
-        else:
-            break
-    return rate
+    return float(_rates_from_snr(snr_db, cfg))
 
 
 @dataclass(frozen=True)
@@ -218,13 +239,6 @@ class LinkBudgetTable:
     @property
     def n_sites(self) -> int:
         return self.delta_acc.shape[1]
-
-
-def _rates_from_snr(snr_db: np.ndarray, cfg: RadioConfig) -> np.ndarray:
-    thresholds = np.array([s for s, _ in cfg.mcs_table])
-    rates = np.array([0.0] + [eff * cfg.bandwidth_hz / 1e6 for _, eff in cfg.mcs_table])
-    idx = np.searchsorted(thresholds, snr_db, side="right")
-    return rates[idx]
 
 
 def _obstacle_mask(ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray,
@@ -274,19 +288,15 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
     dtheta = np.abs(az_tc[:, :, None] - az_tc[:, None, :]) % (2 * np.pi)
     theta = np.minimum(dtheta, 2 * np.pi - dtheta)
 
-    noise = noise_power_dbm(cfg)
-    bs_gain = _bs_gain_db(cfg)
     with np.errstate(divide="ignore"):
-        pl_tc = cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * np.log10(d_tc)
-        pl_cc = cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * np.log10(d_cc)
+        pl_tc = _path_loss(d_tc, cfg)
+        pl_cc = _path_loss(d_cc, cfg)
 
-    snr_acc = cfg.tx_power_dbm + bs_gain - pl_tc - noise
-    snr_bh = cfg.tx_power_dbm + 2.0 * bs_gain - pl_cc - noise
+    snr_acc = _direct_snr(pl_tc, cfg)
+    snr_bh = _backhaul_snr(pl_cc, cfg)
     # Reflected: station c -> surface r (pl_cc[c, r]) plus surface r -> terminal t
     # (pl_tc[t, r]); broadcast to (T, C, R).
-    ris_gain = 20.0 * math.log10(cfg.ris_elements) + cfg.ris_aperture_gain_db()
-    snr_ref = (cfg.tx_power_dbm + bs_gain + ris_gain - noise
-               - pl_cc[None, :, :] - pl_tc[:, None, :])
+    snr_ref = _reflected_snr(pl_cc[None, :, :], pl_tc[:, None, :], cfg)
 
     cap_acc_raw = _rates_from_snr(snr_acc, cfg)
     cap_bh_raw = _rates_from_snr(snr_bh, cfg)

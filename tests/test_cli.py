@@ -83,9 +83,11 @@ class TestPlan:
         doc = json.loads(out.with_suffix(".json.manifest.json").read_text())
         timings = doc["timings_s"]
         stages = {"link_tables", "build", "solve", "decode", "validate"}
-        assert set(timings) == stages | {"total"}
+        assert set(timings) == stages | {"highs", "total"}
         assert all(v >= 0.0 for v in timings.values())
         assert timings["total"] >= sum(timings[stage] for stage in stages)
+        # HiGHS runs inside the solve stage, which also hands the model over.
+        assert 0.0 < timings["highs"] <= timings["solve"]
 
     def test_infeasible_exit_3(self, scenario_file, tmp_path):
         code = main(["plan", "--scenario", str(scenario_file), "--mode", "baseline",
@@ -358,8 +360,10 @@ class TestSweep:
                                    "rows", "variables", "nonzeros"}
             assert solver["status"] == "optimal" and solver["gap"] == 0.0
             assert min(solver["rows"], solver["variables"], solver["nonzeros"]) > 0
-            assert set(telemetry["timings_s"]) == {"link_tables", "build", "solve",
-                                                   "decode", "validate"}
+            timings = telemetry["timings_s"]
+            assert set(timings) == {"link_tables", "build", "solve", "highs", "decode",
+                                    "validate"}
+            assert 0.0 < timings["highs"] <= timings["solve"]
         # A cell cached without telemetry is reused, not recomputed, and
         # reports null; the CSV does not change.
         csv = (out_dir / "sweep.csv").read_bytes()

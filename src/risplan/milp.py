@@ -332,16 +332,6 @@ def _rows_text(var_names: np.ndarray, anchor: str, row_names: list[str], indptr:
     return "".join(tokens.tolist())
 
 
-def _unreadable_row_name(names: list[str]) -> str | None:
-    """The first row name that read_lp would not return as it is: one that
-    holds a ':', a '\\' or a line break, or has whitespace at either end."""
-    joined = "\0".join(names)
-    if joined.isascii() and not any(map(joined.__contains__, _ROW_NAME_FAULTS)):
-        return None
-    return next((name for name in names if ":" in name or "\\" in name
-                 or name != name.strip() or len(name.splitlines()) > 1), None)
-
-
 def export_lp(model: MilpModel) -> str:
     """Serialize to LP format, deterministically (same model, same bytes).
 
@@ -360,7 +350,11 @@ def export_lp(model: MilpModel) -> str:
         raise ModelError(f"variable name {bad!r} cannot be written in LP format: a name "
                          f"is letters, digits and underscores, not starting with a "
                          f"digit, and not a section keyword")
-    if (bad := _unreadable_row_name(model._row_names)) is not None:
+    # read_lp splits a record at its first ':', cuts comments at '\\', and
+    # splits and strips lines.
+    bad = next((name for name in model._row_names if ":" in name or "\\" in name
+                or name != name.strip() or len(name.splitlines()) > 1), None)
+    if bad is not None:
         raise ModelError(f"row name {bad!r} cannot be written in LP format: a row name "
                          f"holds no ':', '\\' or line break and no whitespace at either end")
     names = np.array(model._names, dtype=object)
@@ -426,19 +420,13 @@ _CHUNK_ROWS = 256
 # read_lp splits its text into lines a block of about this many
 # characters at a time, and ends a chunk of records once it holds as many.
 _BLOCK_CHARS = 1 << 18
-# Distinct coefficient texts read_lp remembers; past that, it starts over.
-_KEPT_CODES = 1 << 16
-# The ASCII characters a row name may not hold: read_lp splits a record at
-# its first ':', cuts comments at '\\', and splits and strips at whitespace.
-_ROW_NAME_FAULTS = ":\\ \t\n\r\v\f\x1c\x1d\x1e\x1f"
 
 
 class _Coefficients:
     """Codes for the texts before term names (" - 2.5 ", "\n+ 3 "): each
     distinct text gets the next code, and is parsed once for its value and
     the number of newlines it holds, kept at its code in ``values`` and
-    ``newlines``. A code holds until the next call: once more than
-    ``_KEPT_CODES`` texts are known, a call forgets them all first."""
+    ``newlines``."""
 
     def __init__(self):
         self.code: dict[str, int] = defaultdict(itertools.count().__next__)
@@ -448,8 +436,6 @@ class _Coefficients:
     def codes(self, texts: list[str]) -> np.ndarray:
         """The codes of the texts; raises ModelError for a text that is not
         a coefficient."""
-        if self.parsed > _KEPT_CODES:
-            self.__init__()
         codes = np.fromiter(map(self.code.__getitem__, texts), np.int64, len(texts))
         fresh = np.flatnonzero(codes >= self.parsed)
         if len(fresh):
@@ -523,10 +509,10 @@ def _sections(text: str) -> list[tuple[str, int, int]]:
     heads = []      # (section, start of the header line, end of it)
     for start, block in _blocks(text, 0, len(text)):
         lines = block.splitlines(keepends=True)
-        for i, head in enumerate(map(str.strip, _uncommented(lines, block))):
+        ats = itertools.accumulate(map(len, lines), initial=start)
+        for at, line, head in zip(ats, lines, map(str.strip, _uncommented(lines, block))):
             if len(head) <= _LONGEST_KEYWORD and head.lower() in _SECTIONS:
-                at = start + sum(map(len, lines[:i]))
-                heads.append((_SECTIONS[head.lower()], at, at + len(lines[i])))
+                heads.append((_SECTIONS[head.lower()], at, at + len(line)))
     stops = [at for _, at, _ in heads[1:]] + [len(text)]
     return [(section, body, stop) for (section, _, body), stop in zip(heads, stops)]
 

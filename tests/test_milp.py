@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -446,14 +447,23 @@ class TestLpBlocks:
     def test_block_sizes_change_nothing(self, desk_model, monkeypatch):
         text = export_lp(desk_model)
         parsed = model_arrays(read_lp(text))
-        for name, size in (("_WRITE_ROWS", 7), ("_CHUNK_ROWS", 3), ("_BLOCK_CHARS", 300),
-                           ("_KEPT_CODES", 5)):
+        for name, size in (("_WRITE_ROWS", 7), ("_CHUNK_ROWS", 3), ("_BLOCK_CHARS", 300)):
             monkeypatch.setattr(milp, name, size)
         assert export_lp(desk_model) == text
         assert model_arrays(read_lp(text)) == parsed
         # Windows line ends, and rows that go on over several lines.
         assert model_arrays(read_lp(text.replace("\n", "\r\n"))) == parsed
         assert model_arrays(read_lp(text.replace(" + 1 ", "\n + 1 "))) == parsed
+
+    def test_many_header_lines_read_in_linear_time(self):
+        # 100,000 empty sections: about 0.15 s on a 2-core x86_64 machine;
+        # finding each header's offset from the start of its block instead
+        # takes minutes.
+        text = "Maximize\n obj: x\nSubject To\n c: x <= 1\n" + "st\n" * 100_000 + "End\n"
+        start = time.perf_counter()
+        parsed = read_lp(text)
+        assert time.perf_counter() - start < 5.0
+        assert [c.name for c in parsed.constraints] == ["c"]
 
     # Whole-text versions of the two functions measured about 3.5 (export)
     # and 7.0 (read) on this model, the row-block ones about 1.3 and 1.6.

@@ -416,7 +416,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells: dict[int, dict] = {}
     for idx, payload in enumerate(grid):
         try:
-            cached = json.loads(cell_path(payload).read_text())
+            cached = json.loads(cell_path(payload).read_text(encoding="utf-8"))
         except (FileNotFoundError, json.JSONDecodeError):
             cached = None
         if cached and cached.get("digest") == _digest_config(payload):

@@ -11,7 +11,10 @@ block is checked before anything is stored, so a bad one raises
 ModelError and leaves the model unchanged. A row keeps its entries in
 variable id order, adds up the coefficients of a repeated variable and
 keeps explicit zeros. ``variables`` and ``constraints`` are read-only
-sequences of views built on access. The LP writer emits a deterministic
+sequences of views built on access. A row view's ``coeffs`` is not a
+copy: it is a read-only mapping over the row's slices of the CSR arrays,
+so a held view keeps those arrays alive, as they were when it was taken.
+The LP writer emits a deterministic
 byte stream; ``read_lp`` parses the dialect ``export_lp`` produces, which
 gives external solvers a file-based path in and out. Both work a block of
 rows at a time: besides the text and the model, they hold a few blocks,
@@ -40,7 +43,7 @@ import math
 import operator
 import re
 from collections import defaultdict, namedtuple
-from collections.abc import Sequence
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
 
 import numpy as np
 
@@ -81,6 +84,57 @@ def _joined(column: list[np.ndarray]) -> np.ndarray:
     return column[0]
 
 
+class _RowCoeffs(Mapping):
+    """A row's coefficients by variable id, in variable id order: a
+    read-only mapping over its slices of the CSR ``indices`` and ``data``
+    arrays, not over the model."""
+
+    __slots__ = ("_ids", "_values")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
+        ids.setflags(write=False)
+        values.setflags(write=False)
+        self._ids, self._values = ids, values
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self):
+        return iter(self._ids.tolist())
+
+    def __getitem__(self, var_id) -> float:
+        try:
+            at = int(self._ids.searchsorted(operator.index(var_id)))
+        except (TypeError, OverflowError):
+            raise KeyError(var_id) from None
+        if at == len(self._ids) or self._ids[at] != var_id:
+            raise KeyError(var_id)
+        return float(self._values[at])
+
+    def items(self):
+        return _RowItems(self)
+
+    def values(self):
+        return _RowValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _RowItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._ids.tolist(), self._mapping._values.tolist())
+
+
+class _RowValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
 class _Views(Sequence):
     """A read-only sequence of views, as long as the live list of names."""
 
@@ -116,7 +170,9 @@ class MilpModel:
         self._nnz = 0
 
     # Views are made per access: a model that held them would be in a
-    # reference cycle, freed only by the cyclic collector.
+    # reference cycle, freed only by the cyclic collector. A row view holds
+    # slices of the CSR arrays, not the model, and add_rows joins new
+    # arrays rather than writing to those.
     variables = property(lambda self: _Views(self._names, self._variable))
     constraints = property(lambda self: _Views(self._row_names, self._constraint))
 
@@ -127,7 +183,7 @@ class MilpModel:
     def _constraint(self, i: int) -> Constraint:
         indptr, indices, data = self.csr()
         at = slice(indptr[i], indptr[i + 1])
-        return Constraint(self._row_names[i], dict(zip(indices[at].tolist(), data[at].tolist())),
+        return Constraint(self._row_names[i], _RowCoeffs(indices[at], data[at]),
                           _SENSES[_joined(self._sense)[i]], float(_joined(self._rhs)[i]))
 
     # -- variables ---------------------------------------------------

@@ -417,7 +417,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for idx, payload in enumerate(grid):
         try:
             cached = json.loads(cell_path(payload).read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
             cached = None
         if cached and cached.get("digest") == _digest_config(payload):
             cells[idx] = _cell(cached["row"], cached.get("solver"), cached.get("timings_s"))

@@ -14,11 +14,10 @@ keeps explicit zeros. ``variables`` and ``constraints`` are read-only
 sequences of views built on access. A row view's ``coeffs`` is not a
 copy: it is a read-only mapping over the row's slices of the CSR arrays,
 so a held view keeps those arrays alive, as they were when it was taken.
-The LP writer emits a deterministic
-byte stream; ``read_lp`` parses the dialect ``export_lp`` produces, which
-gives external solvers a file-based path in and out. Both work a block of
-rows at a time: besides the text and the model, they hold a few blocks,
-not the whole text in pieces.
+The LP writer emits a deterministic byte stream; ``read_lp`` parses the
+dialect ``export_lp`` produces, which gives external solvers a file-based
+path in and out. Both work a block of rows at a time: besides the text
+and the model, they hold a few blocks, not the whole text in pieces.
 
 The dialect: sections start at a line holding only ``Maximize``/``max``,
 ``Minimize``/``min``, ``Subject To``/``such that``/``st``/``s.t.``,
@@ -43,7 +42,7 @@ import math
 import operator
 import re
 from collections import defaultdict, namedtuple
-from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from collections.abc import ItemsView, Mapping, Sequence
 
 import numpy as np
 
@@ -104,7 +103,7 @@ class _RowCoeffs(Mapping):
 
     def __getitem__(self, var_id) -> float:
         try:
-            at = int(self._ids.searchsorted(operator.index(var_id)))
+            at = self._ids.searchsorted(operator.index(var_id))
         except (TypeError, OverflowError):
             raise KeyError(var_id) from None
         if at == len(self._ids) or self._ids[at] != var_id:
@@ -114,25 +113,17 @@ class _RowCoeffs(Mapping):
     def items(self):
         return _RowItems(self)
 
-    def values(self):
-        return _RowValues(self)
-
     def __repr__(self) -> str:
         return repr(dict(self.items()))
 
 
 class _RowItems(ItemsView):
+    """A row's items from the lists of its two slices, not a lookup per key."""
+
     __slots__ = ()
 
     def __iter__(self):
         return zip(self._mapping._ids.tolist(), self._mapping._values.tolist())
-
-
-class _RowValues(ValuesView):
-    __slots__ = ()
-
-    def __iter__(self):
-        return iter(self._mapping._values.tolist())
 
 
 class _Views(Sequence):

@@ -654,7 +654,7 @@ def save_plan(plan: NetworkPlan, path: str | Path) -> None:
 def load_plan(path: str | Path) -> NetworkPlan:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PlannerError(f"cannot read plan {path}: {exc}") from exc
     try:
         doc = json.loads(text)

@@ -230,7 +230,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 def _read_json(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)

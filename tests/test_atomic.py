@@ -4,11 +4,18 @@ the old file as it was and no temporary file behind."""
 import builtins
 import errno
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from risplan.planner import NetworkPlan, load_plan, save_plan
 from risplan.scenario import generate, load, save
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -87,3 +94,38 @@ def test_saved_files_get_the_usual_permissions(tmp_path):
     save_plan(plan(0), tmp_path / "plan.json")
     for name in ("scenario.json", "plan.json"):
         assert (tmp_path / name).stat().st_mode == reference.stat().st_mode
+
+
+def test_files_written_and_read_as_utf8(tmp_path):
+    """Every save and load path names its encoding, so files do not depend
+    on the locale: with the warning for a default encoding made an error,
+    the commands run, and text goes to disk as UTF-8 with its line ends
+    as given."""
+    area = ["--width", "200", "--height", "200", "--n-cs", "6", "--n-tp", "3"]
+    sweep = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.5", "--modes", "ris",
+             *area, "--out-dir", "sweep"]
+    code = f"""
+import contextlib, io, json
+from risplan.atomic import write_atomic
+from risplan.cli import main
+from risplan.planner import load_plan
+from risplan.scenario import load
+
+write_atomic("text.txt", "caf\u00e9 \u03b8\\r\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["generate", *{area!r}, "--seed", "1", "--out", "scenario.json"]),
+             main(["plan", "--scenario", "scenario.json", "--budget", "2.3", "--out", "plan.json"]),
+             main(["simulate", "--plan", "plan.json", "--scenario", "scenario.json",
+                   "--counts", "0", "10", "--trials", "3", "--out", "report"]),
+             main({sweep!r}), main({sweep!r})]    # the second reads the cached cell
+print(json.dumps({{"codes": codes, "sites": len(load("scenario.json").candidate_sites),
+                  "donor": load_plan("plan.json").donor}}))
+"""
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", code], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0, 0, 0, 0] and out["sites"] == 6 and out["donor"] >= 0
+    assert (tmp_path / "text.txt").read_bytes() == "caf\u00e9 \u03b8\r\n".encode("utf-8")

@@ -99,6 +99,10 @@ class TestPlan:
         code = main(["plan", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+        (tmp_path / "latin1.json").write_bytes("{\"caf\u00e9\": 1}".encode("latin-1"))
+        code = main(["plan", "--scenario", str(tmp_path / "latin1.json"),
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
 
     def test_timeout_without_incumbent_exit_4(self, tmp_path):
         # A hopeless time limit is a solver failure, not a crash; proven
@@ -260,6 +264,11 @@ class TestSimulate:
                      "--scenario", str(scenario_file), "--counts", "0",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+        (tmp_path / "latin1.json").write_bytes("{\"caf\u00e9\": 1}".encode("latin-1"))
+        code = main(["simulate", "--plan", str(tmp_path / "latin1.json"),
+                     "--scenario", str(scenario_file), "--counts", "0",
+                     "--out", str(tmp_path / "r")])
+        assert code == 2
 
     def test_invalid_plan_exit_2(self, scenario_file, plan_file, tmp_path):
         doc = json.loads(plan_file.read_text())
@@ -342,6 +351,9 @@ class TestSweep:
         monkeypatch.setattr("risplan.cli.DECODE_VERSION", -1)
         assert main(args) == 0
         assert csv_path.read_bytes() == fresh  # other decoder: recomputed
+        cell_path.write_bytes(b"\xff\xfe")
+        assert main(args) == 0
+        assert csv_path.read_bytes() == fresh  # not UTF-8: recomputed
 
     def test_cell_telemetry_in_cache_and_manifest(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -142,7 +142,8 @@ class TestColumnarStore:
             m.variables[0].upper = 5.0
         with pytest.raises(TypeError):
             m.constraints[0] = row
-        row.coeffs[0] = 7.0     # a copy: the model keeps its coefficient
+        with pytest.raises(TypeError):
+            row.coeffs[0] = 7.0
         assert m.constraints[0].coeffs == {0: 1.0, 1: 1.0}
 
     def test_views_are_sequences(self):
@@ -154,6 +155,84 @@ class TestColumnarStore:
             m.constraints[2]
         assert not MilpModel().constraints
         assert np.array_equal(m.row_bounds()[0], [-math.inf, -math.inf])
+
+
+class TestRowViews:
+    """A row view's coefficients are a read-only mapping over its slices of
+    the model's CSR arrays, not a copy of them."""
+
+    def test_mapping_equals_dict_in_id_order(self):
+        m = small_model()
+        m.add_rows(["r"], "<=", 3.0, [0, 3], [2, 0, 1], [1.5, 0.0, -1.0])
+        coeffs = m.constraints[-1].coeffs
+        assert coeffs == {0: 0.0, 1: -1.0, 2: 1.5} and {2: 1.5, 1: -1.0, 0: 0.0} == coeffs
+        assert coeffs != {1: -1.0, 2: 1.5}      # the explicit zero is kept
+        assert list(coeffs) == [0, 1, 2] and list(coeffs.values()) == [0.0, -1.0, 1.5]
+        assert list(coeffs.items()) == [(0, 0.0), (1, -1.0), (2, 1.5)]
+        assert all(type(k) is int and type(v) is float for k, v in coeffs.items())
+        assert all(type(v) is float for v in coeffs.values())
+        assert coeffs[2] == 1.5 and type(coeffs[2]) is float
+        assert repr(coeffs) == "{0: 0.0, 1: -1.0, 2: 1.5}"
+        assert dict(coeffs) == {0: 0.0, 1: -1.0, 2: 1.5}
+
+    def test_missing_id_and_len(self):
+        m = small_model()
+        coeffs = m.constraints[1].coeffs      # cap: u and x
+        assert len(coeffs) == 2 and len(m.constraints[0].coeffs) == 2
+        for missing in (1, 3, -1, 2**70, "x"):
+            with pytest.raises(KeyError):
+                coeffs[missing]
+            assert missing not in coeffs
+        assert coeffs.get(1) is None and 2 in coeffs and 0 in coeffs
+        m.add_constraint("empty", {}, "<=", 1.0)
+        assert len(m.constraints[-1].coeffs) == 0 and m.constraints[-1].coeffs == {}
+
+    def test_view_is_a_snapshot(self):
+        m = MilpModel()
+        m.add_variables([("a",), ("b",)], ["a", "b"], CONTINUOUS)
+        m.add_constraint("one", {0: 2.0}, "<=", 1.0)
+        first = m.constraints[0]        # over the only block there is
+        m.add_constraint("two", {1: 3.0, 0: 1.0}, ">=", 0.0)
+        joined = m.constraints[0]       # over the joined arrays
+        m.add_rows(["three", "four"], "=", 5.0, [0, 1, 2], [1, 0], [4.0, 5.0])
+        assert first == (("one", {0: 2.0}, "<=", 1.0))
+        assert joined.coeffs == {0: 2.0}
+        assert [tuple(c) for c in m.constraints] == [
+            ("one", {0: 2.0}, "<=", 1.0), ("two", {0: 1.0, 1: 3.0}, ">=", 0.0),
+            ("three", {1: 4.0}, "=", 5.0), ("four", {0: 5.0}, "=", 5.0)]
+
+    def test_model_cannot_change_through_a_view(self):
+        m = small_model()
+        coeffs = m.constraints[0].coeffs
+        with pytest.raises(TypeError):
+            coeffs[0] = 7.0
+        with pytest.raises(TypeError):
+            del coeffs[0]
+        with pytest.raises(AttributeError):
+            coeffs.extra = 1
+        # The slices it holds share memory with the model's CSR arrays.
+        for held in (coeffs._ids, coeffs._values):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 2
+        assert export_lp(m) == export_lp(small_model())
+        assert m.constraints[0].coeffs == {0: 1.0, 1: 1.0}
+
+    # A dict per row cost about 1,196 B here, the mapping about 384 B.
+    HELD_BYTES_PER_ROW = 500
+
+    def test_held_views_memory_bounded(self):
+        scenario = generate(300.0, 400.0, 25, 15, seed=0)
+        model = build_ris_model(scenario, build_link_tables(scenario, RadioConfig()),
+                                PlanningConfig())
+        model.csr(), model.row_bounds()     # join the builder's blocks first
+        tracemalloc.start()
+        try:
+            views = list(model.constraints)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(views) == model.num_constraints > 10_000
+        assert held / len(views) < self.HELD_BYTES_PER_ROW
 
 
 class TestLpExport:

@@ -99,6 +99,8 @@ class TestPlan:
         code = main(["plan", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+    def test_scenario_not_utf8_exit_2(self, tmp_path):
         (tmp_path / "latin1.json").write_bytes("{\"caf\u00e9\": 1}".encode("latin-1"))
         code = main(["plan", "--scenario", str(tmp_path / "latin1.json"),
                      "--out", str(tmp_path / "p.json")])
@@ -264,6 +266,8 @@ class TestSimulate:
                      "--scenario", str(scenario_file), "--counts", "0",
                      "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_plan_not_utf8_exit_2(self, scenario_file, tmp_path):
         (tmp_path / "latin1.json").write_bytes("{\"caf\u00e9\": 1}".encode("latin-1"))
         code = main(["simulate", "--plan", str(tmp_path / "latin1.json"),
                      "--scenario", str(scenario_file), "--counts", "0",
@@ -351,9 +355,19 @@ class TestSweep:
         monkeypatch.setattr("risplan.cli.DECODE_VERSION", -1)
         assert main(args) == 0
         assert csv_path.read_bytes() == fresh  # other decoder: recomputed
+
+    def test_cell_not_utf8_recomputed(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.5",
+                "--modes", "ris", "--width", "200", "--height", "200",
+                "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+        fresh = (out_dir / "sweep.csv").read_bytes()
+        (cell_path,) = (out_dir / "cells").glob("*.json")
         cell_path.write_bytes(b"\xff\xfe")
         assert main(args) == 0
-        assert csv_path.read_bytes() == fresh  # not UTF-8: recomputed
+        assert (out_dir / "sweep.csv").read_bytes() == fresh
+        assert json.loads(cell_path.read_text(encoding="utf-8"))["row"]
 
     def test_cell_telemetry_in_cache_and_manifest(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -195,7 +195,7 @@ class TestRowViews:
         m.add_constraint("two", {1: 3.0, 0: 1.0}, ">=", 0.0)
         joined = m.constraints[0]       # over the joined arrays
         m.add_rows(["three", "four"], "=", 5.0, [0, 1, 2], [1, 0], [4.0, 5.0])
-        assert first == (("one", {0: 2.0}, "<=", 1.0))
+        assert first == ("one", {0: 2.0}, "<=", 1.0)
         assert joined.coeffs == {0: 2.0}
         assert [tuple(c) for c in m.constraints] == [
             ("one", {0: 2.0}, "<=", 1.0), ("two", {0: 1.0, 1: 3.0}, ">=", 0.0),

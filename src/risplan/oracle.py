@@ -1,14 +1,19 @@
 """Exhaustive reference optimizer for tiny instances.
 
-Enumerates installation subsets, donor choices, spanning trees over the
-installed stations, and per-test-point assignments; flows are then
-forced by the tree (subtree demand sums), so feasibility reduces to
-arithmetic checks of the airtime, capacity and aperture rules. No linear
-programming is involved anywhere, which makes this a genuinely
-independent oracle for the MILP route. Apertures are checked with true
-circular geometry: the rays a surface assists must fit in an arc of the
-field of view (minimal_covering_arc), and the surface points at the
-centre of the smallest such arc.
+One search serves both models. It enumerates installation subsets, donor
+choices, spanning trees over the installed stations, and one (a, b) pair
+per test point: (station, surface) with surfaces, (primary, backup)
+without. Flows are forced by the tree (subtree demand sums), so
+feasibility reduces to arithmetic checks of the airtime, capacity and
+aperture rules. Per mode are only the pairs and the (station, demand,
+airtime) loads each adds (_pairs), the surfaces with their airtime and
+apertures, and the station-only wired-capacity cut-off. Apertures are
+checked with true circular geometry: a surface's rays must fit in an arc
+of the field of view (minimal_covering_arc), and the surface points at
+the centre of the smallest such arc. No linear programming is involved,
+and nothing comes from milp, solver or the model builders (from planner
+only the plan type, the airtime rule and the mode names), which makes
+this a genuinely independent oracle for the MILP route.
 
 Branch-and-bound style pruning is used for speed, with the bound applied
 strictly below the incumbent-minus-epsilon, so every tied optimum is
@@ -54,10 +59,8 @@ class _Incumbent:
     plan: NetworkPlan | None = None
 
     def offer(self, objective: float, key: tuple, make_plan) -> None:
-        if objective > self.objective + TIE_TOL:
-            self.objective, self.key, self.plan = objective, key, make_plan()
-        elif (objective > self.objective - TIE_TOL
-              and (self.key is None or key < self.key)):
+        if (objective > self.objective + TIE_TOL
+                or (objective > self.objective - TIE_TOL and key < self.key)):
             self.objective, self.key, self.plan = objective, key, make_plan()
 
     def result(self) -> OracleResult:
@@ -171,17 +174,30 @@ def brute_force_plan(scenario: Scenario, tables: LinkBudgetTable,
         raise OracleError(
             f"instance too large for oracle: {n_c} sites x {n_t} test points "
             f"(guard: {MAX_SITES} x {MAX_TEST_POINTS})")
-    if mode == MODE_RIS:
-        return _search_ris(scenario, tables, cfg)
-    if mode == MODE_BASELINE:
-        return _search_baseline(scenario, tables, cfg)
-    raise OracleError(f"unknown mode {mode!r}")
+    if mode not in (MODE_RIS, MODE_BASELINE):
+        raise OracleError(f"unknown mode {mode!r}")
+    return _search(mode, n_c, n_t, tables, cfg)
 
 
 def _contribution(tables, cfg, t: int, a: int, b: int) -> float:
     return (cfg.mu / cfg.theta_norm_rad * tables.theta[t, a, b]
             - (1.0 - cfg.mu) / cfg.len_norm_m
             * 0.5 * (tables.len_tc[t, a] + tables.len_tc[t, b]))
+
+
+def _pairs(mode: str, tables: LinkBudgetTable, cfg: PlanningConfig, t: int, n_c: int):
+    """(a, b, loads, surface airtime) for each pair test point t may use;
+    loads are the (station, demand, airtime) it adds: the station of a
+    (station, surface) pair, or a primary and, at xi, its backup."""
+    demand, xi = cfg.demand_mbps, cfg.xi
+    if mode == MODE_RIS:
+        return [(c, r, ((c, demand, access_airtime(tables, cfg, t, c, r)),),
+                 xi * demand / tables.cap_ref[t, c, r])
+                for c in range(n_c) for r in range(n_c) if tables.delta_src[t, c, r] == 1]
+    acc = [c for c in range(n_c) if tables.delta_acc[t, c] == 1]
+    return [(a, b, ((a, demand, demand / tables.cap_acc[t, a]),
+                    (b, xi * demand, xi * demand / tables.cap_acc[t, b])), None)
+            for a in acc for b in acc if a != b]
 
 
 def _make_plan(mode, donor, iab, ris, assignments, edges, flows, wired,
@@ -205,45 +221,61 @@ def _make_plan(mode, donor, iab, ris, assignments, edges, flows, wired,
     )
 
 
-def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
-                cfg: PlanningConfig) -> OracleResult:
-    n_c = scenario.n_sites
-    n_t = scenario.n_test_points
-    demand = cfg.demand_mbps
-    all_sites = list(range(n_c))
-    tuples_by_tp: list[list[tuple[int, int]]] = [
-        [(c, r) for c in range(n_c) for r in range(n_c)
-         if tables.delta_src[t, c, r] == 1]
-        for t in range(n_t)]
+def _orientations(assign, tables: LinkBudgetTable, cfg: PlanningConfig) -> dict | None:
+    """Each surface points at the centre of the smallest arc covering its
+    rays; None when some surface's rays do not fit its field of view."""
+    rays: dict[int, list[float]] = {}
+    for t, (c, r) in enumerate(assign):
+        rays.setdefault(r, []).extend((float(tables.phi_a[r, t]), float(tables.phi_b[r, c])))
+    orientations = {}
+    for r, arc in rays.items():
+        width, center = minimal_covering_arc(arc)
+        if width > cfg.fov_rad + APERTURE_TOL:
+            return None
+        orientations[r] = center
+    return orientations
 
-    best = _Incumbent()
-    tree_cache: dict[tuple[int, ...], list] = {}
+
+def _search(mode: str, n_c: int, n_t: int, tables: LinkBudgetTable,
+            cfg: PlanningConfig) -> OracleResult:
+    ris = mode == MODE_RIS
+    if ris:
+        wired = float(n_t) * cfg.demand_mbps
+    else:
+        wired = (1.0 + cfg.xi) * cfg.demand_mbps * n_t
+        if wired > cfg.wired_capacity_mbps + ORACLE_TOL:
+            return OracleResult(False, None, None)
+    # Per test point: its pairs, best contribution first.
+    pair_options = [sorted(((_contribution(tables, cfg, t, a, b), a, b, loads, surface_air)
+                            for a, b, loads, surface_air in _pairs(mode, tables, cfg, t, n_c)),
+                           key=lambda o: (-o[0], o[1], o[2]))
+                    for t in range(n_t)]
 
     # Collect installation combos with their objective upper bounds, then
     # search best-first so the incumbent prunes aggressively.
+    all_sites = list(range(n_c))
     combos = []
     for iab in _iter_subsets(all_sites):
-        if not iab:
-            continue
         cost_iab = cfg.price_iab * len(iab)
-        if cost_iab > cfg.budget + ORACLE_TOL:
+        if not iab or cost_iab > cfg.budget + ORACLE_TOL:
             continue
-        remaining = [c for c in all_sites if c not in iab]
-        iab_set = set(iab)
-        for ris in _iter_subsets(remaining):
-            if cost_iab + cfg.price_ris * len(ris) > cfg.budget + ORACLE_TOL:
+        stations = set(iab)
+        for surfaces in (_iter_subsets([c for c in all_sites if c not in stations])
+                         if ris else [()]):
+            cost = cost_iab + cfg.price_ris * len(surfaces)
+            if cost > cfg.budget + ORACLE_TOL:
                 continue
-            ris_set = set(ris)
-            per_tp = [[(c, r) for (c, r) in tuples_by_tp[t]
-                       if c in iab_set and r in ris_set] for t in range(n_t)]
-            if any(not lst for lst in per_tp):
-                continue
-            bound = sum(max(_contribution(tables, cfg, t, c, r)
-                            for (c, r) in per_tp[t]) for t in range(n_t))
-            combos.append((bound, iab, ris, per_tp))
-    combos.sort(key=lambda item: (-item[0], item[1], item[2]))
+            partners = set(surfaces) if ris else stations
+            options = [[o for o in opts if o[1] in stations and o[2] in partners]
+                       for opts in pair_options]
+            if all(options):
+                combos.append((sum(opts[0][0] for opts in options), cost, iab, surfaces,
+                               options))
+    combos.sort(key=lambda item: (-item[0], item[2], item[3]))
 
-    for bound, iab, ris, per_tp in combos:
+    best = _Incumbent()
+    tree_cache: dict[tuple[int, ...], list] = {}
+    for bound, cost, iab, surfaces, options in combos:
         if bound < best.objective - TIE_TOL:
             break
         if iab not in tree_cache:
@@ -251,163 +283,56 @@ def _search_ris(scenario: Scenario, tables: LinkBudgetTable,
         trees = tree_cache[iab]
         if not trees:
             continue
-
-        # Per test point: assignments sorted by decreasing contribution,
-        # plus suffix bounds over the remaining test points.
-        options = [sorted(((_contribution(tables, cfg, t, c, r), c, r)
-                           for (c, r) in per_tp[t]), key=lambda o: (-o[0], o[1], o[2]))
-                   for t in range(n_t)]
         suffix = [0.0] * (n_t + 1)
         for t in range(n_t - 1, -1, -1):
             suffix[t] = suffix[t + 1] + options[t][0][0]
 
         assign: list[tuple[int, int]] = []
+        dem: dict[int, float] = {}
+        air: dict[int, float] = {}
+        surface_air: dict[int, float] = {}
 
-        def dfs(t: int, partial_obj: float, dem: dict[int, float],
-                air: dict[int, float], ris_air: dict[int, float],
-                ris_rays: dict[int, list[float]]) -> None:
-            threshold = best.objective - TIE_TOL
-            if partial_obj + suffix[t] < threshold:
+        def finish(obj: float) -> None:
+            orientations = _orientations(assign, tables, cfg) if ris else {}
+            if orientations is None:
                 return
-            if t == n_t:
-                _finish_ris(partial_obj, assign, dem, air, ris_air, ris_rays,
-                            iab, ris, trees)
-                return
-            for contrib, c, r in options[t]:
-                if partial_obj + contrib + suffix[t + 1] < threshold:
-                    break  # options sorted: nothing below can recover
-                new_air_r = ris_air.get(r, 0.0) + cfg.xi * demand / tables.cap_ref[t, c, r]
-                if new_air_r > 1.0 + ORACLE_TOL:
-                    continue
-                dem[c] = dem.get(c, 0.0) + demand
-                air[c] = air.get(c, 0.0) + access_airtime(tables, cfg, t, c, r)
-                old_air_r = ris_air.get(r)
-                ris_air[r] = new_air_r
-                rays = ris_rays.setdefault(r, [])
-                rays.extend((float(tables.phi_a[r, t]), float(tables.phi_b[r, c])))
-                assign.append((c, r))
-
-                dfs(t + 1, partial_obj + contrib, dem, air, ris_air, ris_rays)
-
-                assign.pop()
-                rays.pop()
-                rays.pop()
-                if not rays:
-                    del ris_rays[r]
-                if old_air_r is None:
-                    del ris_air[r]
-                else:
-                    ris_air[r] = old_air_r
-                air[c] -= access_airtime(tables, cfg, t, c, r)
-                dem[c] -= demand
-
-        def _finish_ris(obj, assign, dem, air, ris_air, ris_rays, iab, ris, trees):
-            orientations: dict[int, float] = {}
-            for r, rays in ris_rays.items():
-                width, center = minimal_covering_arc(rays)
-                if width > cfg.fov_rad + APERTURE_TOL:
-                    return
-                orientations[r] = center
             routing = _first_feasible_routing(iab, trees, dem, air, tables.cap_bh)
             if routing is None:
                 return
             donor, edges, flows = routing
-            cost = cfg.price_iab * len(iab) + cfg.price_ris * len(ris)
-            key = (cost, iab, ris, tuple(assign), donor, edges)
-            wired = float(n_t) * demand
+            key = (cost, iab, surfaces, tuple(assign), donor, edges)
             best.offer(obj, key, lambda: _make_plan(
-                MODE_RIS, donor, iab, ris, list(assign), edges, flows,
+                mode, donor, iab, surfaces, list(assign), edges, flows,
                 wired, orientations, tables, cfg, obj))
 
-        dfs(0, 0.0, {}, {}, {}, {})
-
-    return best.result()
-
-
-def _search_baseline(scenario: Scenario, tables: LinkBudgetTable,
-                     cfg: PlanningConfig) -> OracleResult:
-    n_c = scenario.n_sites
-    n_t = scenario.n_test_points
-    demand = cfg.demand_mbps
-    all_sites = list(range(n_c))
-    acc_by_tp = [[c for c in range(n_c) if tables.delta_acc[t, c] == 1]
-                 for t in range(n_t)]
-
-    best = _Incumbent()
-    tree_cache: dict[tuple[int, ...], list] = {}
-
-    total_demand = (1.0 + cfg.xi) * demand * n_t
-    if total_demand > cfg.wired_capacity_mbps + ORACLE_TOL:
-        return OracleResult(False, None, None)
-
-    combos = []
-    for iab in _iter_subsets(all_sites):
-        if len(iab) < 2:
-            continue
-        if cfg.price_iab * len(iab) > cfg.budget + ORACLE_TOL:
-            continue
-        iab_set = set(iab)
-        per_tp = [[(cp, cb) for cp in acc_by_tp[t] if cp in iab_set
-                   for cb in acc_by_tp[t] if cb in iab_set and cb != cp]
-                  for t in range(n_t)]
-        if any(not lst for lst in per_tp):
-            continue
-        bound = sum(max(_contribution(tables, cfg, t, cp, cb)
-                        for (cp, cb) in per_tp[t]) for t in range(n_t))
-        combos.append((bound, iab, per_tp))
-    combos.sort(key=lambda item: (-item[0], item[1]))
-
-    for bound, iab, per_tp in combos:
-        if bound < best.objective - TIE_TOL:
-            break
-        if iab not in tree_cache:
-            tree_cache[iab] = _spanning_trees(iab, tables.delta_bh)
-        trees = tree_cache[iab]
-        if not trees:
-            continue
-
-        options = [sorted(((_contribution(tables, cfg, t, cp, cb), cp, cb)
-                           for (cp, cb) in per_tp[t]),
-                          key=lambda o: (-o[0], o[1], o[2]))
-                   for t in range(n_t)]
-        suffix = [0.0] * (n_t + 1)
-        for t in range(n_t - 1, -1, -1):
-            suffix[t] = suffix[t + 1] + options[t][0][0]
-
-        assign: list[tuple[int, int]] = []
-
-        def dfs(t: int, partial_obj: float, dem: dict[int, float],
-                air: dict[int, float]) -> None:
+        def dfs(t: int, partial_obj: float) -> None:
             if partial_obj + suffix[t] < best.objective - TIE_TOL:
                 return
             if t == n_t:
-                routing = _first_feasible_routing(iab, trees, dem, air, tables.cap_bh)
-                if routing is None:
-                    return
-                donor, edges, flows = routing
-                key = (cfg.price_iab * len(iab), iab, (), tuple(assign), donor, edges)
-                obj = partial_obj
-                best.offer(obj, key, lambda: _make_plan(
-                    MODE_BASELINE, donor, iab, (), list(assign), edges, flows,
-                    total_demand, {}, tables, cfg, obj))
+                finish(partial_obj)
                 return
-            for contrib, cp, cb in options[t]:
+            for contrib, a, b, loads, reflected_air in options[t]:
                 if partial_obj + contrib + suffix[t + 1] < best.objective - TIE_TOL:
-                    break
-                dem[cp] = dem.get(cp, 0.0) + demand
-                dem[cb] = dem.get(cb, 0.0) + cfg.xi * demand
-                air[cp] = air.get(cp, 0.0) + demand / tables.cap_acc[t, cp]
-                air[cb] = air.get(cb, 0.0) + cfg.xi * demand / tables.cap_acc[t, cb]
-                assign.append((cp, cb))
+                    break  # options sorted: nothing below can recover
+                if ris:
+                    old_air_b = surface_air.get(b, 0.0)
+                    if old_air_b + reflected_air > 1.0 + ORACLE_TOL:
+                        continue
+                    surface_air[b] = old_air_b + reflected_air
+                for s, d, x in loads:
+                    dem[s] = dem.get(s, 0.0) + d
+                    air[s] = air.get(s, 0.0) + x
+                assign.append((a, b))
 
-                dfs(t + 1, partial_obj + contrib, dem, air)
+                dfs(t + 1, partial_obj + contrib)
 
                 assign.pop()
-                air[cb] -= cfg.xi * demand / tables.cap_acc[t, cb]
-                air[cp] -= demand / tables.cap_acc[t, cp]
-                dem[cb] -= cfg.xi * demand
-                dem[cp] -= demand
+                for s, d, x in reversed(loads):
+                    air[s] -= x
+                    dem[s] -= d
+                if ris:
+                    surface_air[b] = old_air_b
 
-        dfs(0, 0.0, {}, {})
+        dfs(0, 0.0)
 
     return best.result()

@@ -22,9 +22,6 @@ import numpy as np
 
 from .milp import MilpModel
 
-# Feasibility tolerance of the plan audit (validate.validate_plan).
-FEASIBILITY_TOL = 1e-6
-
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_TIME_LIMIT = "time_limit"

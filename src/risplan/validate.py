@@ -4,8 +4,9 @@ Every planning constraint is re-evaluated directly from the plan, the
 link tables and the planning knobs, without touching the model builders:
 this is the second leg of the dual route that keeps the MILP encodings
 honest. Aperture membership is checked with true circular angular
-distance from the plan's orientation. Violations are data, not
-exceptions.
+distance from the plan's orientation. One body checks both modes; only
+the activation, colocation or no_ris_in_baseline, and core_injection or
+wired_capacity checks differ. Violations are data, not exceptions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from .geometry import circular_distance
 from .planner import MODE_BASELINE, MODE_RIS, NetworkPlan, access_airtime
 from .radio import LinkBudgetTable
 from .scenario import PlanningConfig, Scenario
-from .solver import FEASIBILITY_TOL
+
+# Slack for every comparison of the audit.
+FEASIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -33,25 +36,27 @@ class Violation:
 
 
 class _Auditor:
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self.violations: list[Violation] = []
 
     def require_le(self, name: str, lhs: float, rhs: float) -> None:
-        if lhs > rhs + self.tol:
+        if lhs > rhs + FEASIBILITY_TOL:
             self.violations.append(Violation(name, lhs, "<=", rhs, lhs - rhs))
 
     def require_ge(self, name: str, lhs: float, rhs: float) -> None:
-        if lhs < rhs - self.tol:
+        if lhs < rhs - FEASIBILITY_TOL:
             self.violations.append(Violation(name, lhs, ">=", rhs, rhs - lhs))
 
     def require_eq(self, name: str, lhs: float, rhs: float) -> None:
-        if abs(lhs - rhs) > self.tol:
+        if abs(lhs - rhs) > FEASIBILITY_TOL:
             self.violations.append(Violation(name, lhs, "=", rhs, abs(lhs - rhs)))
 
     def require_true(self, name: str, ok: bool, detail: float = 1.0) -> None:
         if not ok:
             self.violations.append(Violation(name, detail, "=", 0.0, detail))
+
+    def result(self) -> list[Violation]:
+        return sorted(self.violations, key=lambda v: v.constraint_name)
 
 
 def _tree_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTable) -> None:
@@ -85,6 +90,10 @@ def _tree_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTable) -> N
 
 def _flow_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTable,
                  demand_at: dict[int, float], injection: dict[int, float]) -> None:
+    """Flows lie exactly on the backhaul edges, within capacity, and
+    balance at every station."""
+    for (c, d) in sorted(set(plan.backhaul_edges).symmetric_difference(plan.flows_mbps)):
+        aud.require_true(f"flow_edge_c{c}_c{d}", False)
     for (c, d), f in plan.flows_mbps.items():
         aud.require_ge(f"flow_nonneg_c{c}_c{d}", f, 0.0)
         aud.require_le(f"flow_capacity_c{c}_c{d}", f, float(tables.cap_bh[c, d]))
@@ -98,11 +107,13 @@ def _flow_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTable,
 
 def _half_duplex_checks(aud: _Auditor, plan: NetworkPlan, tables: LinkBudgetTable,
                         access_air: dict[int, float]) -> None:
+    # A flow on a pair without backhaul capacity takes no airtime here;
+    # flow_capacity reports it.
+    airtime = {(a, b): f / float(tables.cap_bh[a, b])
+               for (a, b), f in plan.flows_mbps.items() if tables.cap_bh[a, b] > 0}
     for c in plan.iab_nodes:
-        rx = sum(f / float(tables.cap_bh[a, b])
-                 for (a, b), f in plan.flows_mbps.items() if b == c)
-        tx = sum(f / float(tables.cap_bh[a, b])
-                 for (a, b), f in plan.flows_mbps.items() if a == c)
+        rx = sum(x for (a, b), x in airtime.items() if b == c)
+        tx = sum(x for (a, b), x in airtime.items() if a == c)
         tx += access_air.get(c, 0.0)
         aud.require_le(f"half_duplex_c{c}", rx + tx, 1.0)
 
@@ -127,98 +138,90 @@ def _index_checks(aud: _Auditor, plan: NetworkPlan, n_t: int, n_c: int) -> None:
 
 
 def validate_plan(plan: NetworkPlan, scenario: Scenario, tables: LinkBudgetTable,
-                  cfg: PlanningConfig, tol: float = FEASIBILITY_TOL) -> list[Violation]:
+                  cfg: PlanningConfig) -> list[Violation]:
     """Check a plan against every constraint of its mode; empty list means
-    feasible within ``tol``. A plan whose site numbers or per-test-point
-    tuples do not fit the scenario gets only those violations."""
-    aud = _Auditor(tol)
+    feasible within FEASIBILITY_TOL. A plan whose site numbers or
+    per-test-point tuples do not fit the scenario gets only those
+    violations."""
+    aud = _Auditor()
     n_t = scenario.n_test_points
     demand = cfg.demand_mbps
     installed = set(plan.iab_nodes)
 
     _index_checks(aud, plan, n_t, scenario.n_sites)
     if aud.violations:
-        return sorted(aud.violations, key=lambda v: v.constraint_name)
+        return aud.result()
     aud.require_true("donor_requires_iab", plan.donor in installed)
+    ris = plan.mode == MODE_RIS
+    if not ris and plan.mode != MODE_BASELINE:
+        aud.require_true("known_mode", False)
+        return aud.result()
 
-    if plan.mode == MODE_RIS:
-        ris_sites = set(plan.ris_sites)
-        aud.require_le("budget",
-                       cfg.price_iab * len(installed) + cfg.price_ris * len(ris_sites),
-                       cfg.budget)
-        for c in installed & ris_sites:
+    if ris:
+        surfaces = set(plan.ris_sites)
+        for c in installed & surfaces:
             aud.require_le(f"colocation_c{c}", 2.0, 1.0)
-
-        demand_at: dict[int, float] = {}
-        access_air: dict[int, float] = {}
-        ris_air: dict[int, float] = {}
-        ris_rays: dict[int, list[float]] = {}
-        for t, (c, r) in enumerate(plan.assignments):
-            aud.require_true(f"src_activation_t{t}_c{c}_r{r}",
-                             tables.delta_src[t, c, r] == 1
-                             and c in installed and r in ris_sites)
-            if tables.delta_src[t, c, r] != 1:
-                continue
-            demand_at[c] = demand_at.get(c, 0.0) + demand
-            access_air[c] = access_air.get(c, 0.0) + access_airtime(tables, cfg, t, c, r)
-            ris_air[r] = ris_air.get(r, 0.0) + cfg.xi * demand / float(tables.cap_ref[t, c, r])
-            ris_rays.setdefault(r, []).extend(
-                [float(tables.phi_a[r, t]), float(tables.phi_b[r, c])])
-            aud.require_le(f"theta_consistency_t{t}", plan.theta_per_tp[t],
-                           float(tables.theta[t, c, r]))
-            aud.require_ge(f"len_consistency_t{t}", plan.len_per_tp[t],
-                           0.5 * float(tables.len_tc[t, c] + tables.len_tc[t, r]))
-
-        for r, air in sorted(ris_air.items()):
-            aud.require_le(f"ris_airtime_c{r}", air, 1.0)
-        for r, rays in sorted(ris_rays.items()):
-            if r not in plan.orientations_rad:
-                aud.require_true(f"fov_orientation_missing_c{r}", False)
-                continue
-            phi = plan.orientations_rad[r]
-            for ray in rays:
-                aud.require_le(f"fov_c{r}", circular_distance(phi, ray),
-                               cfg.fov_rad / 2.0)
-
-        injection = {plan.donor: plan.wired_inflow_mbps}
-        aud.require_eq("core_injection", plan.wired_inflow_mbps, n_t * demand)
-        _tree_checks(aud, plan, tables)
-        _flow_checks(aud, plan, tables, demand_at, injection)
-        _half_duplex_checks(aud, plan, tables, access_air)
-
-    elif plan.mode == MODE_BASELINE:
+    else:
+        surfaces = set()
         aud.require_true("no_ris_in_baseline", not plan.ris_sites,
                          detail=float(len(plan.ris_sites)))
-        aud.require_le("budget", cfg.price_iab * len(installed), cfg.budget)
+    aud.require_le("budget",
+                   cfg.price_iab * len(installed) + cfg.price_ris * len(surfaces),
+                   cfg.budget)
 
-        demand_at = {}
-        access_air = {}
-        for t, (cp, cb) in enumerate(plan.assignments):
-            aud.require_true(f"distinct_links_t{t}", cp != cb)
-            aud.require_true(f"x_activation_t{t}_c{cp}",
-                             tables.delta_acc[t, cp] == 1 and cp in installed)
-            aud.require_true(f"s_activation_t{t}_c{cb}",
-                             tables.delta_acc[t, cb] == 1 and cb in installed)
-            if tables.delta_acc[t, cp] != 1 or tables.delta_acc[t, cb] != 1:
+    # assignments[t] is (station, surface) or (primary, backup); loads are
+    # the (station, demand, airtime) the pair adds, counted only for a pair
+    # the link tables activate.
+    demand_at: dict[int, float] = {}
+    access_air: dict[int, float] = {}
+    ris_air: dict[int, float] = {}
+    ris_rays: dict[int, list[float]] = {}
+    for t, (a, b) in enumerate(plan.assignments):
+        if ris:
+            aud.require_true(f"src_activation_t{t}_c{a}_r{b}",
+                             tables.delta_src[t, a, b] == 1
+                             and a in installed and b in surfaces)
+            if tables.delta_src[t, a, b] != 1:
                 continue
-            demand_at[cp] = demand_at.get(cp, 0.0) + demand
-            demand_at[cb] = demand_at.get(cb, 0.0) + cfg.xi * demand
-            access_air[cp] = access_air.get(cp, 0.0) + demand / float(tables.cap_acc[t, cp])
-            access_air[cb] = (access_air.get(cb, 0.0)
-                              + cfg.xi * demand / float(tables.cap_acc[t, cb]))
-            aud.require_le(f"theta_consistency_t{t}", plan.theta_per_tp[t],
-                           float(tables.theta[t, cp, cb]))
-            aud.require_ge(f"len_consistency_t{t}", plan.len_per_tp[t],
-                           0.5 * float(tables.len_tc[t, cp] + tables.len_tc[t, cb]))
+            loads = ((a, demand, access_airtime(tables, cfg, t, a, b)),)
+            ris_air[b] = ris_air.get(b, 0.0) + cfg.xi * demand / float(tables.cap_ref[t, a, b])
+            ris_rays.setdefault(b, []).extend(
+                [float(tables.phi_a[b, t]), float(tables.phi_b[b, a])])
+        else:
+            aud.require_true(f"distinct_links_t{t}", a != b)
+            aud.require_true(f"x_activation_t{t}_c{a}",
+                             tables.delta_acc[t, a] == 1 and a in installed)
+            aud.require_true(f"s_activation_t{t}_c{b}",
+                             tables.delta_acc[t, b] == 1 and b in installed)
+            if tables.delta_acc[t, a] != 1 or tables.delta_acc[t, b] != 1:
+                continue
+            loads = ((a, demand, demand / float(tables.cap_acc[t, a])),
+                     (b, cfg.xi * demand, cfg.xi * demand / float(tables.cap_acc[t, b])))
+        for c, mbps, airtime in loads:
+            demand_at[c] = demand_at.get(c, 0.0) + mbps
+            access_air[c] = access_air.get(c, 0.0) + airtime
+        aud.require_le(f"theta_consistency_t{t}", plan.theta_per_tp[t],
+                       float(tables.theta[t, a, b]))
+        aud.require_ge(f"len_consistency_t{t}", plan.len_per_tp[t],
+                       0.5 * float(tables.len_tc[t, a] + tables.len_tc[t, b]))
 
-        aud.require_le("wired_capacity", plan.wired_inflow_mbps,
-                       cfg.wired_capacity_mbps)
-        injection = {plan.donor: plan.wired_inflow_mbps}
-        _tree_checks(aud, plan, tables)
-        _flow_checks(aud, plan, tables, demand_at, injection)
-        _half_duplex_checks(aud, plan, tables, access_air)
+    for r, air in sorted(ris_air.items()):
+        aud.require_le(f"ris_airtime_c{r}", air, 1.0)
+    for r, rays in sorted(ris_rays.items()):
+        if r not in plan.orientations_rad:
+            aud.require_true(f"fov_orientation_missing_c{r}", False)
+            continue
+        phi = plan.orientations_rad[r]
+        for ray in rays:
+            aud.require_le(f"fov_c{r}", circular_distance(phi, ray), cfg.fov_rad / 2.0)
+    for r in sorted(set(plan.orientations_rad) - surfaces):
+        aud.require_true(f"fov_orientation_stray_c{r}", False)
 
+    if ris:
+        aud.require_eq("core_injection", plan.wired_inflow_mbps, n_t * demand)
     else:
-        aud.require_true("known_mode", False)
-
-    return sorted(aud.violations, key=lambda v: v.constraint_name)
+        aud.require_le("wired_capacity", plan.wired_inflow_mbps, cfg.wired_capacity_mbps)
+    _tree_checks(aud, plan, tables)
+    _flow_checks(aud, plan, tables, demand_at, {plan.donor: plan.wired_inflow_mbps})
+    _half_duplex_checks(aud, plan, tables, access_air)
+    return aud.result()

@@ -1,15 +1,23 @@
+import ast
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import risplan
 from conftest import restrict_tuples
 from risplan.oracle import OracleError, brute_force_plan
 from risplan.planner import (MODE_BASELINE, MODE_RIS, build_baseline_model,
-                             build_ris_model)
+                             build_ris_model, plan_to_dict)
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, generate
 from risplan.solver import solve
 from risplan.validate import validate_plan
+
+# Recorded before the two mode searches became one; see test_oracle_results_pinned.
+ORACLE_DIGEST = "3b33213c4c0f54776f72612a4b583756da654f76825afb85615283648ddf16f3"
 
 
 class TestGuards:
@@ -112,3 +120,80 @@ class TestEquivalenceSample:
                 if oracle.feasible:
                     assert milp.objective_value == pytest.approx(
                         oracle.objective, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("seed,budget", CASES, ids=[str(s) for s, _ in CASES])
+    def test_backup_fraction_and_wired_cap(self, seed, budget):
+        """At xi 0.8, both modes agree, and the station-only model with the
+        wired capacity 0.1 Mbps below the (1 + xi) * D * |T| it must carry
+        is infeasible in both, 0.1 Mbps above it feasible with one optimum."""
+        scenario = generate(220.0, 220.0, 5, 2, seed=seed)
+        tables = build_link_tables(scenario, RadioConfig())
+        carried = 1.8 * 100.0 * scenario.n_test_points
+        cells = [(MODE_RIS, 1e9), (MODE_BASELINE, carried - 0.1),
+                 (MODE_BASELINE, carried + 0.1)]
+        verdicts = []
+        for mode, wired in cells:
+            cfg = PlanningConfig(mu=0.5, budget=budget, xi=0.8, demand_mbps=100.0,
+                                 wired_capacity_mbps=wired)
+            model = (build_ris_model(scenario, tables, cfg) if mode == MODE_RIS
+                     else build_baseline_model(scenario, tables, cfg))
+            milp = solve(model)
+            oracle = brute_force_plan(scenario, tables, cfg, mode)
+            assert (milp.status == "optimal") == oracle.feasible, (mode, wired)
+            if oracle.feasible:
+                assert milp.objective_value == pytest.approx(
+                    oracle.objective, rel=1e-6, abs=1e-9)
+                assert validate_plan(oracle.plan, scenario, tables, cfg) == []
+            verdicts.append(oracle.feasible)
+        # At budget 1.2 (seeds 0 and 27) one station cannot be primary and
+        # backup, so the station-only model stays infeasible above the cap.
+        assert verdicts[1:] == [False, budget > 2.0]
+
+
+def _oracle_digest() -> str:
+    """SHA-256 over (feasible, repr(objective), plan_to_dict(plan)) of the
+    oracle on the TestEquivalenceSample instances: both modes at mu 0,
+    0.5 and 1, plus the station-only model at xi 0.8."""
+    cells = []
+    for seed, budget in TestEquivalenceSample.CASES:
+        scenario = generate(220.0, 220.0, 5, 2, seed=seed)
+        tables = build_link_tables(scenario, RadioConfig())
+        for mode, xi in ((MODE_RIS, 0.5), (MODE_BASELINE, 0.5), (MODE_BASELINE, 0.8)):
+            for mu in (0.0, 0.5, 1.0):
+                cfg = PlanningConfig(mu=mu, budget=budget, xi=xi)
+                res = brute_force_plan(scenario, tables, cfg, mode)
+                cells.append([res.feasible,
+                              None if res.objective is None else repr(float(res.objective)),
+                              None if res.plan is None else plan_to_dict(res.plan)])
+    text = json.dumps(cells, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_oracle_results_pinned():
+    """The oracle's verdicts, optima and tie-broken plans on a fixed grid
+    are pinned bit for bit; no solver is involved."""
+    assert _oracle_digest() == ORACLE_DIGEST
+
+
+# What the oracle and the audit may take from planner: the plan type, the
+# airtime rule and the mode names, nothing that builds or solves a model.
+PLANNER_NAMES = {"NetworkPlan", "access_airtime", "MODE_RIS", "MODE_BASELINE"}
+
+
+@pytest.mark.parametrize("module", ["oracle", "validate"])
+def test_checks_independent_of_the_builders(module):
+    """The oracle and the audit import nothing from milp or solver, and
+    from planner only PLANNER_NAMES, so neither can share a mistake with
+    the MILP route."""
+    source = (Path(risplan.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [(node.module or "").split(".") + [alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            assert "milp" not in path and "solver" not in path, (module, path)
+            if "planner" in path:
+                assert path[-1] in PLANNER_NAMES, (module, path)

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from risplan.planner import NetworkPlan, build_ris_model, extract_plan
-from risplan.radio import LinkBudgetTable
-from risplan.scenario import PlanningConfig, Scenario
+from risplan.oracle import brute_force_plan
+from risplan.planner import (MODE_BASELINE, NetworkPlan, build_baseline_model,
+                             build_ris_model, extract_plan)
+from risplan.radio import LinkBudgetTable, RadioConfig, build_link_tables
+from risplan.scenario import PlanningConfig, Scenario, generate
 from risplan.solver import solve
 from risplan.validate import validate_plan
 from risplan.geometry import Point2D
@@ -194,3 +196,63 @@ class TestFlowCapacityIsolated:
         violations = validate_plan(plan, scenario, tables, cfg)
         assert names(violations) == ["flow_capacity_c0_c1"]
         assert violations[0].magnitude == pytest.approx(1.0, rel=1e-9)
+
+
+class TestFlowsAndOrientationsFitThePlan:
+    """Flows lie exactly on the backhaul edges, and only listed surfaces
+    carry an orientation."""
+
+    def test_stray_flow_off_the_tree(self):
+        # Desk seed 0, default radio, station-only at B 4, mu 0: the tree is
+        # 3 -> 4 -> 8 -> 0. Routing 400 Mbps over the non-edge (4, 0)
+        # instead of through 8 keeps every balance and airtime in bounds.
+        scenario = generate(190.0, 253.0, 12, 8, seed=0)
+        tables = build_link_tables(scenario, RadioConfig())
+        cfg = PlanningConfig(mu=0.0, budget=4.0, len_norm_m=317.0)
+        model = build_baseline_model(scenario, tables, cfg)
+        plan = extract_plan(model, solve(model).variable_values, scenario, tables, cfg)
+        assert plan.backhaul_edges == ((3, 4), (4, 8), (8, 0))
+        assert validate_plan(plan, scenario, tables, cfg) == []
+        flows = dict(plan.flows_mbps)
+        flows[(4, 8)] -= 400.0
+        flows[(8, 0)] -= 400.0
+        flows[(4, 0)] = 400.0
+        violations = validate_plan(replace(plan, flows_mbps=flows), scenario, tables, cfg)
+        assert names(violations) == ["flow_edge_c4_c0"]
+
+    @pytest.fixture
+    def station_only_plan(self, small_instance):
+        scenario, tables = small_instance
+        cfg = PlanningConfig(mu=0.5, budget=2.4)
+        plan = brute_force_plan(scenario, tables, cfg, MODE_BASELINE).plan
+        assert validate_plan(plan, scenario, tables, cfg) == []
+        return plan, scenario, tables, cfg
+
+    def test_missing_flow(self, station_only_plan):
+        plan, scenario, tables, cfg = station_only_plan
+        (c, d), = plan.backhaul_edges
+        violations = validate_plan(replace(plan, flows_mbps={}), scenario, tables, cfg)
+        assert f"flow_edge_c{c}_c{d}" in names(violations)
+
+    def test_flow_on_pair_without_capacity(self, solved_plan):
+        # A station has no backhaul link to itself; the audit reports the
+        # flow instead of dividing by its zero capacity.
+        plan, scenario, tables, cfg = solved_plan
+        d = plan.donor
+        assert tables.cap_bh[d, d] == 0
+        looped = replace(plan, flows_mbps={**plan.flows_mbps, (d, d): 5.0})
+        violations = validate_plan(looped, scenario, tables, cfg)
+        assert names(violations) == [f"flow_capacity_c{d}_c{d}", f"flow_edge_c{d}_c{d}"]
+
+    def test_orientation_on_a_station(self, solved_plan):
+        plan, scenario, tables, cfg = solved_plan
+        pointed = replace(plan, orientations_rad={**plan.orientations_rad, plan.donor: 0.0})
+        violations = validate_plan(pointed, scenario, tables, cfg)
+        assert names(violations) == [f"fov_orientation_stray_c{plan.donor}"]
+
+    def test_station_only_plan_has_no_orientation(self, station_only_plan):
+        plan, scenario, tables, cfg = station_only_plan
+        station = plan.iab_nodes[0]
+        pointed = replace(plan, orientations_rad={station: 1.0})
+        violations = validate_plan(pointed, scenario, tables, cfg)
+        assert names(violations) == [f"fov_orientation_stray_c{station}"]

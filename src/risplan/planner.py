@@ -14,7 +14,9 @@ Two mixed-integer programs share most of their structure:
 
 * the station-only baseline: every test point gets a primary and a
   distinct backup station; both demands flow through the tree; no
-  surfaces, no orientations.
+  surfaces, no orientations. Rows sep_x_t{t}_c{c} and sep_s_t{t}_c{c}
+  cap theta_t by the angle from c, as primary or as backup, to the
+  active partner; cut_theta_x_t{t} and cut_theta_s_t{t} tighten them.
 
 The structure they share, from the backhaul tree to the objective, is
 assembled by _Backbone; each builder adds only its access layer.
@@ -53,9 +55,9 @@ MODE_RIS = "ris"
 MODE_BASELINE = "baseline"
 
 PLAN_FORMAT_VERSION = 1
-# Bumped whenever extract_plan can return a different plan for the same
-# solver output, so cached results keyed on it are recomputed.
-DECODE_VERSION = 3
+# Bumped whenever a plan can change for the same inputs (decoder or
+# model), so cached results keyed on it are recomputed.
+DECODE_VERSION = 4
 DECODE_TOL = 1e-6
 
 
@@ -384,31 +386,29 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
               (sites, w_var, 1.0), (sites, y_don, -cfg.wired_capacity_mbps))
     net.add_capacity_rows()
 
-    # Angular separation rows bind only when x_t,c and s_t,r are both
-    # active; c == r pairs are excluded by the distinctness row. Primary p
-    # meets every access pair q of its test point, in pair order.
-    n_sites = np.bincount(t, minlength=n_t)
-    p = np.repeat(pair, n_sites[t])
-    q = np.r_[0, np.cumsum(n_sites)][t[p]] + np.arange(len(p)) - np.repeat(
-        np.r_[0, np.cumsum(n_sites[t])][:-1], n_sites[t])
-    p, q = p[p != q], q[p != q]
-    sep, row = tables.theta[t[p], c[p], c[q]], np.arange(len(p))
-    _add_rows(model, _names("ang_sep", "tcr", t[p], c[p], c[q]), "<=", sep + 2.0 * TWO_PI,
-              (row, theta[t[p]], 1.0), (row, x[p], TWO_PI), (row, s[q], TWO_PI))
+    # Angular separation, two rows per access pair (t, c): with primary c
+    # (sep_x) or backup c (sep_s), theta_t is capped by the angle from c to
+    # the active partner. At integer points only the rows of the two active
+    # pairs bind, both at theta[t, c, r]; the rest are slack (theta_t <= pi).
+    pair_id = np.full((n_t, net.n_c), -1)
+    pair_id[t, c] = pair
+    p, r = np.nonzero((pair_id[t] >= 0) & (sites != c[:, None]))   # pair p meets site r
+    q, sep = pair_id[t[p], r], tables.theta[t[p], c[p], r]
+    _add_rows(model, _names(("sep_x", "sep_s"), "tc", t, c), "<=", math.pi,
+              (2 * pair, theta[t], 1.0), (2 * pair, x, math.pi), (2 * p, s[q], -sep),
+              (2 * pair + 1, theta[t], 1.0), (2 * pair + 1, s, math.pi), (2 * p + 1, x[q], -sep))
     net.add_length_rows()
 
     # Strengthening cuts, redundant at integer points: with the primary
     # (or backup) station fixed, the separation can never exceed the best
     # partner's angle. Without these the LP bound floats theta_t to pi.
-    best = np.full(len(t), -np.inf)
+    best = np.zeros(len(t))
     np.maximum.at(best, p, sep)
-    best[best == -np.inf] = 0.0
-    served = np.flatnonzero(n_sites)
-    row = np.zeros(n_t, np.int64)
-    row[served] = 2 * np.arange(len(served))
+    served, row = np.unique(t, return_inverse=True)
+    head = np.arange(len(served))
     _add_rows(model, _names(("cut_theta_x", "cut_theta_s"), "t", served), "<=", 0.0,
-              (row[served], theta[served], 1.0), (row[served] + 1, theta[served], 1.0),
-              (row[t], x, -best), (row[t] + 1, s, -best))
+              (2 * head, theta[served], 1.0), (2 * head + 1, theta[served], 1.0),
+              (2 * row, x, -best), (2 * row + 1, s, -best))
     return model
 
 

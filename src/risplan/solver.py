@@ -53,7 +53,10 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
     from scipy.optimize import Bounds, LinearConstraint
 
     n = model.num_variables
-    if n == 0:
+    if n == 0:   # every row's activity is 0
+        lower, upper = model.row_bounds()
+        if np.any((lower > 0.0) | (upper < 0.0)):
+            return SolveResult(STATUS_INFEASIBLE, None, None, 0.0)
         return SolveResult(STATUS_OPTIMAL, 0.0, {}, 0.0)
     sign = -1.0 if model.objective_sense == "maximize" else 1.0
     c = np.zeros(n)

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import restrict_tuples
+from conftest import restrict_access, restrict_tuples
 from risplan.geometry import Point2D, Segment2D
 from risplan.milp import export_lp
 from risplan.planner import (PlannerError, access_airtime, aperture_candidates, bh_pairs,
@@ -61,6 +63,21 @@ class TestRisModelStructure:
             assert len(rows_named(model, "bh_act_")) == n_pairs
             assert len(rows_named(model, "flow_cap_")) == n_pairs
             assert len(rows_named(model, "link_len_")) == scenario.n_test_points
+        # The station-only separation rows: two per access pair, and the
+        # cuts for each test point with an access pair (test point 2 has
+        # none in the masked tables).
+        masked = restrict_access(tables, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5)])
+        for access in (tables, masked):
+            model = build_baseline_model(scenario, access, default_cfg)
+            pairs = list(zip(*np.nonzero(access.delta_acc == 1)))
+            served = sorted({t for (t, _) in pairs})
+            for tag in ("sep_x", "sep_s"):
+                assert ([row.name for row in rows_named(model, tag + "_")]
+                        == [f"{tag}_t{t}_c{c}" for (t, c) in pairs])
+            for tag in ("cut_theta_x", "cut_theta_s"):
+                assert ([row.name for row in rows_named(model, tag + "_")]
+                        == [f"{tag}_t{t}" for t in served])
+            assert rows_named(model, "ang_sep_") == []
 
     def test_presolve_omits_dead_tuples(self, small_instance, default_cfg):
         scenario, tables = small_instance
@@ -168,6 +185,28 @@ class TestBaselineModelStructure:
         cfg = PlanningConfig(budget=2.0, price_ris=1e9)  # absurd surface price
         model = build_baseline_model(scenario, tables, cfg)
         assert solve(model).status == "optimal"  # surfaces don't exist here
+
+    def test_separation_rows_are_exact(self, small_instance, default_cfg):
+        """With primary a and backup b, theta_t = theta[t, a, b] breaks no
+        row of test point t, and any larger theta_t breaks a sep_ row."""
+        scenario, tables = small_instance
+        model = build_baseline_model(scenario, tables, default_cfg)
+        base = {name: 0.0 for name in model.names()}
+        base.update({f"yIAB_c{c}": 1.0 for c in range(scenario.n_sites)})
+        base.update({f"l_t{t}": 1e9 for t in range(scenario.n_test_points)})
+        n_checked = 0
+        for t in range(scenario.n_test_points):
+            own = re.compile(rf".*_t{t}(_|$)")
+            for a, b in itertools.permutations(np.flatnonzero(tables.delta_acc[t]).tolist(), 2):
+                values = {**base, f"x_t{t}_c{a}": 1.0, f"s_t{t}_c{b}": 1.0,
+                          f"theta_t{t}": float(tables.theta[t, a, b])}
+                assert [n for n in violated_rows(model, values, 1e-9) if own.match(n)] == []
+                values[f"theta_t{t}"] += 1e-6
+                broken = violated_rows(model, values, 1e-9)
+                assert any(n.startswith(("sep_x_", "sep_s_")) for n in broken), (t, a, b)
+                n_checked += 1
+        assert n_checked == sum(k * (k - 1) for k in tables.delta_acc.sum(axis=1).tolist())
+        assert n_checked > 0
 
 
 class TestExtractPlan:
@@ -331,24 +370,25 @@ def _model_case(case, small_instance):
 
 class TestModelTextPinned:
     """sha256 of the exported LP text of (surface model, station-only
-    model). The station-only digests were recorded before the two
-    builders were moved onto one assembly path. The surface digests were
-    re-recorded when discrete aperture candidates replaced the big-M
-    orientation rows."""
+    model). The surface digests were re-recorded when discrete aperture
+    candidates replaced the big-M orientation rows. The station-only
+    digests were re-recorded when two separation rows per access pair
+    (sep_x, sep_s) replaced the pairwise ang_sep rows; every other row
+    of those models is unchanged."""
 
     SHA256 = {
         "small_mu0": ("7c3401d3a9745742355249a2c064226d2366f1d933d3d79ff14327bb267e8c42",
-                      "6119cc29e92d4c96c62422e89c757c6207da1bc860e0fe37162674812505aa7f"),
+                      "94bebfc89aabf0e0fa04aca663b2450122c4c9ec33536d72f6fcf7ce860f87e4"),
         "small_mu05": ("ad561dfe2aae0d630d12c4d635e9c6ce0e94bd968893e248e9d20ff772122298",
-                       "ec547236ca3dd323e09c22e19aa10be026bca831c8b100a611de065a383744a4"),
+                       "031f57da62999ade2389dd8d0495e6239b933145caa1f9a08c0184d0a0d3b2e6"),
         "small_mu1": ("a9f1dedfbb34add22c7e7f094e06d94526899c6734766614e3d0518f9e747255",
-                      "c08709b755341c6fa0d8342d9ce3bd97497ff23e38fd20a0098a2d5a40fcf199"),
+                      "e6063490ac80455d9df767791021a0c033ce99c430ea87df7f272c50a0fa847f"),
         "desk_default": ("a5fa26bc071edee046d5b037fe4cc99224ad1319ea7489824877e6b66614b708",
-                         "f4c267012b3171d4a0bf8a239d76e0049e142359988c28fef10580169536de27"),
+                         "b46cc049634de7f2039109c3c5749901c5c2b7923409a57f00eff84aed99bc47"),
         "desk_stress": ("61f6190fe2ab092e698d6f833d3ac9134116728e946c198ed30f88820e8ed2ea",
-                        "f3ef729bb97add50fff0580fe0020a62ca88bebfbb2fb752d94287696a6f44f6"),
+                        "67e7ad3ae717420830e75a253ee765f8d41b8142db5123c8f431e61c9286d6e7"),
         "desk_cluttered": ("960f2325f0d38f438d1ed57f7a3aa935be70bff92230b935bbca51d8fa824157",
-                           "d0d1b819bf0f6b3a86b19a843e0bc5a9e124b6080911b43ae4027dcaa750b286"),
+                           "de50bd15570a3e441f3e5b6f9861bdeeec86e3f6c58bbc4097dac273a1b73f6c"),
     }
 
     @pytest.mark.parametrize("case", sorted(SHA256))

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 
 from conftest import restrict_tuples
+from risplan.milp import CONTINUOUS, MilpModel
 from risplan.planner import build_baseline_model, build_ris_model, extract_plan
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, generate
@@ -40,6 +41,18 @@ class TestSolve:
         res = solve(model)
         assert res.status == STATUS_INFEASIBLE
         assert res.variable_values is None
+
+    @pytest.mark.parametrize("sense,rhs,status", [
+        (">=", 1.0, STATUS_INFEASIBLE), ("=", -1.0, STATUS_INFEASIBLE),
+        ("<=", 1.0, STATUS_OPTIMAL), ("=", 0.0, STATUS_OPTIMAL)])
+    def test_rows_without_variables(self, sense, rhs, status):
+        # A row with no terms has activity 0, with or without an unused
+        # variable in the model.
+        model = MilpModel(name="rows-only")
+        model.add_constraint("row", {}, sense, rhs)
+        assert solve(model).status == status
+        model.add_variable(("v",), CONTINUOUS)
+        assert solve(model).status == status
 
     def test_crash_becomes_error_status(self, small_instance, default_cfg, monkeypatch):
         scenario, tables = small_instance

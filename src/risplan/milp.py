@@ -3,17 +3,20 @@
 Variables are columns (names, kind codes, lower and upper bounds), each
 with a structured key such as ("x", t, c, r) and a unique name; keys, ids
 and names map to one another, so models, solutions and LP files share
-identifiers. Rows are columns too (names, sense codes, right-hand sides),
-with their coefficients in CSR arrays: ``indptr``, ``indices`` (variable
-ids) and ``data``. Builders append a whole family with ``add_variables``
-or ``add_rows``; ``add_variable`` and ``add_constraint`` wrap one item. A
+identifiers. A variable declared by name alone has the key ``(name,)``,
+which is derived from its name rather than stored. Rows are columns too
+(names, sense codes, right-hand sides), with their coefficients in CSR
+arrays: ``indptr`` (int64), ``indices`` (variable ids, int32) and
+``data``. Builders append a whole family with ``add_variables`` or
+``add_rows``; ``add_variable`` and ``add_constraint`` wrap one item. A
 block is checked before anything is stored, so a bad one raises
 ModelError and leaves the model unchanged. A row keeps its entries in
 variable id order, adds up the coefficients of a repeated variable and
 keeps explicit zeros. ``variables`` and ``constraints`` are read-only
 sequences of views built on access. A row view's ``coeffs`` is not a
-copy: it is a read-only mapping over the row's slices of the CSR arrays,
-so a held view keeps those arrays alive, as they were when it was taken.
+copy: it is a read-only mapping that holds the model's joined CSR arrays
+and the row's place in them, and no arrays of its own. So a held view
+keeps those arrays alive, as they were when it was taken.
 The LP writer emits a deterministic byte stream; ``read_lp`` parses the
 dialect ``export_lp`` produces, which gives external solvers a file-based
 path in and out. Both work a block of rows at a time: besides the text
@@ -85,30 +88,42 @@ def _joined(column: list[np.ndarray]) -> np.ndarray:
 
 class _RowCoeffs(Mapping):
     """A row's coefficients by variable id, in variable id order: a
-    read-only mapping over its slices of the CSR ``indices`` and ``data``
-    arrays, not over the model."""
+    read-only mapping over the CSR arrays ``(indptr, indices, data)`` of a
+    model and the row's place in them, not over the model. ``_ids`` and
+    ``_values`` are the row's read-only slices of ``indices`` and ``data``."""
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("_csr", "_row")
 
-    def __init__(self, ids: np.ndarray, values: np.ndarray):
+    def __init__(self, csr: tuple[np.ndarray, np.ndarray, np.ndarray], row: int):
+        self._csr, self._row = csr, row
+
+    def _slices(self) -> tuple[np.ndarray, np.ndarray]:
+        indptr, indices, data = self._csr
+        at = slice(indptr[self._row], indptr[self._row + 1])
+        ids, values = indices[at], data[at]
         ids.setflags(write=False)
         values.setflags(write=False)
-        self._ids, self._values = ids, values
+        return ids, values
+
+    _ids = property(lambda self: self._slices()[0])
+    _values = property(lambda self: self._slices()[1])
 
     def __len__(self) -> int:
-        return len(self._ids)
+        indptr = self._csr[0]
+        return int(indptr[self._row + 1] - indptr[self._row])
 
     def __iter__(self):
         return iter(self._ids.tolist())
 
     def __getitem__(self, var_id) -> float:
+        ids, values = self._slices()
         try:
-            at = self._ids.searchsorted(operator.index(var_id))
+            at = ids.searchsorted(operator.index(var_id))
         except (TypeError, OverflowError):
             raise KeyError(var_id) from None
-        if at == len(self._ids) or self._ids[at] != var_id:
+        if at == len(ids) or ids[at] != var_id:
             raise KeyError(var_id)
-        return float(self._values[at])
+        return float(values[at])
 
     def items(self):
         return _RowItems(self)
@@ -123,7 +138,8 @@ class _RowItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        return zip(self._mapping._ids.tolist(), self._mapping._values.tolist())
+        ids, values = self._mapping._slices()
+        return zip(ids.tolist(), values.tolist())
 
 
 class _Views(Sequence):
@@ -151,19 +167,22 @@ class MilpModel:
             raise ModelError(f"unknown objective sense {sense!r}")
         self.name, self.objective_sense = name, sense
         self.objective: dict[int, float] = {}
-        self._names, self._id_to_key = [], []    # by variable id
+        # By variable id; a variable declared by name has the key None here
+        # and no entry in _key_to_id.
+        self._names, self._id_to_key = [], []
         self._key_to_id, self._name_to_id = {}, {}    # key to id, name to id
         self._row_names: list[str] = []
         # Columns, each a list of blocks (see _joined).
         self._kind, self._sense = [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
         self._lower, self._upper, self._rhs, self._data = ([np.zeros(0)] for _ in range(4))
-        self._indptr, self._indices = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)]
+        self._indptr, self._indices = [np.zeros(1, np.int64)], [np.zeros(0, np.int32)]
+        self._csr = None        # the joined CSR arrays, until add_rows appends
         self._nnz = 0
 
     # Views are made per access: a model that held them would be in a
     # reference cycle, freed only by the cyclic collector. A row view holds
-    # slices of the CSR arrays, not the model, and add_rows joins new
-    # arrays rather than writing to those.
+    # the joined CSR arrays, not the model, and add_rows joins new arrays
+    # rather than writing to those.
     variables = property(lambda self: _Views(self._names, self._variable))
     constraints = property(lambda self: _Views(self._row_names, self._constraint))
 
@@ -172,9 +191,7 @@ class MilpModel:
                         float(_joined(self._lower)[i]), float(_joined(self._upper)[i]))
 
     def _constraint(self, i: int) -> Constraint:
-        indptr, indices, data = self.csr()
-        at = slice(indptr[i], indptr[i + 1])
-        return Constraint(self._row_names[i], _RowCoeffs(indices[at], data[at]),
+        return Constraint(self._row_names[i], _RowCoeffs(self.csr(), i),
                           _SENSES[_joined(self._sense)[i]], float(_joined(self._rhs)[i]))
 
     # -- variables ---------------------------------------------------
@@ -182,29 +199,42 @@ class MilpModel:
     def add_variables(self, keys, names, kind, lower=0.0, upper=math.inf) -> np.ndarray:
         """Declare a block of variables and return their ids. ``kind``,
         ``lower`` and ``upper`` are one value for all or one per variable;
-        binaries get the bounds [0, 1]."""
-        keys, names = list(keys), list(names)
-        n, start = len(keys), len(self._names)
-        if len(names) != n:
-            raise ModelError(f"{len(names)} names for {n} variable keys")
+        binaries get the bounds [0, 1]. With ``keys`` None, each variable's
+        key is ``(name,)``, derived from its name and not stored."""
+        names = list(names)
+        n, start = len(names), len(self._names)
+        keys = None if keys is None else list(keys)
+        if keys is not None and len(keys) != n:
+            raise ModelError(f"{n} names for {len(keys)} variable keys")
         codes = _per_item(kind, n, "variable kind", _KINDS)
         lower = np.where(codes == 1, 0.0, _per_item(lower, n, "lower bound"))
         upper = np.where(codes == 1, 1.0, _per_item(upper, n, "upper bound"))
         if (lower > upper).any():
             i = int(np.argmax(lower > upper))
-            raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {keys[i]!r}")
+            key = (names[i],) if keys is None else keys[i]
+            raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {key!r}")
         ids = range(start, start + n)
-        maps = [(dict(zip(block, ids)), block, known, what) for block, known, what in (
-            (keys, self._key_to_id, "key"), (names, self._name_to_id, "name"))]
-        for new, block, known, what in maps:
-            if len(new) != n or not known.keys().isdisjoint(new):
-                seen = set(known)
-                twice = next(v for v in block if v in seen or seen.add(v))
-                raise ModelError(f"duplicate variable {what} {twice!r}")
-        for new, _, known, _ in maps:
-            known.update(new)
+        new_keys = {} if keys is None else dict(zip(keys, ids))
+        if keys is None:    # a name given twice is reported below, as a name
+            clash = bool(self._key_to_id) and not self._key_to_id.keys().isdisjoint(zip(names))
+        else:               # fewer stored keys than variables: some are keyed by name
+            clash = (len(new_keys) != n or not self._key_to_id.keys().isdisjoint(new_keys)
+                     or (start > len(self._key_to_id)
+                         and any(self._named_id(key) is not None for key in new_keys)))
+        if clash:
+            seen = set()
+            twice = next(key for key in (zip(names) if keys is None else keys)
+                         if self.has_var(key) or key in seen or seen.add(key))
+            raise ModelError(f"duplicate variable key {twice!r}")
+        new_names = dict(zip(names, ids))
+        if len(new_names) != n or not self._name_to_id.keys().isdisjoint(new_names):
+            seen = set(self._name_to_id)
+            twice = next(name for name in names if name in seen or seen.add(name))
+            raise ModelError(f"duplicate variable name {twice!r}")
+        self._key_to_id.update(new_keys)
+        self._name_to_id.update(new_names)
         self._names += names
-        self._id_to_key += keys
+        self._id_to_key += itertools.repeat(None, n) if keys is None else keys
         for column, block in ((self._kind, codes), (self._lower, lower), (self._upper, upper)):
             column.append(block)
         return np.arange(start, start + n)
@@ -214,17 +244,28 @@ class MilpModel:
         name = "_".join(str(part) for part in key) if name is None else name
         return int(self.add_variables([key], [name], kind, lower, upper)[0])
 
+    def _named_id(self, key) -> int | None:
+        """The id of the variable declared by name whose key is ``key``."""
+        if type(key) is tuple and len(key) == 1:
+            var_id = self._name_to_id.get(key[0])
+            if var_id is not None and self._id_to_key[var_id] is None:
+                return var_id
+        return None
+
     def var_id(self, key: VarKey) -> int:
-        try:
-            return self._key_to_id[key]
-        except KeyError:
-            raise ModelError(f"unknown variable key {key!r}") from None
+        var_id = self._key_to_id.get(key)
+        if var_id is None:
+            var_id = self._named_id(key)
+        if var_id is None:
+            raise ModelError(f"unknown variable key {key!r}")
+        return var_id
 
     def has_var(self, key: VarKey) -> bool:
-        return key in self._key_to_id
+        return key in self._key_to_id or self._named_id(key) is not None
 
     def key_of(self, var_id: int) -> VarKey:
-        return self._id_to_key[var_id]
+        key = self._id_to_key[var_id]
+        return (self._names[var_id],) if key is None else key
 
     def name_of(self, var_id: int) -> str:
         return self._names[var_id]
@@ -236,7 +277,8 @@ class MilpModel:
             raise ModelError(f"unknown variable name {name!r}") from None
 
     def keys(self) -> list[VarKey]:
-        return list(self._id_to_key)
+        return [(name,) if key is None else key
+                for key, name in zip(self._id_to_key, self._names)]
 
     def names(self) -> list[str]:
         return list(self._names)
@@ -250,12 +292,13 @@ class MilpModel:
     def add_rows(self, names, senses, rhs, indptr, indices, data) -> None:
         """Append a block of rows; row i holds the variable ids ``indices[indptr[i]:
         indptr[i + 1]]`` with the coefficients at the same places of ``data``.
-        ``senses`` and ``rhs`` are one value for all or one per row."""
+        ``senses`` and ``rhs`` are one value for all or one per row. The ids
+        are checked against the variable count and stored as int32."""
         names = list(names)
         m = len(names)
         codes = _per_item(senses, m, "constraint sense", _SENSES)
         rhs, data = _per_item(rhs, m, "rhs value"), np.array(data, np.float64)
-        indptr, indices = np.asarray(indptr, np.int64), np.array(indices, np.int64)
+        indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
         if (indptr.shape != (m + 1,) or indptr[0] != 0 or (np.diff(indptr) < 0).any()
                 or not indptr[-1] == len(indices) == len(data)):
             raise ModelError(f"ragged block: {m} rows, indptr of length {len(indptr)}, "
@@ -265,20 +308,24 @@ class MilpModel:
             at = int(np.argmax(bad))
             row = names[int(np.searchsorted(indptr, at, side="right")) - 1]
             raise ModelError(f"constraint {row!r} references unknown variable {indices[at]}")
-        indptr, indices, data = _sorted_rows(indptr, indices, data)
+        indptr, indices, data = _sorted_rows(indptr, indices.astype(np.int32), data)
         self._row_names += names
         for column, block in ((self._sense, codes), (self._rhs, rhs), (self._indices, indices),
                               (self._indptr, indptr[1:] + self._nnz), (self._data, data)):
             column.append(block)
         self._nnz += len(indices)
+        self._csr = None
 
     def add_constraint(self, name: str, coeffs: dict[int, float],
                        sense: str, rhs: float) -> None:
         self.add_rows([name], sense, rhs, [0, len(coeffs)], list(coeffs), list(coeffs.values()))
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The coefficient matrix: (indptr, indices, data)."""
-        return _joined(self._indptr), _joined(self._indices), _joined(self._data)
+        """The coefficient matrix: (indptr, indices, data), with int64
+        ``indptr`` and int32 ``indices``."""
+        if self._csr is None:
+            self._csr = _joined(self._indptr), _joined(self._indices), _joined(self._data)
+        return self._csr
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's lower and upper activity bound, from its sense and rhs."""
@@ -589,7 +636,7 @@ def _declare_new(model: MilpModel, ids: dict[str, int]) -> None:
     """Declare, as continuous, the names that ``ids`` numbered after the
     model's last variable."""
     new = list(itertools.islice(reversed(ids), len(ids) - model.num_variables))[::-1]
-    model.add_variables(zip(new), new, CONTINUOUS)
+    model.add_variables(None, new, CONTINUOUS)
 
 
 def _add_records(model: MilpModel, records: list[str], ids: dict[str, int],
@@ -623,7 +670,8 @@ def _add_records(model: MilpModel, records: list[str], ids: dict[str, int],
 def read_lp(text: str) -> MilpModel:
     """Parse the LP dialect produced by ``export_lp``.
 
-    Variable keys in the returned model are singleton tuples of the name;
+    Variable keys in the returned model are singleton tuples of the name,
+    derived from the names rather than stored (see ``add_variables``);
     structural keys are not recoverable from a flat file. Variables are
     declared in order of first appearance: in the objective, then in the
     rows, the bounds and the binaries. See the module docstring for the

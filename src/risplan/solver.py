@@ -36,7 +36,7 @@ class SolveResult:
     solve_time_s: float
     gap: float = 0.0
     message: str = ""
-    node_count: int = 0                 # branch-and-bound nodes HiGHS explored
+    node_count: int | None = None       # branch-and-bound nodes HiGHS explored, if known
     dual_bound: float | None = None     # in the model's own objective sense
 
 
@@ -91,7 +91,7 @@ def _solve_highs(model: MilpModel, time_limit_s: float | None,
     gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else 0.0
     nodes = getattr(res, "mip_node_count", None)
     bound = getattr(res, "mip_dual_bound", None)
-    stats = {"node_count": int(nodes) if nodes is not None else 0,
+    stats = {"node_count": int(nodes) if nodes is not None else None,
              "dual_bound": (sign * float(bound)
                             if bound is not None and math.isfinite(bound) else None)}
     status = {0: STATUS_OPTIMAL, 1: STATUS_TIME_LIMIT, 2: STATUS_INFEASIBLE}.get(res.status,

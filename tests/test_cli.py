@@ -95,6 +95,15 @@ class TestPlan:
         assert code == 3
         assert not (tmp_path / "p.json").exists()
 
+    def test_infeasible_manifest_node_count_null(self, scenario_file, tmp_path):
+        out = tmp_path / "p.json"
+        code = main(["plan", "--scenario", str(scenario_file), "--mode", "baseline",
+                     "--budget", "1", "--export-lp", "--out", str(out)])
+        assert code == 3
+        doc = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        assert doc["solver"]["status"] == "infeasible"
+        assert doc["solver"]["node_count"] is None and doc["solver"]["dual_bound"] is None
+
     def test_missing_scenario_exit_2(self, tmp_path):
         code = main(["plan", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "p.json")])
@@ -368,6 +377,17 @@ class TestSweep:
         assert main(args) == 0
         assert (out_dir / "sweep.csv").read_bytes() == fresh
         assert json.loads(cell_path.read_text(encoding="utf-8"))["row"]
+
+    def test_infeasible_cell_node_count_null(self, tmp_path):
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--seeds", "1", "--budgets", "1", "--mus", "0.0",
+                     "--modes", "baseline", "--width", "200", "--height", "200",
+                     "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]) == 0
+        cells = json.loads((out_dir / "sweep.csv.manifest.json").read_text())["cells"]
+        solver = cells["s1_b1_m0_baseline"]["solver"]
+        assert solver["status"] == "infeasible" and solver["node_count"] is None
+        cached = json.loads((out_dir / "cells" / "s1_b1_m0_baseline.json").read_text())
+        assert cached["solver"]["node_count"] is None
 
     def test_cell_telemetry_in_cache_and_manifest(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -82,6 +82,10 @@ class TestColumnarStore:
         (dict(data=[1.0]), "ragged"),
         (dict(indptr=[0, 1]), "ragged"),
         (dict(indptr=[0, 2, 1]), "ragged"),
+        # Ids are stored as int32 only after this check, so none wraps.
+        (dict(indices=[0, 2**31], data=[1.0, 1.0]), "unknown variable 2147483648"),
+        (dict(indices=[2**32 + 1, 1], data=[1.0, 1.0]), "unknown variable 4294967297"),
+        (dict(indices=[0, -2**31 - 1], data=[1.0, 1.0]), "unknown variable -2147483649"),
     ])
     def test_bad_block_adds_no_row(self, block, message):
         m = small_model()
@@ -157,9 +161,97 @@ class TestColumnarStore:
         assert np.array_equal(m.row_bounds()[0], [-math.inf, -math.inf])
 
 
+class TestIdStore:
+    """Variable ids are stored as int32 once they are checked against the
+    variable count (see TestColumnarStore for the ids it rejects)."""
+
+    def test_csr_indices_int32(self):
+        m = small_model()
+        indptr, indices, data = m.csr()
+        assert indices.dtype == np.int32 and indptr.dtype == np.int64
+        assert data.dtype == np.float64
+        m.add_rows(["r"], "<=", 1.0, [0, 2], np.array([2, 0], np.int64), [1.0, 2.0])
+        assert m.csr()[1].dtype == np.int32 and m.csr()[1][-2:].tolist() == [0, 2]
+
+    def test_empty_model_csr(self):
+        indptr, indices, data = MilpModel().csr()
+        assert indptr.tolist() == [0] and indices.dtype == np.int32 and len(data) == 0
+
+
+class TestNameKeyedVariables:
+    """add_variables(None, names, ...) gives each variable the key (name,)
+    without storing it."""
+
+    def test_keys_and_lookups(self):
+        m = MilpModel()
+        ids = m.add_variables(None, ["s", "t"], [BINARY, CONTINUOUS], 0.0, [1.0, 4.0])
+        x = m.add_variable(("x", 1, 2), BINARY)
+        assert ids.tolist() == [0, 1] and x == 2
+        assert m.keys() == [("s",), ("t",), ("x", 1, 2)]
+        assert [m.key_of(i) for i in range(3)] == m.keys()
+        assert m.var_id(("s",)) == 0 and m.var_id(("t",)) == 1 and m.var_id(("x", 1, 2)) == 2
+        assert m.has_var(("s",)) and m.has_var(("x", 1, 2))
+        assert m.names() == ["s", "t", "x_1_2"]
+        assert [tuple(v) for v in m.variables][:2] == [("s", BINARY, 0.0, 1.0),
+                                                       ("t", CONTINUOUS, 0.0, 4.0)]
+        # Only (name,) names a name-keyed variable: not the name, and not
+        # the name of an explicitly keyed one.
+        for other in ("s", ("s", 0), ("x_1_2",), (), ("u",)):
+            assert not m.has_var(other)
+        for other in ("s", ("s", 0), ("x_1_2",), ("u",)):
+            with pytest.raises(ModelError, match="unknown variable key"):
+                m.var_id(other)
+
+    def test_not_stored(self):
+        m = MilpModel()
+        m.add_variables(None, ["s", "t"], CONTINUOUS)
+        assert m._key_to_id == {} and m._id_to_key == [None, None]
+
+    def test_duplicate_after_explicit_key(self):
+        m = MilpModel()
+        m.add_variable(("s",), BINARY, name="other")
+        with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
+            m.add_variables(None, ["t", "s"], CONTINUOUS)
+        assert m.keys() == [("s",)] and not m.has_var(("t",))
+
+    def test_duplicate_before_explicit_key(self):
+        m = MilpModel()
+        m.add_variables(None, ["s"], CONTINUOUS)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
+            m.add_variable(("s",), BINARY, name="other")
+        with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
+            m.add_variables([("p",), ("s",)], ["p", "q"], BINARY)
+        assert m.keys() == [("s",)] and m.names() == ["s"] and not m.has_var(("p",))
+
+    def test_duplicate_names_and_empty_bounds(self):
+        m = MilpModel()
+        m.add_variables(None, ["s"], CONTINUOUS)
+        with pytest.raises(ModelError, match="duplicate variable name 's'"):
+            m.add_variables(None, ["s"], CONTINUOUS)
+        with pytest.raises(ModelError, match="duplicate variable name 't'"):
+            m.add_variables(None, ["t", "t"], CONTINUOUS)
+        with pytest.raises(ModelError, match="duplicate variable name 's'"):
+            m.add_variable(("p",), CONTINUOUS, name="s")
+        with pytest.raises(ModelError, match="empty bounds .* for \\('u',\\)"):
+            m.add_variables(None, ["u"], CONTINUOUS, 2.0, 1.0)
+        assert m.keys() == [("s",)]
+
+    def test_read_lp_keys_are_names(self):
+        scenario = generate(190.0, 253.0, 12, 8, seed=0)
+        model = build_ris_model(scenario, build_link_tables(scenario, RadioConfig()),
+                                PlanningConfig())
+        back = read_lp(export_lp(model))
+        assert back.keys() == [(name,) for name in back.names()]
+        assert sorted(back.names()) == sorted(model.names())
+        assert back._key_to_id == {} and set(back._id_to_key) == {None}
+        for var_id in (0, back.num_variables // 2, back.num_variables - 1):
+            key = back.key_of(var_id)
+            assert key == (back.name_of(var_id),) and back.var_id(key) == var_id
+
+
 class TestRowViews:
-    """A row view's coefficients are a read-only mapping over its slices of
-    the model's CSR arrays, not a copy of them."""
+    """A row view's coefficients are a read-only mapping over the model's
+    CSR arrays and the row's place in them, not a copy of them."""
 
     def test_mapping_equals_dict_in_id_order(self):
         m = small_model()
@@ -186,6 +278,16 @@ class TestRowViews:
         assert coeffs.get(1) is None and 2 in coeffs and 0 in coeffs
         m.add_constraint("empty", {}, "<=", 1.0)
         assert len(m.constraints[-1].coeffs) == 0 and m.constraints[-1].coeffs == {}
+
+    def test_ids_beyond_int32_missing(self):
+        m = small_model()
+        coeffs = m.constraints[0].coeffs      # pick_one: x and y
+        for missing in (2**31, 2**32, 2**40, 2**40 + 1, -2**40, 2**70, -2**70,
+                        np.int64(2**40), np.uint64(2**63)):
+            with pytest.raises(KeyError):
+                coeffs[missing]
+            assert missing not in coeffs
+        assert coeffs[np.int64(1)] == 1.0 and coeffs[True] == 1.0
 
     def test_view_is_a_snapshot(self):
         m = MilpModel()
@@ -217,8 +319,10 @@ class TestRowViews:
         assert export_lp(m) == export_lp(small_model())
         assert m.constraints[0].coeffs == {0: 1.0, 1: 1.0}
 
-    # A dict per row cost about 1,196 B here, the mapping about 384 B.
-    HELD_BYTES_PER_ROW = 500
+    # A dict per row cost about 1,196 B here, a mapping over the row's two
+    # slices about 384 B, and a mapping over the shared arrays and the
+    # row's place in them about 191 B.
+    HELD_BYTES_PER_ROW = 240
 
     def test_held_views_memory_bounded(self):
         scenario = generate(300.0, 400.0, 25, 15, seed=0)

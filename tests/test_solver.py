@@ -1,16 +1,18 @@
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from conftest import restrict_tuples
-from risplan.milp import CONTINUOUS, MilpModel
+from risplan.milp import BINARY, CONTINUOUS, MilpModel
 from risplan.planner import build_baseline_model, build_ris_model, extract_plan
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, generate
 from risplan import solver
-from risplan.solver import STATUS_ERROR, STATUS_INFEASIBLE, STATUS_OPTIMAL, solve
+from risplan.solver import (STATUS_ERROR, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                            STATUS_TIME_LIMIT, solve)
 from risplan.validate import validate_plan
 
 
@@ -33,6 +35,40 @@ class TestSolve:
         assert res.status == STATUS_OPTIMAL and res.objective_value > 0.0
         assert res.dual_bound == pytest.approx(res.objective_value, rel=1e-6)
         assert isinstance(res.node_count, int) and res.node_count >= 0
+
+    def test_node_count_unknown_is_none(self):
+        # HiGHS reports no node count for a model it proves infeasible.
+        model = MilpModel(name="over", sense="minimize")
+        x = model.add_variable(("x",), BINARY)
+        y = model.add_variable(("y",), BINARY)
+        model.add_constraint("three", {x: 1.0, y: 1.0}, ">=", 3.0)
+        res = solve(model)
+        assert (res.status, res.node_count, res.dual_bound) == (STATUS_INFEASIBLE, None, None)
+
+    @pytest.mark.parametrize("status, expected", [
+        (1, STATUS_TIME_LIMIT), (2, STATUS_INFEASIBLE), (4, STATUS_ERROR)])
+    def test_result_without_node_count(self, small_instance, default_cfg, monkeypatch,
+                                       status, expected):
+        def no_nodes(**kwargs):
+            return SimpleNamespace(status=status, x=None, fun=None, message="stub",
+                                   mip_gap=None, mip_dual_bound=None)
+
+        monkeypatch.setattr(solver, "scipy_milp", no_nodes)
+        res = solve(build_ris_model(*small_instance, default_cfg))
+        assert (res.status, res.node_count, res.variable_values) == (expected, None, None)
+
+    def test_result_with_node_count(self, monkeypatch):
+        model = MilpModel(name="one")
+        model.set_objective_coeff(model.add_variable(("x",), BINARY), 1.0)
+
+        def seven_nodes(**kwargs):
+            return SimpleNamespace(status=0, x=np.array([1.0]), fun=-1.0, message="stub",
+                                   mip_gap=0.0, mip_dual_bound=-1.0, mip_node_count=7)
+
+        monkeypatch.setattr(solver, "scipy_milp", seven_nodes)
+        res = solve(model)
+        assert (res.status, res.node_count, res.dual_bound) == (STATUS_OPTIMAL, 7, 1.0)
+        assert type(res.node_count) is int
 
     def test_pigeonhole_infeasible(self):
         scenario = generate(100.0, 100.0, 1, 1, seed=0)

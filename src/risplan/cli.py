@@ -324,8 +324,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # -- sweep ----------------------------------------------------------------
 
 
+def _grid_value(value: float) -> str:
+    """``value`` in :g form where that reads back as ``value``, else in its
+    shortest round-trip form, so distinct grid values get distinct ids."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def _cell_id(payload: dict) -> str:
-    return f"s{payload['seed']}_b{payload['budget']:g}_m{payload['mu']:g}_{payload['mode']}"
+    return (f"s{payload['seed']}_b{_grid_value(payload['budget'])}"
+            f"_m{_grid_value(payload['mu'])}_{payload['mode']}")
 
 
 def _error_status(message: str) -> str:

@@ -26,9 +26,13 @@ The objective maximizes mu * sum(theta_t) / theta_norm
 separation between a test point's two link directions and l_t the mean
 of its two link lengths: spread the links apart, keep them short.
 
-The objective prices neither stations nor surfaces, so tied optima may
-differ in installed equipment; decoding returns one canonical form of
-such a tie (see extract_plan): every installed station serves a test
+extract_plan decodes both models with one body: a single pass over the
+model's own binaries, in model order, gives the installed sites and
+each test point's pair (the sites of its active x, then of its s); the
+wired inflow is w at the donor the model chose, or |T| * D in a model
+without w. The objective prices neither stations nor surfaces, so tied
+optima may differ in installed equipment; decoding returns one
+canonical form of such a tie: every installed station serves a test
 point or relays to one that does, every surface assists a test point,
 and an idle donor with a single child hands the donor role to it.
 """
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -44,12 +49,10 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .geometry import APERTURE_TOL, minimal_covering_arc
+from .geometry import APERTURE_TOL, TWO_PI, minimal_covering_arc
 from .milp import BINARY, CONTINUOUS, MilpModel
 from .radio import LinkBudgetTable
 from .scenario import PlanningConfig, Scenario
-
-TWO_PI = 2.0 * math.pi
 
 MODE_RIS = "ris"
 MODE_BASELINE = "baseline"
@@ -96,18 +99,6 @@ class NetworkPlan:
     @property
     def mean_len(self) -> float:
         return sum(self.len_per_tp) / len(self.len_per_tp)
-
-
-def src_tuples(tables: LinkBudgetTable) -> list[tuple[int, int, int]]:
-    """All (t, c, r) triples whose activation flag is set, in index order."""
-    t_idx, c_idx, r_idx = np.nonzero(tables.delta_src)
-    return list(zip(t_idx.tolist(), c_idx.tolist(), r_idx.tolist()))
-
-
-def bh_pairs(tables: LinkBudgetTable) -> list[tuple[int, int]]:
-    """All directed station pairs with an active backhaul flag."""
-    c_idx, d_idx = np.nonzero(tables.delta_bh)
-    return list(zip(c_idx.tolist(), d_idx.tolist()))
 
 
 def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig, t, c, r) -> float:
@@ -460,10 +451,15 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
                  cfg: PlanningConfig) -> NetworkPlan:
     """Turn a feasible variable assignment into a NetworkPlan.
 
-    Binaries are rounded (tolerance 1e-6), installation/assignment/tree
-    structure is read through the index map, and cost and objective are
-    recomputed from first principles; a recomputed objective that drifts
-    from the solver's by more than 1e-6 is an error.
+    One pass over the model's variables, in model order, rounds every
+    yIAB, yRIS, yDON, x, s and z binary (tolerance 1e-6) and collects the
+    indices of those that are 1; the aperture binaries are not read. A
+    test point's pair is the sites of its one active x followed by those
+    of its s: (station, surface) from x[t, c, r], or (primary, backup)
+    from x[t, c] and s[t, c]; the first site of each is a serving
+    station. Cost and objective are recomputed from first principles; a
+    recomputed objective that drifts from the solver's by more than 1e-6
+    is an error.
 
     The objective does not price installation cost, so a tied optimum
     may carry equipment that serves nothing. The decoded plan is put in
@@ -474,83 +470,66 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
     a test point are kept, each oriented at the centre of the smallest
     arc that covers the rays of its assigned test points and stations
     (the model's aperture candidates are not read). Backhaul edges,
-    flows and total cost are those of the kept equipment. Assignments,
-    the wired inflow and the objective are read unchanged. Every
-    constraint stays satisfied: dropped stations carry no flow, and a
-    promoted donor only loses receive airtime.
+    flows and total cost are those of the kept equipment. Assignments
+    and the objective are read unchanged. The wired inflow is w at the
+    donor the model chose, read before an idle donor hands its role on;
+    a model without w injects |T| * D there. Every constraint stays
+    satisfied: dropped stations carry no flow, and a promoted donor only
+    loses receive airtime.
     """
-    mode = model.name
-    if mode not in (MODE_RIS, MODE_BASELINE):
+    if model.name not in (MODE_RIS, MODE_BASELINE):
         raise PlannerError(f"model {model.name!r} is not a planning model")
-    missing = [name for name in model.names() if name not in solution]
+    names = model.names()
+    missing = [name for name in names if name not in solution]
     if missing:
         raise PlannerError(f"solution missing variables, e.g. {missing[:3]}")
 
     def val(*key) -> float:
-        return solution[model.name_of(model.var_id(key))]
+        return float(solution[model.name_of(model.var_id(key))])
 
-    def on(*key) -> bool:    # the binary with this key exists and is 1
-        return model.has_var(key) and _round_binary(model.name_of(model.var_id(key)),
-                                                    val(*key)) == 1
+    on: dict[str, list[tuple[int, ...]]] = {
+        tag: [] for tag in ("yIAB", "yRIS", "yDON", "x", "s", "z")}
+    for key, name in zip(model.keys(), names):
+        if key[0] in on and _round_binary(name, solution[name]) == 1:
+            on[key[0]].append(key[1:])
 
-    n_c, n_t = scenario.n_sites, scenario.n_test_points
-    iab = tuple(c for c in range(n_c) if on("yIAB", c))
-    donors = [c for c in range(n_c) if on("yDON", c)]
-    if len(donors) != 1:
-        raise PlannerError(f"decode-time infeasibility: {len(donors)} donors active")
-    donor = donors[0]
+    n_t = scenario.n_test_points
+    if len(on["yDON"]) != 1:
+        raise PlannerError(f"decode-time infeasibility: {len(on['yDON'])} donors active")
+    ((donor,),) = on["yDON"]
+    links = on["x"] + on["s"]
+    pairs: dict[int, list[int]] = {}
+    for t, *sites in links:
+        pairs.setdefault(t, []).extend(sites)
+    n_x = Counter(t for t, *_ in on["x"])
+    for t in range(n_t):
+        pair = pairs.get(t, [])
+        if n_x[t] != 1 or len(pair) != 2:
+            raise PlannerError(f"decode-time infeasibility: test point {t} has {n_x[t]} "
+                               f"active x and sites {pair}, not one pair")
+    assignments = tuple(tuple(pairs[t]) for t in range(n_t))
+    serving = {c for _, c, *_ in links}
+    wired = val("w", donor) if model.has_var(("w", donor)) else float(n_t) * cfg.demand_mbps
 
-    if mode == MODE_RIS:
-        ris = tuple(c for c in range(n_c) if on("yRIS", c))
-        chosen: dict[int, tuple[int, int]] = {}
-        for (t, c, r) in src_tuples(tables):
-            if on("x", t, c, r):
-                if t in chosen:
-                    raise PlannerError(f"decode-time infeasibility: test point {t} "
-                                       f"has multiple active pairs")
-                chosen[t] = (c, r)
-        wired = float(n_t) * cfg.demand_mbps
-    else:
-        ris, chosen = (), {}
-        for t in range(n_t):
-            primary = [c for c in range(n_c) if on("x", t, c)]
-            backup = [c for c in range(n_c) if on("s", t, c)]
-            if len(primary) != 1 or len(backup) != 1:
-                raise PlannerError(f"decode-time infeasibility: test point {t} has "
-                                   f"{len(primary)} primary / {len(backup)} backup links")
-            chosen[t] = (primary[0], backup[0])
-        wired = float(val("w", donor))
-
-    if sorted(chosen) != list(range(n_t)):
-        raise PlannerError("decode-time infeasibility: incomplete assignment")
-    assignments = tuple(chosen[t] for t in range(n_t))
-
-    active = [(c, d) for (c, d) in bh_pairs(tables) if on("z", c, d)]
-    orientations: dict[int, float] = {}
-    if mode == MODE_RIS:
-        serving = {c for (c, _) in assignments}
-        rays: dict[int, list[float]] = {}
-        for t, (c, r) in enumerate(assignments):
+    installed = [r for (r,) in on["yRIS"]]
+    rays: dict[int, list[float]] = {}
+    for t, (c, r) in enumerate(assignments):
+        if r in installed:
             rays.setdefault(r, []).extend((float(tables.phi_a[r, t]),
                                            float(tables.phi_b[r, c])))
-        ris = tuple(r for r in ris if r in rays)
-        orientations = {r: minimal_covering_arc(rays[r])[1] for r in ris}
-    else:
-        serving = {c for pair in assignments for c in pair}
-    donor, kept = _canonical_topology(donor, active, serving)
-    iab = tuple(c for c in iab if c in kept)
-    edges = [(c, d) for (c, d) in active if c in kept and d in kept]
-    flows = {(c, d): float(val("f", c, d)) for (c, d) in edges}
+    ris = tuple(r for r in installed if r in rays)
+    orientations = {r: minimal_covering_arc(rays[r])[1] for r in ris}
+
+    donor, kept = _canonical_topology(donor, on["z"], serving)
+    iab = tuple(c for (c,) in on["yIAB"] if c in kept)
+    edges = [(c, d) for (c, d) in on["z"] if c in kept and d in kept]
+    flows = {(c, d): val("f", c, d) for (c, d) in edges}
 
     theta_per_tp = tuple(float(tables.theta[t, a, b])
                          for t, (a, b) in enumerate(assignments))
     len_per_tp = tuple(0.5 * float(tables.len_tc[t, a] + tables.len_tc[t, b])
                        for t, (a, b) in enumerate(assignments))
-
-    if mode == MODE_RIS:
-        total_cost = cfg.price_iab * len(iab) + cfg.price_ris * len(ris)
-    else:
-        total_cost = cfg.price_iab * len(iab)
+    total_cost = cfg.price_iab * len(iab) + cfg.price_ris * len(ris)
 
     objective = (cfg.mu / cfg.theta_norm_rad * sum(theta_per_tp)
                  - (1.0 - cfg.mu) / cfg.len_norm_m * sum(len_per_tp))
@@ -560,7 +539,7 @@ def extract_plan(model: MilpModel, solution: dict[str, float],
             f"decode drift: recomputed objective {objective!r} vs "
             f"solver objective {solver_objective!r}")
 
-    return NetworkPlan(mode=mode, donor=donor, iab_nodes=iab, ris_sites=ris,
+    return NetworkPlan(mode=model.name, donor=donor, iab_nodes=iab, ris_sites=ris,
                        assignments=assignments, backhaul_edges=tuple(edges), flows_mbps=flows,
                        wired_inflow_mbps=wired, orientations_rad=orientations,
                        theta_per_tp=theta_per_tp, len_per_tp=len_per_tp,

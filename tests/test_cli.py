@@ -347,6 +347,22 @@ class TestSweep:
         assert main(args) == 0
         assert csv_path.read_bytes() == first
 
+    def test_close_budgets_get_own_cells(self, tmp_path, monkeypatch):
+        # 2.3000001 and 2.3000002 print alike under :g; each still gets its
+        # own cell file and manifest entry, so a rerun reuses both.
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--seeds", "1", "--budgets", "2.3000001", "2.3000002",
+                "--mus", "0.5", "--modes", "baseline", "--width", "200", "--height", "200",
+                "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+        ids = ["s1_b2.3000001_m0.5_baseline", "s1_b2.3000002_m0.5_baseline"]
+        assert sorted(p.stem for p in (out_dir / "cells").glob("*.json")) == ids
+        cells = json.loads((out_dir / "sweep.csv.manifest.json").read_text())["cells"]
+        assert list(cells) == ids
+        monkeypatch.setattr("risplan.cli._sweep_cell",
+                            lambda payload: pytest.fail(f"cell solved again: {payload}"))
+        assert main(args) == 0
+
     def test_cells_from_older_decoder_recomputed(self, tmp_path, monkeypatch):
         out_dir = tmp_path / "sweep"
         args = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.5",

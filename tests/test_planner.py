@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 import math
 import re
@@ -10,10 +12,9 @@ import pytest
 from conftest import restrict_access, restrict_tuples
 from risplan.geometry import Point2D, Segment2D
 from risplan.milp import export_lp
-from risplan.planner import (PlannerError, access_airtime, aperture_candidates, bh_pairs,
+from risplan.planner import (PlannerError, access_airtime, aperture_candidates,
                              build_baseline_model, build_ris_model,
-                             extract_plan, load_plan, save_plan,
-                             src_tuples)
+                             extract_plan, load_plan, save_plan)
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, Scenario, generate
 from risplan.solver import solve
@@ -39,7 +40,7 @@ class TestRisModelStructure:
     def test_constraint_count_formulas(self, small_instance, default_cfg):
         scenario, tables = small_instance
         model = build_ris_model(scenario, tables, default_cfg)
-        tuples = src_tuples(tables)
+        tuples = np.argwhere(tables.delta_src).tolist()
         surfaces = {r for (_, _, r) in tuples}
         assert len(rows_named(model, "src_iab_")) == len({(t, c) for (t, c, _) in tuples})
         assert len(rows_named(model, "orient_")) == len(surfaces)
@@ -55,7 +56,7 @@ class TestRisModelStructure:
         assert len(rows_named(model, "colocation_")) == scenario.n_sites
         assert len(rows_named(model, "budget")) == 1
         # The families both builders share.
-        n_pairs = len(bh_pairs(tables))
+        n_pairs = len(np.argwhere(tables.delta_bh))
         for build in (build_ris_model, build_baseline_model):
             model = build(scenario, tables, default_cfg)
             for prefix in ("tree_in_", "flow_bal_", "tx_time_", "half_duplex_"):
@@ -209,19 +210,25 @@ class TestBaselineModelStructure:
         assert n_checked > 0
 
 
+both_builders = pytest.mark.parametrize("build", [build_ris_model, build_baseline_model],
+                                        ids=["ris", "baseline"])
+
+
 class TestExtractPlan:
-    def test_fractional_binary_rejected(self, small_instance, default_cfg):
+    @both_builders
+    def test_fractional_binary_rejected(self, small_instance, default_cfg, build):
         scenario, tables = small_instance
-        model = build_ris_model(scenario, tables, default_cfg)
+        model = build(scenario, tables, default_cfg)
         res = solve(model)
         values = dict(res.variable_values)
         values["yIAB_c0"] = 0.4
         with pytest.raises(PlannerError, match="non-integral"):
             extract_plan(model, values, scenario, tables, default_cfg)
 
-    def test_all_zero_solution_rejected(self, small_instance, default_cfg):
+    @both_builders
+    def test_all_zero_solution_rejected(self, small_instance, default_cfg, build):
         scenario, tables = small_instance
-        model = build_ris_model(scenario, tables, default_cfg)
+        model = build(scenario, tables, default_cfg)
         values = {v.name: 0.0 for v in model.variables}
         with pytest.raises(PlannerError, match="decode-time infeasibility"):
             extract_plan(model, values, scenario, tables, default_cfg)
@@ -235,9 +242,10 @@ class TestExtractPlan:
             plan = extract_plan(model, res.variable_values, scenario, tables, cfg)
             assert plan.objective_value == pytest.approx(res.objective_value, abs=1e-6)
 
-    def test_decode_drift_detected(self, small_instance, default_cfg):
+    @both_builders
+    def test_decode_drift_detected(self, small_instance, default_cfg, build):
         scenario, tables = small_instance
-        model = build_ris_model(scenario, tables, default_cfg)
+        model = build(scenario, tables, default_cfg)
         res = solve(model)
         values = dict(res.variable_values)
         # Claim a wildly different theta while keeping binaries intact.
@@ -245,6 +253,34 @@ class TestExtractPlan:
             values[f"theta_t{t}"] = 0.0 if values[f"theta_t{t}"] > 0.1 else math.pi
         with pytest.raises(PlannerError, match="decode drift"):
             extract_plan(model, values, scenario, tables, default_cfg)
+
+    @pytest.mark.parametrize("fault", ["two_primaries", "no_backup"])
+    def test_station_only_pair_fault_rejected(self, small_instance, default_cfg, fault):
+        scenario, tables = small_instance
+        model = build_baseline_model(scenario, tables, default_cfg)
+        values = dict(solve(model).variable_values)
+        _, backup = extract_plan(model, values, scenario, tables, default_cfg).assignments[0]
+        if fault == "two_primaries":
+            values[f"x_t0_c{backup}"] = 1.0
+        else:
+            values[f"s_t0_c{backup}"] = 0.0
+        with pytest.raises(PlannerError, match="decode-time infeasibility"):
+            extract_plan(model, values, scenario, tables, default_cfg)
+
+    def test_one_body_for_both_modes(self):
+        """extract_plan reads no delta_* table and names a mode only in
+        its check that the model is a planning model, so no part of the
+        decode can fork on mode."""
+        func = ast.parse(inspect.getsource(extract_plan)).body[0]
+        check = next(node for node in func.body if isinstance(node, ast.If))
+        assert [type(op) for op in check.test.ops] == [ast.NotIn]
+        allowed = {id(node) for node in ast.walk(check.test)}
+        for node in ast.walk(func):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or ""
+            assert not name.startswith("delta_"), name
+            if id(node) not in allowed:
+                assert name not in ("MODE_RIS", "MODE_BASELINE"), (name, node.lineno)
+                assert getattr(node, "value", None) not in ("ris", "baseline"), node.lineno
 
     def test_normalizer_scaling_invariance(self, small_instance):
         scenario, tables = small_instance
@@ -291,13 +327,18 @@ class TestExtractPlan:
         assert plan.total_cost == pytest.approx(price)
         assert plan.objective_value == pytest.approx(res.objective_value, abs=1e-6)
 
-    @pytest.mark.parametrize("padding", ["idle_donor", "idle_leaf", "idle_cycle",
-                                         "idle_surface"])
-    def test_idle_equipment_is_dropped(self, small_instance, default_cfg, padding):
+    @pytest.mark.parametrize("mode,padding", [
+        *(pytest.param("ris", padding, id=padding)
+          for padding in ("idle_donor", "idle_leaf", "idle_cycle", "idle_surface")),
+        *(pytest.param("baseline", padding, id=f"baseline-{padding}")
+          for padding in ("idle_donor", "idle_leaf", "idle_cycle"))])
+    def test_idle_equipment_is_dropped(self, small_instance, default_cfg, mode, padding):
         """A tied optimum carrying idle equipment decodes to the same plan
-        as the lean one. The padding keeps every model row satisfied."""
+        as the lean one. The padding keeps every model row satisfied; an
+        idle station-only donor takes the wired inflow w with it."""
         scenario, tables = small_instance
-        model = build_ris_model(scenario, tables, default_cfg)
+        build = build_ris_model if mode == "ris" else build_baseline_model
+        model = build(scenario, tables, default_cfg)
         values = solve(model).variable_values
         lean = extract_plan(model, values, scenario, tables, default_cfg)
         a, b = [c for c in range(scenario.n_sites)
@@ -308,6 +349,8 @@ class TestExtractPlan:
             pad = {f"yIAB_c{a}": 1.0, f"yDON_c{a}": 1.0, f"yDON_c{donor}": 0.0,
                    f"z_c{a}_c{donor}": 1.0, f"f_c{a}_c{donor}": inflow,
                    f"tTX_c{a}": inflow / tables.cap_bh[a, donor]}
+            if mode == "baseline":
+                pad.update({f"w_c{a}": inflow, f"w_c{donor}": 0.0})
         elif padding == "idle_leaf":
             pad = {f"yIAB_c{a}": 1.0, f"z_c{donor}_c{a}": 1.0}
         elif padding == "idle_cycle":
@@ -316,7 +359,7 @@ class TestExtractPlan:
         else:
             pad = {f"yRIS_c{a}": 1.0}
         roomy = replace(default_cfg, budget=10.0)
-        padded_model = build_ris_model(scenario, tables, roomy)
+        padded_model = build(scenario, tables, roomy)
         padded = {**values, **pad}
         assert violated_rows(padded_model, padded) == []
         plan = extract_plan(padded_model, padded, scenario, tables, roomy)

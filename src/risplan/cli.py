@@ -234,28 +234,29 @@ def cmd_plan(args: argparse.Namespace) -> int:
     scenario_digest = _sha256_file(Path(args.scenario))
     solver = {"solver": _solver_stats(model, result)}
 
+    # Every exit that wrote an output writes the manifest that lists it.
+    code = EXIT_SOLVER
     if result.status == STATUS_INFEASIBLE:
         print(f"status: infeasible (mode={args.mode}, budget={planning.budget}, "
               f"mu={planning.mu}); no plan written")
-        if outputs:
-            write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs, solver)
-        return EXIT_INFEASIBLE
-    if result.variable_values is None:
+        code = EXIT_INFEASIBLE
+    elif result.variable_values is None:
         print(f"solver error: status={result.status} {result.message}", file=sys.stderr)
-        return EXIT_SOLVER
-    if isinstance(problem, PlannerError):
+    elif isinstance(problem, PlannerError):
         print(f"solver error: {problem}", file=sys.stderr)
-        return EXIT_SOLVER
-    if problem:
+    elif problem:
         print("decoded plan fails validation:", file=sys.stderr)
         for v in problem:
             print(f"  {v}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    save_plan(plan, out)
-    outputs.insert(0, out)
-    timings["total"] = time.perf_counter() - started
-    write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs, solver)
+    else:
+        save_plan(plan, out)
+        outputs.insert(0, out)
+        timings["total"] = time.perf_counter() - started
+        code = EXIT_OK
+    if outputs:
+        write_manifest(out, "plan", config_doc, scenario_digest, timings, outputs, solver)
+    if code != EXIT_OK:
+        return code
 
     gap_note = f", gap {result.gap:.2%}" if result.status == STATUS_TIME_LIMIT else ""
     print(f"status: {result.status}{gap_note}")

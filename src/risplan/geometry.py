@@ -3,8 +3,10 @@ intersection and angular-sector membership.
 
 All angles are radians. Azimuths are measured counter-clockwise from the
 +x axis and normalized to [0, 2*pi); angular distances are circular, so
-0.1 and 2*pi - 0.1 are 0.2 rad apart. Everything here is pure and
-stateless.
+0.1 and 2*pi - 0.1 are 0.2 rad apart. ``circular_distance`` is the one
+place such a distance is taken, for scalars and arrays alike, and
+``within_fov`` the one sector and aperture test. Everything here is pure
+and stateless.
 
 Segment intersection has one implementation, the numpy kernel
 ``segments_cross``, for closed segments (touching endpoints and collinear
@@ -88,10 +90,11 @@ def azimuth(origin: Point2D, target: Point2D) -> float:
     return math.atan2(dy, dx) % TWO_PI
 
 
-def circular_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two angles, in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+def circular_distance(a, b):
+    """Shortest angular distance between angles, in [0, pi], broadcast over
+    arrays (a numpy float for two scalars)."""
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
 
 
 def angular_separation(vertex: Point2D, p1: Point2D, p2: Point2D) -> float:
@@ -183,17 +186,11 @@ def first_crossing(ax, ay, bx, by, obstacles: np.ndarray) -> np.ndarray:
     return first.reshape(trials + (m,))
 
 
-def sector_contains(sector: Sector, target: Point2D) -> bool:
-    """Boundary-inclusive test of ``target``'s azimuth against the sector."""
-    return bool(within_fov(sector.center_azimuth, azimuth(sector.origin, target), sector.span))
-
-
 def within_fov(orientation, ray_azimuth, fov):
-    """Boundary-inclusive membership of rays in an aperture of ``fov``
-    radians centred on ``orientation``, broadcast over arrays; the
-    arithmetic of ``circular_distance``. Expects fov in (0, 2*pi]."""
-    d = np.abs(orientation - ray_azimuth) % TWO_PI
-    return np.minimum(d, TWO_PI - d) <= fov / 2.0
+    """Boundary-inclusive membership of rays in an aperture (or a sector)
+    of ``fov`` radians centred on ``orientation``, broadcast over arrays.
+    Expects fov in (0, 2*pi]."""
+    return circular_distance(orientation, ray_azimuth) <= fov / 2.0
 
 
 # Slack on aperture width: a set of rays fits in an aperture of F radians

@@ -10,17 +10,24 @@ arrays: ``indptr`` (int64), ``indices`` (variable ids, int32) and
 ``data``. Builders append a whole family with ``add_variables`` or
 ``add_rows``; ``add_variable`` and ``add_constraint`` wrap one item. A
 block is checked before anything is stored, so a bad one raises
-ModelError and leaves the model unchanged. A row keeps its entries in
-variable id order, adds up the coefficients of a repeated variable and
-keeps explicit zeros. ``variables`` and ``constraints`` are read-only
-sequences of views built on access. A row view's ``coeffs`` is not a
-copy: it is a read-only mapping that holds the model's joined CSR arrays
-and the row's place in them, and no arrays of its own. So a held view
-keeps those arrays alive, as they were when it was taken.
+ModelError and leaves the model unchanged. Coefficients and right-hand
+sides must be finite; bounds may be infinite but must admit a value, so
+a NaN bound, a lower bound of +inf or an upper bound of -inf is empty. A
+row keeps its entries in variable id order, adds up the coefficients of
+a repeated variable and keeps explicit zeros. ``variables`` and
+``constraints`` are read-only sequences of views built on access. A row
+view's ``coeffs`` is not a copy: it is a read-only mapping that holds
+the model's joined CSR arrays and the row's place in them, and no arrays
+of its own. So a held view keeps those arrays alive, as they were when
+it was taken.
 The LP writer emits a deterministic byte stream; ``read_lp`` parses the
 dialect ``export_lp`` produces, which gives external solvers a file-based
 path in and out. Both work a block of rows at a time: besides the text
 and the model, they hold a few blocks, not the whole text in pieces.
+``read_lp(export_lp(m))`` is ``m`` again by variable and row name, but its
+variables come in order of first appearance, so the first re-export's
+bytes may differ from the original text; the text of that re-export is a
+fixed point of ``export_lp(read_lp(...))``.
 
 The dialect: sections start at a line holding only ``Maximize``/``max``,
 ``Minimize``/``min``, ``Subject To``/``such that``/``st``/``s.t.``,
@@ -209,8 +216,7 @@ class MilpModel:
         codes = _per_item(kind, n, "variable kind", _KINDS)
         lower = np.where(codes == 1, 0.0, _per_item(lower, n, "lower bound"))
         upper = np.where(codes == 1, 1.0, _per_item(upper, n, "upper bound"))
-        if (lower > upper).any():
-            i = int(np.argmax(lower > upper))
+        if (i := _empty_bounds(lower, upper)) is not None:
             key = (names[i],) if keys is None else keys[i]
             raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {key!r}")
         ids = range(start, start + n)
@@ -303,11 +309,17 @@ class MilpModel:
                 or not indptr[-1] == len(indices) == len(data)):
             raise ModelError(f"ragged block: {m} rows, indptr of length {len(indptr)}, "
                              f"{len(indices)} variable ids, {len(data)} coefficients")
-        bad = (indices < 0) | (indices >= len(self._names))
+        unknown = (indices < 0) | (indices >= len(self._names))
+        bad = unknown | ~np.isfinite(data)
         if bad.any():
             at = int(np.argmax(bad))
             row = names[int(np.searchsorted(indptr, at, side="right")) - 1]
-            raise ModelError(f"constraint {row!r} references unknown variable {indices[at]}")
+            raise ModelError(f"constraint {row!r} references unknown variable {indices[at]}"
+                             if unknown[at] else
+                             f"constraint {row!r} has the non-finite coefficient {data[at]}")
+        if not np.isfinite(rhs).all():
+            i = int(np.argmax(~np.isfinite(rhs)))
+            raise ModelError(f"constraint {names[i]!r} has the non-finite rhs {rhs[i]}")
         indptr, indices, data = _sorted_rows(indptr, indices.astype(np.int32), data)
         self._row_names += names
         for column, block in ((self._sense, codes), (self._rhs, rhs), (self._indices, indices),
@@ -335,6 +347,8 @@ class MilpModel:
     def set_objective_coeff(self, var_id: int, coeff: float) -> None:
         if not 0 <= var_id < len(self._names):
             raise ModelError(f"objective references unknown variable {var_id}")
+        if not math.isfinite(coeff):
+            raise ModelError(f"non-finite objective coefficient {coeff} for variable {var_id}")
         if coeff == 0.0:
             self.objective.pop(var_id, None)
         else:
@@ -359,6 +373,13 @@ class MilpModel:
     def constraints_named(self, prefix: str) -> list[Constraint]:
         return [self._constraint(i) for i, name in enumerate(self._row_names)
                 if name.startswith(prefix)]
+
+
+def _empty_bounds(lower: np.ndarray, upper: np.ndarray) -> int | None:
+    """The first variable whose bounds admit no value, or None: lower above
+    upper, a NaN bound, a lower bound of +inf or an upper bound of -inf."""
+    empty = ~(lower <= upper) | (lower == math.inf) | (upper == -math.inf)
+    return int(np.argmax(empty)) if empty.any() else None
 
 
 def _sorted_rows(indptr, indices, data):
@@ -744,6 +765,9 @@ def read_lp(text: str) -> MilpModel:
     _joined(model._upper)[binary] = 1.0
     for column, given in ((model._lower, lows), (model._upper, ups)):
         _joined(column)[list(given)] = list(given.values())
+    lower, upper = _joined(model._lower), _joined(model._upper)
+    if (i := _empty_bounds(lower, upper)) is not None:
+        raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {model.name_of(i)!r}")
     for var_id, coef in zip(obj_ids.tolist(), obj_values.tolist()):
         model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
     return model

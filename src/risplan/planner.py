@@ -104,7 +104,7 @@ class NetworkPlan:
 def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig, t, c, r) -> float:
     """Airtime a station spends on a served test point (on each, given index
     arrays): the longer of the direct and the reflected transmission."""
-    return np.maximum(cfg.demand_mbps / tables.cap_dir[t, c, r],
+    return np.maximum(cfg.demand_mbps / tables.cap_acc[t, c],
                       cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
 
 

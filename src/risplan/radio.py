@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2D, first_crossing, segment_coords
+from .geometry import TWO_PI, Point2D, circular_distance, first_crossing, segment_coords
 from .scenario import Scenario
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -213,8 +213,9 @@ class LinkBudgetTable:
 
       delta_acc[t, c], cap_acc[t, c]   direct access link
       delta_bh[c, d], cap_bh[c, d]     backhaul link (symmetric support)
-      delta_src[t, c, r]               (terminal, station, surface) triple
-      cap_dir[t, c, r], cap_ref[t, c, r]
+      delta_src[t, c, r]               (terminal, station, surface) triple,
+                                       whose direct leg is cap_acc[t, c]
+      cap_ref[t, c, r]                 the triple's reflected path
       theta[t, c, r]                   angle at t between sites c and r
       len_tc[t, c]                     terminal-site distance, meters
       phi_a[r, t], phi_b[r, c]         azimuths from site r toward t / c
@@ -225,7 +226,6 @@ class LinkBudgetTable:
     delta_src: np.ndarray
     cap_acc: np.ndarray
     cap_bh: np.ndarray
-    cap_dir: np.ndarray
     cap_ref: np.ndarray
     theta: np.ndarray
     len_tc: np.ndarray
@@ -280,13 +280,12 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
     d_cc = np.hypot(sx[None, :] - sx[:, None], sy[None, :] - sy[:, None])  # (C, C)
 
     # Azimuth grids (radians in [0, 2*pi)).
-    az_tc = np.arctan2(sy[None, :] - ty[:, None], sx[None, :] - tx[:, None]) % (2 * np.pi)
-    phi_a = np.arctan2(ty[None, :] - sy[:, None], tx[None, :] - sx[:, None]) % (2 * np.pi)
-    phi_b = np.arctan2(sy[None, :] - sy[:, None], sx[None, :] - sx[:, None]) % (2 * np.pi)
+    az_tc = np.arctan2(sy[None, :] - ty[:, None], sx[None, :] - tx[:, None]) % TWO_PI
+    phi_a = np.arctan2(ty[None, :] - sy[:, None], tx[None, :] - sx[:, None]) % TWO_PI
+    phi_b = np.arctan2(sy[None, :] - sy[:, None], sx[None, :] - sx[:, None]) % TWO_PI
 
-    # Angle at t between sites c and r, circular distance in [0, pi].
-    dtheta = np.abs(az_tc[:, :, None] - az_tc[:, None, :]) % (2 * np.pi)
-    theta = np.minimum(dtheta, 2 * np.pi - dtheta)
+    # Angle at t between sites c and r, in [0, pi].
+    theta = circular_distance(az_tc[:, :, None], az_tc[:, None, :])
 
     with np.errstate(divide="ignore"):
         pl_tc = _path_loss(d_tc, cfg)
@@ -322,7 +321,6 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
 
     cap_acc = cap_acc_raw * delta_acc
     cap_bh = cap_bh_raw * delta_bh
-    cap_dir = cap_acc[:, :, None] * delta_src
     cap_ref = cap_ref_raw * delta_src
 
     return LinkBudgetTable(
@@ -331,7 +329,6 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
         delta_src=delta_src,
         cap_acc=cap_acc,
         cap_bh=cap_bh,
-        cap_dir=cap_dir,
         cap_ref=cap_ref,
         theta=theta,
         len_tc=d_tc,

@@ -6,6 +6,7 @@ orientations and gives every test point a self-blockage sector (span
 is served while at least one of its two access links survives; station
 to station and station to surface legs are exempt from nomadic blockage
 (their fixed-obstacle exposure was already settled at planning time).
+``evaluate`` is the one implementation of this rule.
 
 Within one trial the obstacle list is a fixed ordered sample and count k
 activates its first k entries, so the served set shrinks monotonically
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (TWO_PI, Point2D, Sector, Segment2D, azimuth, first_crossing,
-                       segment_coords, segments_cross, within_fov)
+                       within_fov)
 from .planner import MODE_BASELINE, MODE_RIS, NetworkPlan
 from .scenario import Scenario
 
@@ -39,14 +40,6 @@ DEFAULT_OBSTACLE_LENGTH_M = 5.0
 # Obstacles drawn per batch of trials in ``evaluate`` (at least one trial).
 TRIAL_BLOCK_OBSTACLES = 1 << 18
 SECTOR_SPANS = (2.0 * math.pi / 3.0, 8.0 * math.pi / 9.0)
-
-LINK_ACCESS_DIRECT = "access_direct"
-LINK_ACCESS_REFLECTED_TP_LEG = "access_reflected_tp_leg"
-LINK_BS_RIS_LEG = "bs_ris_leg"
-LINK_BACKHAUL = "backhaul"
-
-_TP_SIDE_KINDS = (LINK_ACCESS_DIRECT, LINK_ACCESS_REFLECTED_TP_LEG)
-_EXEMPT_KINDS = (LINK_BS_RIS_LEG, LINK_BACKHAUL)
 
 
 class ResilienceError(ValueError):
@@ -124,26 +117,6 @@ def sample_trial(area_width: float, area_height: float, max_obstacles: int,
                         for x1, y1, x2, y2 in obstacles[0].tolist()),
         self_blockage=tuple(Sector(origin=tp, center_azimuth=c, span=w) for tp, c, w
                             in zip(tp_positions, centers[0].tolist(), spans[0].tolist())))
-
-
-def is_link_blocked(link: Segment2D, trial: BlockageTrial, tp_index: int,
-                    link_kind: str, active_obstacles: int | None = None) -> bool:
-    """Blockage verdict for one link under one trial.
-
-    Terminal-side links (``link.a`` must be the test point) are blocked by
-    any active obstacle crossing them or by the test point's self-blockage
-    sector containing their azimuth. Backhaul and station-surface legs are
-    never blocked here. ``active_obstacles`` limits the obstacle prefix
-    (default: all)."""
-    if link_kind in _EXEMPT_KINDS:
-        return False
-    if link_kind not in _TP_SIDE_KINDS:
-        raise ResilienceError(f"unknown link kind {link_kind!r}")
-    sector = trial.self_blockage[tp_index]
-    if within_fov(sector.center_azimuth, azimuth(link.a, link.b), sector.span):
-        return True
-    obstacles = segment_coords(trial.obstacles[:active_obstacles]).T
-    return bool(segments_cross(link.a.x, link.a.y, link.b.x, link.b.y, *obstacles).any())
 
 
 def _check_plan_structure(plan: NetworkPlan, scenario: Scenario) -> None:

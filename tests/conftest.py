@@ -32,7 +32,6 @@ def restrict_tuples(tables: LinkBudgetTable, keep: list[tuple[int, int, int]]):
         delta_src=mask,
         cap_acc=tables.cap_acc,
         cap_bh=tables.cap_bh,
-        cap_dir=tables.cap_dir * mask,
         cap_ref=tables.cap_ref * mask,
         theta=tables.theta,
         len_tc=tables.len_tc,
@@ -56,7 +55,6 @@ def restrict_access(tables: LinkBudgetTable, keep: list[tuple[int, int]]):
         delta_src=src,
         cap_acc=tables.cap_acc * mask,
         cap_bh=tables.cap_bh,
-        cap_dir=tables.cap_dir * src,
         cap_ref=tables.cap_ref * src,
         theta=tables.theta,
         len_tc=tables.len_tc,

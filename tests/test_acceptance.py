@@ -395,7 +395,7 @@ def test_acceptance_7_property_suite():
             assert (tab.delta_acc <= prev.delta_acc).all()
             assert (tab.delta_bh <= prev.delta_bh).all()
             assert (tab.delta_src <= prev.delta_src).all()
-            assert (tab.cap_dir[tab.delta_src == 0] == 0).all()
+            assert (tab.cap_acc[tab.delta_acc == 0] == 0).all()
             assert (tab.cap_ref[tab.delta_src == 0] == 0).all()
             assert (tab.cap_bh[tab.delta_bh == 0] == 0).all()
             prev = tab

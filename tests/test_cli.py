@@ -1,8 +1,10 @@
+import hashlib
 import json
 import multiprocessing
 
 import pytest
 
+from risplan import solver
 from risplan.cli import main
 from risplan.milp import read_lp
 from risplan.planner import load_plan
@@ -103,6 +105,22 @@ class TestPlan:
         doc = json.loads(out.with_suffix(".json.manifest.json").read_text())
         assert doc["solver"]["status"] == "infeasible"
         assert doc["solver"]["node_count"] is None and doc["solver"]["dual_bound"] is None
+
+    def test_solver_error_manifest_lists_lp(self, scenario_file, tmp_path, monkeypatch):
+        def crash(**kwargs):
+            raise RuntimeError("solver crashed")
+
+        monkeypatch.setattr(solver, "scipy_milp", crash)
+        for export, out in ((["--export-lp"], tmp_path / "p.json"), ([], tmp_path / "q.json")):
+            code = main(["plan", "--scenario", str(scenario_file), "--mode", "ris",
+                         "--budget", "2.3", *export, "--out", str(out)])
+            assert code == 4 and not out.exists()
+        doc = json.loads((tmp_path / "p.json.manifest.json").read_text())
+        lp = tmp_path / "p.json.lp"
+        assert doc["outputs"] == {str(lp): hashlib.sha256(lp.read_bytes()).hexdigest()}
+        assert doc["solver"]["status"] == "error" and doc["solver"]["rows"] > 0
+        # Without an LP file the failed run wrote nothing, not even a manifest.
+        assert not (tmp_path / "q.json.manifest.json").exists()
 
     def test_missing_scenario_exit_2(self, tmp_path):
         code = main(["plan", "--scenario", str(tmp_path / "nope.json"),

@@ -6,8 +6,8 @@ import pytest
 import risplan.geometry as geometry
 from risplan.geometry import (GeometryError, Point2D, Sector, Segment2D,
                               angular_separation, azimuth, circular_distance,
-                              first_crossing, minimal_covering_arc, sector_contains,
-                              segments_cross, segments_intersect, within_fov)
+                              first_crossing, minimal_covering_arc, segments_cross,
+                              segments_intersect, within_fov)
 
 TWO_PI = 2 * math.pi
 
@@ -185,24 +185,31 @@ def _closed_segments_meet(ax, ay, bx, by, cx, cy, dx, dy):
             or (d4 == 0 and in_box(ax, ay, bx, by, dx, dy)))
 
 
+def holds(sector: Sector, target: Point2D) -> bool:
+    """Whether the sector holds the direction toward ``target``: the test
+    ``evaluate`` applies to a test point's body sector."""
+    return bool(within_fov(sector.center_azimuth, azimuth(sector.origin, target), sector.span))
+
+
 class TestSector:
     def test_on_axis(self):
         sec = Sector(P(0, 0), 0.0, 2 * math.pi / 3)
-        assert sector_contains(sec, P(1, 0))
+        assert holds(sec, P(1, 0))
 
     def test_opposite_direction(self):
         sec = Sector(P(0, 0), 0.0, 2 * math.pi / 3)
-        assert not sector_contains(sec, P(-1, 0))
+        assert not holds(sec, P(-1, 0))
 
     def test_boundary_inclusive(self):
         sec = Sector(P(0, 0), 0.0, 2 * math.pi / 3)
         target = P(math.cos(math.pi / 3), math.sin(math.pi / 3))
-        assert sector_contains(sec, target)
+        assert holds(sec, target)
 
     def test_target_at_origin_errors(self):
+        # A target at the sector's origin has no direction.
         sec = Sector(P(1, 1), 0.0, 1.0)
         with pytest.raises(GeometryError):
-            sector_contains(sec, P(1, 1))
+            holds(sec, P(1, 1))
 
     def test_span_validation(self):
         with pytest.raises(GeometryError):
@@ -217,7 +224,7 @@ class TestSector:
             target = P(rng.uniform(-5, 5), rng.uniform(-5, 5))
             if target == sec.origin:
                 continue
-            assert sector_contains(sec, target)
+            assert holds(sec, target)
 
 
 class TestWithinFov:
@@ -243,6 +250,24 @@ class TestWithinFov:
             o = rng.uniform(0, TWO_PI)
             f = rng.uniform(1e-9, TWO_PI)
             assert within_fov(o, o, f)
+
+
+class TestCircularDistance:
+    def test_arrays_match_the_scalar_form_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(-2 * TWO_PI, 2 * TWO_PI, size=(2, 20_000))
+        got = circular_distance(a, b)
+        assert got.shape == a.shape
+        for x, y, d in zip(a.tolist(), b.tolist(), got.tolist()):
+            scalar = abs(x - y) % TWO_PI
+            assert d == min(scalar, TWO_PI - scalar) == circular_distance(x, y)
+
+    def test_broadcasts(self):
+        rays = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi])
+        grid = circular_distance(rays[:, None], rays[None, :])
+        assert grid.shape == (4, 4)
+        assert np.array_equal(grid, grid.T) and not grid.diagonal().any()
+        assert grid[0].tolist() == [0.0, math.pi / 2, math.pi, math.pi / 2]
 
 
 class TestMinimalCoveringArc:

@@ -86,6 +86,11 @@ class TestColumnarStore:
         (dict(indices=[0, 2**31], data=[1.0, 1.0]), "unknown variable 2147483648"),
         (dict(indices=[2**32 + 1, 1], data=[1.0, 1.0]), "unknown variable 4294967297"),
         (dict(indices=[0, -2**31 - 1], data=[1.0, 1.0]), "unknown variable -2147483649"),
+        (dict(data=[1.0, math.nan]), "'b' has the non-finite coefficient nan"),
+        (dict(data=[-math.inf, 1.0]), "'a' has the non-finite coefficient -inf"),
+        (dict(rhs=[1.0, math.nan]), "'b' has the non-finite rhs nan"),
+        (dict(rhs=math.inf), "'a' has the non-finite rhs inf"),
+        (dict(rhs=[0.0, -math.inf]), "'b' has the non-finite rhs -inf"),
     ])
     def test_bad_block_adds_no_row(self, block, message):
         m = small_model()
@@ -109,6 +114,39 @@ class TestColumnarStore:
             m.add_variables([("p",), ("q",)], ["p", "q"], CONTINUOUS, [0.0, 2.0], 1.0)
         assert m.num_variables == 3 and not m.has_var(("p",))
         assert export_lp(m) == export_lp(small_model())
+
+    @pytest.mark.parametrize("lower, upper", [
+        (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
+    ])
+    def test_bounds_that_admit_no_value_rejected(self, lower, upper):
+        m = small_model()
+        with pytest.raises(ModelError, match=r"empty bounds .* for \('q',\)"):
+            m.add_variables([("p",), ("q",)], ["p", "q"], CONTINUOUS, [0.0, lower],
+                            [1.0, upper])
+        assert m.num_variables == 3 and not m.has_var(("p",))
+        assert export_lp(m) == export_lp(small_model())
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_objective_coefficient_rejected(self, coeff):
+        m = small_model()
+        with pytest.raises(ModelError, match="non-finite objective coefficient"):
+            m.set_objective_coeff(0, coeff)
+        assert export_lp(m) == export_lp(small_model())
+
+    @pytest.mark.parametrize("text, message", [
+        ("Maximize\n obj: x\nSubject To\n c: x <= inf\nEnd\n", "'c' has the non-finite rhs"),
+        ("Maximize\n obj: x\nSubject To\n c: 1e400 x <= 1\nEnd\n",
+         "'c' has the non-finite coefficient inf"),
+        ("Maximize\n obj: 1e400 x\nSubject To\n c: x <= 1\nEnd\n",
+         "non-finite objective coefficient"),
+        ("Maximize\n obj: x\nSubject To\n c: x <= 1\nBounds\n x <= nan\nEnd\n",
+         r"empty bounds \[0.0, nan\] for 'x'"),
+        ("Maximize\n obj: x\nSubject To\n c: x <= 1\nBounds\n x >= inf\nEnd\n",
+         "empty bounds"),
+    ])
+    def test_read_lp_rejects_non_finite_values(self, text, message):
+        with pytest.raises(ModelError, match=message):
+            read_lp(text)
 
     def test_block_ids_and_bounds(self):
         m = small_model()
@@ -527,6 +565,14 @@ class TestDeskRoundTrip:
         assert model.num_constraints > 500
         parsed = read_lp(export_lp(model))
         assert named_model(parsed) == named_model(model)
+
+    @pytest.mark.parametrize("builder", [build_ris_model, build_baseline_model],
+                             ids=["surface", "station-only"])
+    def test_second_export_is_a_fixed_point(self, desk, builder):
+        # The first re-export orders variables by first appearance, so its
+        # bytes may differ from the original; from then on they do not.
+        t2 = export_lp(read_lp(export_lp(builder(*desk))))
+        assert export_lp(read_lp(t2)) == t2
 
 
 class TestLpBoundsAndKinds:

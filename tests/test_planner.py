@@ -110,7 +110,7 @@ class TestRisModelStructure:
         # max(0.25, 0.5) = 0.5
         cfg = PlanningConfig(demand_mbps=100.0, xi=0.5)
         t = type("T", (), {})()
-        t.cap_dir = np.full((1, 2, 2), 400.0)
+        t.cap_acc = np.full((1, 2), 400.0)
         t.cap_ref = np.full((1, 2, 2), 100.0)
         assert access_airtime(t, cfg, 0, 0, 1) == pytest.approx(0.5)
 

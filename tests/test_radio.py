@@ -192,7 +192,6 @@ class TestBuildLinkTables:
         t = build_link_tables(_mask_scenario(s, [wall]), cfg)
         assert (t.cap_acc[t.delta_acc == 0] == 0.0).all()
         assert (t.cap_bh[t.delta_bh == 0] == 0.0).all()
-        assert (t.cap_dir[t.delta_src == 0] == 0.0).all()
         assert (t.cap_ref[t.delta_src == 0] == 0.0).all()
         assert (t.cap_acc[t.delta_acc == 1] > 0.0).all()
         assert (t.cap_ref[t.delta_src == 1] > 0.0).all()
@@ -217,7 +216,7 @@ class TestBuildLinkTables:
         t1 = build_link_tables(s, cfg)
         t2 = build_link_tables(s, cfg)
         for name in ("delta_acc", "delta_bh", "delta_src", "cap_acc", "cap_bh",
-                     "cap_dir", "cap_ref", "theta", "len_tc", "phi_a", "phi_b"):
+                     "cap_ref", "theta", "len_tc", "phi_a", "phi_b"):
             assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
     def test_theta_range_and_symmetry(self, cfg):
@@ -264,6 +263,8 @@ class TestClutteredTablesPinned:
           "011101011111", "011110101111", "011101011011", "011110101010",
           "011111110111", "011111001001", "011011111001", "011011101110")
     SRC_SHA256 = "a8c80b216da7e979a1e3709d3f2df13c98f9e6779e01f770c16f403c60fe62ea"
+    # theta must keep its bits whichever code takes the circular distance.
+    THETA_SHA256 = "00f2da13230fbb473cca8b3276a3081a70f4dd1de12c7f79b0d29e42cc7b6e1f"
 
     def test_fields_equal_recorded(self, cfg):
         open_s, cluttered = _cluttered_desk()
@@ -273,6 +274,7 @@ class TestClutteredTablesPinned:
         assert _bit_rows(t.delta_bh) == self.BH
         assert t.delta_src.dtype == np.int8 and int(t.delta_src.sum()) == 514
         assert hashlib.sha256(t.delta_src.tobytes()).hexdigest() == self.SRC_SHA256
+        assert hashlib.sha256(t.theta.tobytes()).hexdigest() == self.THETA_SHA256
         # Obstacles only mask: every other field equals the open tables,
         # whose links are all active.
         assert o.delta_acc.all() and int(o.delta_src.sum()) == 1056
@@ -280,5 +282,4 @@ class TestClutteredTablesPinned:
             assert np.array_equal(getattr(t, name), getattr(o, name)), name
         assert np.array_equal(t.cap_acc, o.cap_acc * t.delta_acc)
         assert np.array_equal(t.cap_bh, o.cap_bh * t.delta_bh)
-        assert np.array_equal(t.cap_dir, o.cap_dir * t.delta_src)
         assert np.array_equal(t.cap_ref, o.cap_ref * t.delta_src)

@@ -4,18 +4,17 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import risplan.geometry as geometry
 import risplan.resilience as resilience
-from risplan.geometry import Point2D, Sector, Segment2D, azimuth, segments_intersect
-from risplan.planner import (build_baseline_model, build_ris_model, extract_plan,
-                             load_plan)
+from risplan.geometry import Point2D, Segment2D, azimuth, segments_intersect, within_fov
+from risplan.planner import (MODE_RIS, NetworkPlan, build_baseline_model, build_ris_model,
+                             extract_plan, load_plan)
 from risplan.radio import RadioConfig, build_link_tables
-from risplan.resilience import (LINK_ACCESS_DIRECT, LINK_BS_RIS_LEG,
-                                ResilienceError, evaluate, is_link_blocked,
-                                resilience_gain, report_summary_csv,
-                                report_to_dict, report_trials_csv,
+from risplan.resilience import (SECTOR_SPANS, ResilienceError, evaluate, resilience_gain,
+                                report_summary_csv, report_to_dict, report_trials_csv,
                                 sample_trial, trial_seed_for)
 from risplan.scenario import PlanningConfig, Scenario, generate
 from risplan.solver import solve
@@ -111,45 +110,70 @@ class TestSampleTrial:
             sample_trial(100, 100, 50, (Point2D(1, 1),), seed=0, obstacle_length_m=length)
 
 
-class TestIsLinkBlocked:
+# One test point at (100, 100) with a station 50 m east (site 0), a
+# surface 50 m north (site 1) and a donor south-east of the station (site 2).
+TP = Point2D(100.0, 100.0)
+LINE = Scenario(200.0, 200.0, (Point2D(150.0, 100.0), Point2D(100.0, 150.0),
+                               Point2D(150.0, 30.0)), (TP,))
+
+
+def _line_plan(assignments=((0, 1),)) -> NetworkPlan:
+    return NetworkPlan(mode=MODE_RIS, donor=2, iab_nodes=(0, 2), ris_sites=(1,),
+                       assignments=assignments, backhaul_edges=((2, 0),),
+                       flows_mbps={(2, 0): 100.0}, wired_inflow_mbps=100.0,
+                       orientations_rad={1: 1.5 * math.pi}, theta_per_tp=(math.pi / 2,),
+                       len_per_tp=(50.0,), total_cost=2.1, objective_value=0.0)
+
+
+def _placed_trial(monkeypatch, obstacles, center):
+    """Make evaluate's one trial hold these obstacles, in this order, and
+    a narrow sector centred on ``center``, instead of drawing them."""
+    def placed(width, height, n_obstacles, n_tps, seeds, length):
+        assert len(seeds) == 1 and n_obstacles == len(obstacles)
+        return (np.array(obstacles, float).reshape(1, -1, 4),
+                np.full((1, n_tps), SECTOR_SPANS[0]), np.full((1, n_tps), center))
+    monkeypatch.setattr(resilience, "_draw_trials", placed)
+
+
+class TestBlockageRule:
+    """The per-leg blockage rule, as ``evaluate`` applies it."""
+
     def test_sector_center_always_blocks(self):
-        tp = Point2D(50.0, 50.0)
-        trial = sample_trial(100.0, 100.0, 0, (tp,), seed=1)
-        sector = trial.self_blockage[0]
-        target = Point2D(tp.x + 10 * math.cos(sector.center_azimuth),
-                         tp.y + 10 * math.sin(sector.center_azimuth))
-        link = Segment2D(tp, target)
-        assert is_link_blocked(link, trial, 0, LINK_ACCESS_DIRECT)
+        # Station 0 moved 10 m along the centre line of the sector that
+        # evaluate draws: its leg is blocked, but only while sectors count.
+        trial = sample_trial(200.0, 200.0, 0, (TP,), trial_seed_for(1, 0))
+        center = trial.self_blockage[0].center_azimuth
+        site = Point2D(TP.x + 10 * math.cos(center), TP.y + 10 * math.sin(center))
+        scenario = replace(LINE, candidate_sites=(site,) + LINE.candidate_sites[1:])
+        plan = _line_plan(((0, 0),))
+        assert evaluate(plan, scenario, [0], 1, base_seed=1).per_trial == ((0.0,),)
+        assert evaluate(plan, scenario, [0], 1, base_seed=1,
+                        self_blockage=False).per_trial == ((1.0,),)
 
-    def test_station_surface_leg_exempt(self):
-        tp = Point2D(50.0, 50.0)
-        trial = sample_trial(100.0, 100.0, 50, (tp,), seed=2)
-        crossed = None
-        for seg in trial.obstacles:
-            mid = Point2D((seg.a.x + seg.b.x) / 2, (seg.a.y + seg.b.y) / 2)
-            crossed = Segment2D(Point2D(mid.x - 1, mid.y - 1), Point2D(mid.x + 1, mid.y + 1))
-            if segments_intersect(crossed, seg):
-                break
-        assert crossed is not None
-        assert not is_link_blocked(crossed, trial, 0, LINK_BS_RIS_LEG)
-        assert not is_link_blocked(crossed, trial, 0, "backhaul")
+    def test_station_surface_leg_exempt(self, monkeypatch):
+        # Obstacles across the station-surface leg and the backhaul edge
+        # block neither terminal-side leg, whatever the count.
+        across_ris_leg = (123.0, 123.0, 127.0, 127.0)
+        across_backhaul = (145.0, 65.0, 155.0, 65.0)
+        for (x1, y1, x2, y2), (c, d) in ((across_ris_leg, (0, 1)), (across_backhaul, (2, 0))):
+            leg = Segment2D(LINE.candidate_sites[c], LINE.candidate_sites[d])
+            assert segments_intersect(leg, Segment2D(Point2D(x1, y1), Point2D(x2, y2)))
+        _placed_trial(monkeypatch, [across_ris_leg, across_backhaul], 1.25 * math.pi)
+        report = evaluate(_line_plan(), LINE, [0, 1, 2], 1, base_seed=0)
+        assert report.per_trial == ((1.0, 1.0, 1.0),)
 
-    def test_obstacle_blocks_direct(self):
-        tp = Point2D(0.0, 0.0)
-        trial = sample_trial(100.0, 100.0, 0, (tp,), seed=3)
-        # Sector away from +x, then place the obstacle by hand.
-        sector = Sector(tp, math.pi, 0.5)
-        trial = replace(trial, self_blockage=(sector,),
-                        obstacles=(Segment2D(Point2D(5.0, -2.0), Point2D(5.0, 2.0)),))
-        link = Segment2D(tp, Point2D(10.0, 0.0))
-        assert is_link_blocked(link, trial, 0, LINK_ACCESS_DIRECT)
-        assert not is_link_blocked(link, trial, 0, LINK_ACCESS_DIRECT,
-                                   active_obstacles=0)
-
-    def test_unknown_kind(self):
-        trial = sample_trial(100.0, 100.0, 0, (Point2D(1, 1),), seed=0)
-        with pytest.raises(ResilienceError):
-            is_link_blocked(Segment2D(Point2D(1, 1), Point2D(2, 2)), trial, 0, "sidehaul")
+    def test_obstacle_blocks_direct(self, monkeypatch):
+        # The sector faces away from both legs. Obstacle 0 crosses nothing,
+        # obstacle 1 the leg to the station, obstacle 2 the leg to the
+        # surface: count k activates the first k, and the test point is lost
+        # once both legs are.
+        obstacles = [(10.0, 10.0, 12.0, 12.0), (105.0, 98.0, 105.0, 102.0),
+                     (98.0, 105.0, 102.0, 105.0)]
+        _placed_trial(monkeypatch, obstacles, 1.25 * math.pi)
+        counts = [0, 1, 2, 3]
+        assert evaluate(_line_plan(), LINE, counts, 1, 0).per_trial == ((1.0, 1.0, 1.0, 0.0),)
+        alone = _line_plan(((0, 0),))
+        assert evaluate(alone, LINE, counts, 1, 0).per_trial == ((1.0, 1.0, 0.0, 0.0),)
 
 
 class TestEvaluate:
@@ -172,27 +196,26 @@ class TestEvaluate:
         assert a == b
 
     def test_matches_is_link_blocked(self, ris_plan):
-        # evaluate() uses a batch path; cross-check one trial against the
-        # scalar predicate.
+        # evaluate() decides whole batches at once; cross-check each trial
+        # against a per-leg reference built from sample_trial's objects.
+        def is_link_blocked(trial, t, site, k):
+            tp, sector = scenario.test_points[t], trial.self_blockage[t]
+            leg = Segment2D(tp, site)
+            return bool(within_fov(sector.center_azimuth, azimuth(tp, site), sector.span)
+                        or any(segments_intersect(leg, o) for o in trial.obstacles[:k]))
+
         plan, scenario = ris_plan
         counts = [0, 8, 25]
-        report = evaluate(plan, scenario, counts, 3, base_seed=21)
-        for trial_index in range(3):
+        report = evaluate(plan, scenario, counts, 20, base_seed=21)
+        for trial_index in range(20):
             trial = sample_trial(scenario.area_width, scenario.area_height,
                                  counts[-1], scenario.test_points,
                                  trial_seed_for(21, trial_index))
             for j, k in enumerate(counts):
-                served = 0
-                for t, (c, r) in enumerate(plan.assignments):
-                    tp = scenario.test_points[t]
-                    primary = Segment2D(tp, scenario.candidate_sites[c])
-                    secondary = Segment2D(tp, scenario.candidate_sites[r])
-                    ok_p = not is_link_blocked(primary, trial, t,
-                                               "access_direct", active_obstacles=k)
-                    ok_s = not is_link_blocked(secondary, trial, t,
-                                               "access_reflected_tp_leg",
-                                               active_obstacles=k)
-                    served += 1 if (ok_p or ok_s) else 0
+                served = sum(
+                    not all(is_link_blocked(trial, t, scenario.candidate_sites[c], k)
+                            for c in pair)
+                    for t, pair in enumerate(plan.assignments))
                 assert report.per_trial[trial_index][j] == pytest.approx(
                     served / scenario.n_test_points)
 

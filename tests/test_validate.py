@@ -169,7 +169,6 @@ class TestFlowCapacityIsolated:
             delta_src=np.zeros((n_t, n_c, n_c), dtype=np.int8),
             cap_acc=np.full((n_t, n_c), 1e16),
             cap_bh=np.full((n_c, n_c), cap_bh) * (1 - np.eye(n_c)),
-            cap_dir=np.zeros((n_t, n_c, n_c)),
             cap_ref=np.zeros((n_t, n_c, n_c)),
             theta=theta,
             len_tc=len_tc,

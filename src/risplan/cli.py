@@ -295,10 +295,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                       obstacle_length_m=args.obstacle_length)
     timings["evaluate"] = time.perf_counter() - t2
 
-    prefix = Path(args.out)
-    trials_path = prefix.with_suffix(".trials.csv")
-    summary_path = prefix.with_suffix(".summary.csv")
-    json_path = prefix.with_suffix(".json")
+    # Appended to the prefix: with_suffix would give run.1 and run.2 the same files.
+    trials_path = Path(args.out + ".trials.csv")
+    summary_path = Path(args.out + ".summary.csv")
+    json_path = Path(args.out + ".json")
     write_atomic(trials_path, report_trials_csv(report))
     write_atomic(summary_path, report_summary_csv(report))
     plan_digest = _sha256_file(Path(args.plan))

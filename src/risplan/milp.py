@@ -20,29 +20,24 @@ view's ``coeffs`` is not a copy: it is a read-only mapping that holds
 the model's joined CSR arrays and the row's place in them, and no arrays
 of its own. So a held view keeps those arrays alive, as they were when
 it was taken.
-The LP writer emits a deterministic byte stream; ``read_lp`` parses the
-dialect ``export_lp`` produces, which gives external solvers a file-based
-path in and out. Both work a block of rows at a time: besides the text
-and the model, they hold a few blocks, not the whole text in pieces.
+The LP writer emits a deterministic byte stream; ``read_lp`` reads what
+``export_lp`` writes, which gives external solvers a file-based path in
+and out. Both work a block of rows at a time: besides the text and the
+model, they hold a few blocks, not the whole text in pieces.
 ``read_lp(export_lp(m))`` is ``m`` again by variable and row name, but its
 variables come in order of first appearance, so the first re-export's
 bytes may differ from the original text; the text of that re-export is a
 fixed point of ``export_lp(read_lp(...))``.
 
-The dialect: sections start at a line holding only ``Maximize``/``max``,
-``Minimize``/``min``, ``Subject To``/``such that``/``st``/``s.t.``,
-``Bounds``, ``Binaries``/``binary``/``bin``, ``Generals``/``general`` or
-``End``, in any case. A backslash starts a comment that runs to the end
-of the line. A row is ``name: terms relation rhs`` with the relation
-``<=``, ``>=`` or ``=``; a line without a colon continues the row before
-it, and only the first row may go without a name (it is then called
-``c0``). A term is an optional sign, an optional coefficient and a name,
-so ``x - y`` has the implicit coefficients 1 and -1; a name repeated in
-one row has its terms added up. Bounds are ``x <= 5``, ``5 >= x``,
-``x >= -2``, ``lo <= x <= hi`` (``-inf`` and ``inf`` allowed) or
-``x free``. A ``Generals`` section that names a variable is rejected,
-since a model has no integer kind. ``export_lp`` writes a variable with
-no lower bound as ``x free`` or ``-inf <= x <= hi``.
+The text, one item a line: ``\\ name`` (optional for ``read_lp``),
+``Maximize`` or ``Minimize``, `` obj: terms``, ``Subject To``, one
+`` name: terms sense rhs`` per row, ``Bounds`` and one `` x free``,
+`` x >= lo`` or `` lo <= x <= hi`` (lo may be ``-inf``) per continuous
+variable not bounded by [0, inf], ``Binaries`` and one `` x`` per binary
+(these two sections left out when empty), and ``End``. Terms are ``c x``
+or ``- c x``, then `` + c x`` or `` - c x``, each c an unsigned number;
+an empty expression is ``0 x`` with the first variable. ``read_lp`` also
+reads ``\\r\\n`` line ends; any other line makes it raise ModelError.
 """
 
 from __future__ import annotations
@@ -51,7 +46,7 @@ import itertools
 import math
 import operator
 import re
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from collections.abc import ItemsView, Mapping, Sequence
 
 import numpy as np
@@ -410,16 +405,6 @@ def _signed_term(coef: float) -> str:
     return f"+ {_fmt(coef)} " if coef >= 0 else f"- {_fmt(-coef)} "
 
 
-def _coef_value(text: str) -> float:
-    """The value of the text before a term's name: " - 2.5 ", "+", "3", ""."""
-    match = _COEF_RE.fullmatch(text)
-    if match is None:
-        raise ModelError(f"cannot parse coefficient {text.strip()!r}")
-    sign, number = match.groups()
-    value = float(number) if number else 1.0
-    return 0.0 - value if sign == "-" else value
-
-
 def _rows_text(var_names: np.ndarray, anchor: str, row_names: list[str], indptr: np.ndarray,
                indices: np.ndarray, data: np.ndarray, tails: np.ndarray) -> str:
     """Rows as LP text, one a line: " name: terms" and the row's tail. Terms
@@ -458,18 +443,11 @@ def export_lp(model: MilpModel) -> str:
     '\\' or line break, and no whitespace at either end (ModelError
     otherwise). Rows are formatted a block of ``_WRITE_ROWS`` at a time.
     """
-    if not (all(map(_NAME_RE.fullmatch, model._names))
-            and _SECTIONS.keys().isdisjoint(map(str.lower, model._names))):
-        bad = next(name for name in model._names
-                   if not _NAME_RE.fullmatch(name) or name.lower() in _SECTIONS)
+    if (bad := _bad_name(model._names)) is not None:
         raise ModelError(f"variable name {bad!r} cannot be written in LP format: a name "
                          f"is letters, digits and underscores, not starting with a "
                          f"digit, and not a section keyword")
-    # read_lp splits a record at its first ':', cuts comments at '\\', and
-    # splits and strips lines.
-    bad = next((name for name in model._row_names if ":" in name or "\\" in name
-                or name != name.strip() or len(name.splitlines()) > 1), None)
-    if bad is not None:
+    if (bad := _bad_row_name(model._row_names)) is not None:
         raise ModelError(f"row name {bad!r} cannot be written in LP format: a row name "
                          f"holds no ':', '\\' or line break and no whitespace at either end")
     names = np.array(model._names, dtype=object)
@@ -506,268 +484,189 @@ def export_lp(model: MilpModel) -> str:
     return "".join(text)
 
 
-_SECTIONS = {"maximize": "maximize", "max": "maximize",
-             "minimize": "minimize", "min": "minimize",
-             "subject to": "constraints", "such that": "constraints",
-             "st": "constraints", "s.t.": "constraints", "bounds": "bounds",
-             "binaries": "binaries", "binary": "binaries", "bin": "binaries",
-             "generals": "generals", "general": "generals", "end": "end"}
-_LONGEST_KEYWORD = max(map(len, _SECTIONS))
-
+# LP section keywords: export_lp writes no variable so named, in any case.
+_KEYWORDS = frozenset(("maximize", "max", "minimize", "min", "st", "bounds", "binaries",
+                       "binary", "bin", "generals", "general", "end"))
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# The text before a term's name. Newlines, which separate expressions
-# parsed together, may only lead it.
-_COEF_RE = re.compile(rf"\s*([+-]?)[^\S\n]*({_NUMBER})?[^\S\n]*")
-# A term is the text before a name, then the name: " - 2.5e-3 y". That
-# text, the sign and the coefficient, runs up to the first letter that
-# does not continue a number's exponent; _coef_value checks it.
-_TERM_RE = re.compile(
-    r"([^A-Za-z_]*(?:(?<=[\d.])[eE][+-]?\d+[^A-Za-z_]*)?)([A-Za-z_][A-Za-z0-9_]*)")
-_DANGLING_RE = re.compile(rf"{_NUMBER}\s*$")
-_REL_RE = re.compile(r"(<=|>=|=)")
-_RELATIONS = {"<": "<=", ">": ">="}
-# Rows formatted together by export_lp, and constraint records parsed
-# together by read_lp: enough to spread the cost of each pass over many
-# rows, few enough to keep the transient lists small.
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+# Rows formatted together by export_lp: enough to spread the cost of each
+# pass over many rows, few enough to keep the transient lists small.
 _WRITE_ROWS = 4096
-_CHUNK_ROWS = 256
-# read_lp splits its text into lines a block of about this many
-# characters at a time, and ends a chunk of records once it holds as many.
-_BLOCK_CHARS = 1 << 18
+# read_lp splits its text into lines a block of about this many characters
+# at a time, each cut after a newline, and reads the rows of a block together.
+_BLOCK_CHARS = 1 << 16
 
 
-class _Coefficients:
-    """Codes for the texts before term names (" - 2.5 ", "\n+ 3 "): each
-    distinct text gets the next code, and is parsed once for its value and
-    the number of newlines it holds, kept at its code in ``values`` and
-    ``newlines``."""
-
-    def __init__(self):
-        self.code: dict[str, int] = defaultdict(itertools.count().__next__)
-        self.parsed = 0
-        self.values, self.newlines = np.zeros(64), np.zeros(64, np.int64)
-
-    def codes(self, texts: list[str]) -> np.ndarray:
-        """The codes of the texts; raises ModelError for a text that is not
-        a coefficient."""
-        codes = np.fromiter(map(self.code.__getitem__, texts), np.int64, len(texts))
-        fresh = np.flatnonzero(codes >= self.parsed)
-        if len(fresh):
-            _, first = np.unique(codes[fresh], return_index=True)
-            new = [texts[i] for i in fresh[first].tolist()]
-            values = list(map(_coef_value, new))
-            start, self.parsed = self.parsed, self.parsed + len(new)
-            if self.parsed > len(self.values):      # room for twice as many
-                self.values, self.newlines = (np.resize(column, 2 * self.parsed)
-                                              for column in (self.values, self.newlines))
-            self.values[start:self.parsed] = values
-            self.newlines[start:self.parsed] = list(map(operator.methodcaller("count", "\n"), new))
-        return codes
+def _bad_name(names: list[str]) -> str | None:
+    """The first name that is not a variable name export_lp writes, or None."""
+    if all(map(_NAME_RE.fullmatch, names)) and _KEYWORDS.isdisjoint(map(str.lower, names)):
+        return None
+    return next(name for name in names
+                if not _NAME_RE.fullmatch(name) or name.lower() in _KEYWORDS)
 
 
-def _parse_terms(expressions: list[str], ids: dict[str, int],
-                 coefficients: _Coefficients) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse expressions such as "3 x - 2.5e-3 y + z", all in one pass.
-
-    Returns the variable ids and the coefficient codes of all their terms,
-    in order, and the number of empty expressions at the end. A newline
-    leads each expression, so the text before an expression's first term
-    holds one newline, plus one for each empty expression just before it.
-    """
-    # [text between terms (always empty), coefficient, name, ..., the rest]
-    pieces = _TERM_RE.split("\n" + "\n".join(expressions))
-    try:
-        codes = coefficients.codes(pieces[1::3])
-        complete = not pieces[-1].strip()
-    except ModelError:
-        complete = False
-    if not complete:
-        raise _expression_error(expressions)
-    names = pieces[2::3]
-    return (np.fromiter(map(ids.__getitem__, names), np.int64, len(names)), codes,
-            pieces[-1].count("\n"))
+def _bad_row_name(names: list[str]) -> str | None:
+    """The first name that is not a row name export_lp writes, or None: a
+    row name is read up to its line's first ': ', a line at a time."""
+    return next((name for name in names if ":" in name or "\\" in name
+                 or name != name.strip() or len(name.splitlines()) > 1), None)
 
 
-def _expression_error(expressions: list[str]) -> ModelError:
-    """The error for the first expression that does not parse on its own,
-    or else for all of them together."""
-    def parses(expression: str) -> bool:
-        pieces = _TERM_RE.split(expression)
-        return not pieces[-1].strip() and all(map(_COEF_RE.fullmatch, pieces[1::3]))
-
-    text = next((e for e in expressions if not parses(e)), "\n".join(expressions))
-    if _DANGLING_RE.search(text):
-        return ModelError(f"dangling coefficient in expression {text!r}")
-    return ModelError(f"cannot parse expression {text!r}")
-
-
-def _blocks(text: str, start: int, stop: int):
-    """text[start:stop] in blocks of about ``_BLOCK_CHARS`` characters, each
-    cut after a newline so that no line is split, with where each starts.
-    start and stop are the starts of lines or the end of the text."""
-    while start < stop:
-        cut = text.find("\n", min(start + _BLOCK_CHARS, stop) - 1, stop) + 1 or stop
-        yield start, text[start:cut]
+def _runs(text: str):
+    """The numbered lines of the text, split a block at a time: a line that
+    does not start with a space alone, the lines that do as a list per run
+    in a block, and then None, for the end of the text, again and again."""
+    number, start = 1, 0
+    while start < len(text):
+        cut = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        for indented, run in itertools.groupby(text[start:cut].splitlines(),
+                                               operator.methodcaller("startswith", " ")):
+            run = list(run)
+            yield from [(number, run)] if indented else zip(itertools.count(number), run)
+            number += len(run)
         start = cut
+    yield from itertools.repeat((number, None))
 
 
-def _uncommented(lines: list[str], block: str) -> list[str]:
-    """The lines of a block with their comments cut off."""
-    return [line.partition("\\")[0] for line in lines] if "\\" in block else lines
+def _unreadable(number: int, line, cause) -> ModelError:
+    """The error for a line, or the first of a run, and why export_lp writes no such line."""
+    if line is None:
+        return ModelError(f"LP text ends after line {number - 1}: {cause}")
+    line = line[0] if isinstance(line, list) else line
+    return ModelError(f"cannot read LP line {number}: {line[:80]!r}: {cause}")
 
 
-def _sections(text: str) -> list[tuple[str, int, int]]:
-    """Each section in text order: its keyword's section and the span of
-    its body, from the end of its header line to the start of the next
-    header line. A header line holds only a section keyword."""
-    heads = []      # (section, start of the header line, end of it)
-    for start, block in _blocks(text, 0, len(text)):
-        lines = block.splitlines(keepends=True)
-        ats = itertools.accumulate(map(len, lines), initial=start)
-        for at, line, head in zip(ats, lines, map(str.strip, _uncommented(lines, block))):
-            if len(head) <= _LONGEST_KEYWORD and head.lower() in _SECTIONS:
-                heads.append((_SECTIONS[head.lower()], at, at + len(line)))
-    stops = [at for _, at, _ in heads[1:]] + [len(text)]
-    return [(section, body, stop) for (section, _, body), stop in zip(heads, stops)]
+def _read(read, number: int, run, model: MilpModel, coefficients: dict) -> None:
+    """Read a run of lines into the model with ``read``, or raise the error
+    for the first line that ``read`` cannot read alone into a new model."""
+    if not isinstance(run, list):
+        raise _unreadable(number, run, "expected a line that starts with a space")
+    try:
+        read(run, model, coefficients)
+    except ValueError:
+        for at, line in enumerate(run):
+            try:
+                read([line], MilpModel(), {})
+            except ValueError as exc:
+                raise _unreadable(number + at, line, exc) from None
+        raise
 
 
-def _record_chunks(lines):
-    """Constraint records, each one string, in chunks of at most
-    ``_CHUNK_ROWS`` records that end once they hold ``_BLOCK_CHARS``
-    characters. A line with a row name starts a record and any other line
-    that is not blank continues it."""
-    chunk, size, record = [], 0, None
+def _ids_of(names: list[str], model: MilpModel) -> np.ndarray:
+    """The variable ids of the names; the model first declares the names it
+    does not have, continuous, in order of first appearance."""
+    ids = np.fromiter(map(model._name_to_id.get, names, itertools.repeat(-1)), int, len(names))
+    fresh = np.flatnonzero(ids < 0).tolist()
+    if fresh:
+        new = list(dict.fromkeys(names[i] for i in fresh))
+        if (bad := _bad_name(new)) is not None:
+            raise ModelError(f"{bad!r} is not a variable name export_lp writes")
+        model.add_variables(None, new, CONTINUOUS)
+        ids[fresh] = [model._name_to_id[names[i]] for i in fresh]
+    return ids
+
+
+def _terms(texts: list[str], model: MilpModel, coefficients: dict):
+    """The terms of expressions ("1 x - 2.5 y", "- 1 x"): the variable ids
+    and coefficients of all their terms, in order, and the number of terms
+    in each. Each distinct sign and number is read once, into ``coefficients``."""
+    signed = [text if text.startswith("- ") else "+ " + text for text in texts]
+    counts = np.array([text.count(" ") for text in signed]) + 1
+    tokens = " ".join(signed).split(" ")
+    signs, numbers = tokens[0::3], tokens[1::3]
+    values = np.fromiter(map(coefficients.get, zip(signs, numbers), itertools.repeat(math.nan)),
+                         float)
+    fresh = np.flatnonzero(np.isnan(values)).tolist()
+    new = dict.fromkeys((signs[i], numbers[i]) for i in fresh)
+    if (counts % 3).any() or not all(s in ("+", "-") and _NUMBER_RE.fullmatch(n) for s, n in new):
+        raise ModelError("a term is a sign, an unsigned number and a name")
+    coefficients.update(((s, n), 0.0 - float(n) if s == "-" else float(n)) for s, n in new)
+    values[fresh] = [coefficients[signs[i], numbers[i]] for i in fresh]
+    return _ids_of(tokens[2::3], model), values, counts // 3
+
+
+def _objective(lines: list[str], model: MilpModel, coefficients: dict) -> None:
+    """Read the objective line, " obj: terms", into the model."""
+    if not lines[0].startswith(" obj: "):
+        raise ModelError("the objective line is ' obj: terms'")
+    var_ids, values, _ = _terms([lines[0][len(" obj: "):]], model, coefficients)
+    for var_id, coef in zip(var_ids.tolist(), values.tolist()):
+        model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
+
+
+def _rows(lines: list[str], model: MilpModel, coefficients: dict) -> None:
+    """Read rows, " name: terms sense rhs", into the model as one block."""
+    heads, colons, bodies = zip(*map(operator.methodcaller("partition", ": "), lines))
+    lhs, senses, rhs = zip(*map(operator.methodcaller("rsplit", " ", 2), bodies))
+    names = [head[1:] for head in heads]
+    if (not all(colons) or not set(_SENSES).issuperset(senses)
+            or _bad_row_name(names) is not None):
+        raise ModelError("a row is ' name: terms sense rhs'")
+    var_ids, values, counts = _terms(lhs, model, coefficients)
+    model.add_rows(names, senses, list(map(float, rhs)), np.r_[0, np.cumsum(counts)],
+                   var_ids, values)
+
+
+def _bounds(lines: list[str], model: MilpModel, coefficients: dict) -> None:
+    """Read bounds, " x free", " x >= lo" or " lo <= x <= hi", into the model."""
+    bounds = []
     for line in lines:
-        if ":" in line or (record is None and line.strip()):
-            if record is not None:
-                chunk.append(record)
-                size += len(record)
-                if len(chunk) == _CHUNK_ROWS or size >= _BLOCK_CHARS:
-                    yield chunk
-                    chunk, size = [], 0
-            record = line
-        elif line.strip():
-            record += " " + line.strip()
-    if record is not None:
-        yield chunk + [record]
+        match line[1:].split(" "):
+            case [name, "free"]:
+                bounds.append((name, -math.inf, math.inf))
+            case [name, ">=", low]:
+                bounds.append((name, float(low), math.inf))
+            case [low, "<=", name, "<=", up]:
+                bounds.append((name, float(low), float(up)))
+            case _:
+                raise ModelError("a bound is ' x free', ' x >= lo' or ' lo <= x <= hi'")
+    names, lower, upper = (list(column) for column in zip(*bounds))
+    if (i := _empty_bounds(np.array(lower), np.array(upper))) is not None:
+        raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {names[i]!r}")
+    ids = _ids_of(names, model)
+    _joined(model._lower)[ids], _joined(model._upper)[ids] = lower, upper
 
 
-def _declare_new(model: MilpModel, ids: dict[str, int]) -> None:
-    """Declare, as continuous, the names that ``ids`` numbered after the
-    model's last variable."""
-    new = list(itertools.islice(reversed(ids), len(ids) - model.num_variables))[::-1]
-    model.add_variables(None, new, CONTINUOUS)
-
-
-def _add_records(model: MilpModel, records: list[str], ids: dict[str, int],
-                 coefficients: _Coefficients) -> None:
-    """Parse constraint records and append them to the model as one block
-    of rows, after declaring the variables they name first."""
-    row_names, rels, lhs_rows, rhs_texts = [], [], [], []
-    for record in records:
-        cname, colon, body = record.partition(":")
-        cname, body = ((cname.strip(), body) if colon
-                       else (f"c{model.num_constraints + len(row_names)}", record))
-        lhs, equals, rhs_text = body.partition("=")
-        if not equals or "=" in rhs_text:
-            raise ModelError(f"cannot parse constraint {record.strip()!r}")
-        rel = _RELATIONS.get(lhs[-1:], "=")
-        row_names.append(cname)
-        rels.append(rel)
-        lhs_rows.append(lhs[:-1] if rel != "=" else lhs)
-        rhs_texts.append(rhs_text)
-    var_ids, codes, trailing = _parse_terms(lhs_rows, ids, coefficients)
-    rhs = list(map(float, rhs_texts))
-    # Each newline before a term starts one row there; the empty rows at
-    # the end start after the last term.
-    leads = coefficients.newlines[codes]
-    firsts = np.flatnonzero(leads)
-    indptr = np.r_[np.repeat(firsts, leads[firsts]), np.full(trailing + 1, len(var_ids))]
-    _declare_new(model, ids)
-    model.add_rows(row_names, rels, rhs, indptr, var_ids, coefficients.values[codes])
+def _binaries(lines: list[str], model: MilpModel, coefficients: dict) -> None:
+    """Read binaries, one " x" a line, into the model: bounds [0, 1]."""
+    ids = _ids_of([line[1:] for line in lines], model)
+    _joined(model._kind)[ids] = _KINDS.index(BINARY)
+    _joined(model._lower)[ids], _joined(model._upper)[ids] = 0.0, 1.0
 
 
 def read_lp(text: str) -> MilpModel:
-    """Parse the LP dialect produced by ``export_lp``.
+    """Read back LP text as ``export_lp`` writes it (see the module
+    docstring); any other line raises ModelError naming it. Variables are
+    keyed by their names (see ``add_variables``) and declared in order of
+    first appearance; the rows of each run that ``_runs`` yields are
+    appended to the model as one block."""
+    items, coefficients = _runs(text), {}
+    number, item = next(items)
 
-    Variable keys in the returned model are singleton tuples of the name,
-    derived from the names rather than stored (see ``add_variables``);
-    structural keys are not recoverable from a flat file. Variables are
-    declared in order of first appearance: in the objective, then in the
-    rows, the bounds and the binaries. See the module docstring for the
-    accepted dialect. The text is read a section at a time and its lines a
-    block at a time; its rows are parsed and appended to the model a chunk
-    at a time (see ``_record_chunks``).
-    """
-    spans: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    sense = "maximize"
-    for section, start, stop in _sections(text):
-        if section in ("maximize", "minimize"):
-            sense, section = section, "objective"
-        spans[section].append((start, stop))
+    def step(*expected: str | None) -> None:
+        """Go on to the next line or run, if the current one is expected."""
+        nonlocal number, item
+        if expected and item not in expected:
+            raise _unreadable(number, item, "expected " + " or ".join(
+                header or "the end of the text" for header in expected))
+        number, item = next(items)
 
-    def blocks(section: str):
-        """The lines of the section's bodies, comments cut off, a block at a time."""
-        for start, stop in spans[section]:
-            for _, block in _blocks(text, start, stop):
-                yield _uncommented(block.splitlines(), block)
-
-    for lines in blocks("generals"):
-        if generals := " ".join(lines).split():
-            raise ModelError(f"integer variable {generals[0]!r} in a Generals section: "
-                             f"only binary and continuous variables are supported")
-    model = MilpModel(name="lp_import", sense=sense)
-    ids: dict[str, int] = defaultdict(itertools.count().__next__)    # new names: next id
-    coefficients = _Coefficients()
-
-    obj_body = " ".join(" ".join(itertools.chain.from_iterable(blocks("objective"))).split())
-    if ":" in obj_body:
-        obj_body = obj_body.split(":", 1)[1]
-    obj_ids, obj_codes, _ = _parse_terms([obj_body], ids, coefficients)
-    obj_values = coefficients.values[obj_codes]
-    _declare_new(model, ids)
-
-    for chunk in _record_chunks(itertools.chain.from_iterable(blocks("constraints"))):
-        _add_records(model, chunk, ids, coefficients)
-
-    lows, ups = {}, {}    # bounds by variable id; they apply to binaries too
-    for record in filter(None, map(str.strip, itertools.chain.from_iterable(blocks("bounds")))):
-        pieces = [p.strip() for p in _REL_RE.split(record)]
-        if record.lower().endswith(" free"):
-            var_id = ids[record[: -len(" free")].strip()]
-            lows[var_id], ups[var_id] = -math.inf, math.inf
-        elif len(pieces) == 5:  # lo <= x <= hi
-            lows[ids[pieces[2]]], ups[ids[pieces[2]]] = float(pieces[0]), float(pieces[4])
-        elif len(pieces) == 3:
-            left, rel, right = pieces
-            try:
-                value = float(right)
-                name, bound_is_upper = left, rel == "<="
-            except ValueError:
-                value = float(left)
-                name, bound_is_upper = right, rel == ">="
-            (ups if bound_is_upper else lows)[ids[name]] = value
-        else:
-            raise ModelError(f"cannot parse bound {record!r}")
-
-    binaries = [np.zeros(0, np.int64)]
-    for lines in blocks("binaries"):
-        names = " ".join(lines).split()    # a binary in no row is declared here
-        binaries.append(np.fromiter(map(ids.__getitem__, names), np.int64, len(names)))
-    _declare_new(model, ids)
-    # Each column becomes one block now, not on its first use.
-    for column in (model._kind, model._lower, model._upper, model._sense, model._rhs,
-                   model._indptr, model._indices, model._data):
-        _joined(column)
-    binary = np.concatenate(binaries)
-    _joined(model._kind)[binary] = _KINDS.index(BINARY)
-    _joined(model._upper)[binary] = 1.0
-    for column, given in ((model._lower, lows), (model._upper, ups)):
-        _joined(column)[list(given)] = list(given.values())
-    lower, upper = _joined(model._lower), _joined(model._upper)
-    if (i := _empty_bounds(lower, upper)) is not None:
-        raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {model.name_of(i)!r}")
-    for var_id, coef in zip(obj_ids.tolist(), obj_values.tolist()):
-        model.set_objective_coeff(var_id, model.objective.get(var_id, 0.0) + coef)
+    if isinstance(item, str) and item.startswith("\\ "):
+        step()
+    sense = item
+    step("Maximize", "Minimize")
+    model = MilpModel(name="lp_import", sense=sense.lower())
+    if isinstance(item, list) and len(item) > 1:
+        raise _unreadable(number + 1, item[1], "expected Subject To")
+    _read(_objective, number, item, model, coefficients)
+    step()
+    for header, read in (("Subject To", _rows), ("Bounds", _bounds), ("Binaries", _binaries)):
+        if item == header or read is _rows:
+            step(header)
+            while isinstance(item, list):
+                _read(read, number, item, model, coefficients)
+                step()
+    step("End")
+    step(None)
+    model.csr(), model.row_bounds(), model.columns()     # join each column's blocks now
     return model

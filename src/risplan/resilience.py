@@ -146,6 +146,8 @@ def evaluate(plan: NetworkPlan, scenario: Scenario, obstacle_counts: list[int],
         raise ResilienceError("obstacle_counts must be non-negative and ascending")
     if n_trials < 1:
         raise ResilienceError("n_trials must be >= 1")
+    if base_seed < 0:
+        raise ResilienceError(f"base_seed must be non-negative, not {base_seed}")
     _check_plan_structure(plan, scenario)
 
     tps, sites, n_t = scenario.test_points, scenario.candidate_sites, scenario.n_test_points

@@ -31,6 +31,12 @@ class ScenarioFormatError(ScenarioError):
     """Malformed or unsupported scenario file."""
 
 
+def _check_area(width: float, height: float) -> None:
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ScenarioError(f"area dimensions must be finite and positive, not "
+                            f"{width} x {height}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     area_width: float
@@ -41,8 +47,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.area_width <= 0 or self.area_height <= 0:
-            raise ScenarioError("area dimensions must be positive")
+        _check_area(self.area_width, self.area_height)
         if len(self.candidate_sites) < 1:
             raise ScenarioError("at least one candidate site required")
         if len(self.test_points) < 1:
@@ -119,8 +124,9 @@ def generate(width: float, height: float, n_cs: int, n_tp: int, seed: int) -> Sc
     """
     if n_cs < 1 or n_tp < 1:
         raise ScenarioError("need at least one candidate site and one test point")
-    if width <= 0 or height <= 0:
-        raise ScenarioError("area dimensions must be positive")
+    _check_area(width, height)
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, not {seed}")
     rng = np.random.default_rng(seed)
     accepted: list[Point2D] = []
     for _ in range(n_cs + n_tp):
@@ -197,6 +203,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for k in ("width", "height"):
         if not isinstance(area, dict) or k not in area:
             raise ScenarioFormatError(f"missing field area.{k}")
+        if not isinstance(area[k], (int, float)) or isinstance(area[k], bool):
+            raise ScenarioFormatError(f"malformed field area.{k}: expected a number")
 
     def parse_points(key: str) -> tuple[Point2D, ...]:
         raw = _require(doc, key)

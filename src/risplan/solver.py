@@ -1,8 +1,8 @@
 """Solving MilpModels with HiGHS, in process through scipy.optimize.milp.
 
 ``solve`` takes a model and returns a SolveResult; nothing else about the
-engine leaks out. External solvers can be reached through LP files
-(milp.export_lp / milp.read_lp).
+engine leaks out. External solvers can be reached through LP files:
+milp.export_lp writes them, and milp.read_lp reads back what it wrote.
 
 scipy is imported on the first solve, not with this module, so work that
 never solves (scenarios, LP files, blockage simulation) does not pay for

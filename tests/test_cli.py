@@ -43,6 +43,20 @@ class TestGenerate:
         code = main(["generate", "--n-cs", "0", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_bad_area_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.json"
+        assert main(["generate", f"{flag}={value}", "--out", str(out)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_default_flags_reference_shape(self, tmp_path):
         out = tmp_path / "ref.json"
         assert main(["generate", "--out", str(out)]) == 0
@@ -176,6 +190,16 @@ class TestPlan:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.json").exists()
 
+    @pytest.mark.parametrize("value", ["200", [200.0]])
+    def test_area_not_a_number_exit_2(self, scenario_file, tmp_path, capsys, value):
+        doc = json.loads(scenario_file.read_text())
+        doc["area"]["width"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["plan", "--scenario", str(bad), "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "malformed field area.width" in capsys.readouterr().err
+
     def test_non_finite_planning_block_exit_2(self, scenario_file, tmp_path, capsys):
         doc = json.loads(scenario_file.read_text())
         for block in ({"budget": float("nan")}, {"len_norm_m": float("inf")}):
@@ -260,6 +284,36 @@ class TestSimulate:
                          "--seed", "5", "--out", str(out)]) == 0
             outs.append((tmp_path / f"{name}.trials.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_dotted_prefixes_get_distinct_files(self, scenario_file, plan_file, tmp_path):
+        for seed, prefix in (("1", "run.1"), ("2", "run.2")):
+            assert main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                         "--counts", "0", "20", "--trials", "3", "--seed", seed,
+                         "--out", str(tmp_path / prefix)]) == 0
+        for suffix in (".trials.csv", ".summary.csv", ".json", ".json.manifest.json"):
+            one, two = (tmp_path / f"run.{i}{suffix}" for i in (1, 2))
+            assert one.exists() and two.exists()
+        assert (json.loads((tmp_path / "run.1.json").read_text())["base_seed"],
+                json.loads((tmp_path / "run.2.json").read_text())["base_seed"]) == (1, 2)
+        assert not (tmp_path / "run.json").exists()
+
+    def test_negative_seed_exit_2(self, scenario_file, plan_file, tmp_path, capsys):
+        code = main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                     "--counts", "0", "--seed", "-1", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "base_seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "r.trials.csv").exists()
+
+    @pytest.mark.parametrize("value", ["200", [200.0]])
+    def test_area_not_a_number_exit_2(self, scenario_file, plan_file, tmp_path, capsys, value):
+        doc = json.loads(scenario_file.read_text())
+        doc["area"]["height"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(plan_file), "--scenario", str(bad),
+                     "--counts", "0", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "malformed field area.height" in capsys.readouterr().err
 
     def test_manifest_stage_timings(self, scenario_file, plan_file, tmp_path):
         out = tmp_path / "report"
@@ -461,6 +515,18 @@ class TestSweep:
         code = main(["sweep", "--seeds", "1", "--budgets", "2",
                      "--modes", "hybrid", "--out-dir", str(tmp_path / "s")])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, message", [("--seeds", "seed must be non-negative"),
+                                               ("--sim-seed", "base_seed must be non-negative")])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, flag, message):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "1.0",
+                     "--modes", "ris", "--width", "200", "--height", "200",
+                     "--n-cs", "6", "--n-tp", "3", "--sim-counts", "0", "--sim-trials", "2",
+                     f"{flag}=-1", "--out-dir", str(out_dir)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()
 
     def test_simulate_columns(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -189,6 +189,11 @@ class TestEvaluate:
         for row in report.per_trial:
             assert all(a >= b - 1e-12 for a, b in zip(row, row[1:]))
 
+    def test_negative_seed_rejected(self, ris_plan):
+        plan, scenario = ris_plan
+        with pytest.raises(ResilienceError, match="base_seed must be non-negative"):
+            evaluate(plan, scenario, [0, 10], 3, base_seed=-1)
+
     def test_deterministic(self, ris_plan):
         plan, scenario = ris_plan
         a = evaluate(plan, scenario, [0, 10, 30], 15, base_seed=7)

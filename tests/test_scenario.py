@@ -43,6 +43,18 @@ class TestGenerate:
         with pytest.raises(ScenarioError):
             generate(100, 100, 5, 0, seed=0)
 
+    @pytest.mark.parametrize("width, height", [(math.nan, 100.0), (100.0, math.inf),
+                                               (-math.inf, 100.0), (0.0, 100.0)])
+    def test_non_finite_or_empty_area_rejected(self, width, height):
+        with pytest.raises(ScenarioError, match="finite and positive"):
+            generate(width, height, 3, 2, seed=0)
+        with pytest.raises(ScenarioError, match="finite and positive"):
+            Scenario(width, height, (Point2D(1, 1),), (Point2D(2, 2),))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed must be non-negative"):
+            generate(100.0, 100.0, 3, 2, seed=-1)
+
     def test_impossible_placement(self):
         with pytest.raises(ScenarioError, match="could not place"):
             generate(2.0, 2.0, 40, 40, seed=0)
@@ -87,6 +99,16 @@ class TestPersistence:
         del doc["test_points"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError, match="missing field test_points"):
+            load(path)
+
+    @pytest.mark.parametrize("value", ["100", "wide", [100.0], None, True])
+    def test_area_not_a_number_rejected(self, tmp_path, value):
+        path = tmp_path / "scenario.json"
+        save(generate(100.0, 100.0, 3, 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc["area"]["height"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match="malformed field area.height"):
             load(path)
 
     def test_point_outside_area_on_load(self, tmp_path):

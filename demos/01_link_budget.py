@@ -7,14 +7,16 @@ Run:  python demos/01_link_budget.py
 from risplan import (Point2D, RadioConfig, backhaul_snr_db, direct_snr_db,
                      path_loss_db, reflected_snr_db, snr_to_rate_mbps)
 
+# The defaults describe a 28 GHz system. Its surface is a 0.5 m square
+# panel of 1e4 elements, 5 mm apart, close to the 5.35 mm half wavelength;
+# a half-wavelength-square element gives the reflected budget the aperture
+# constant 20*log10(pi), whatever the carrier.
 cfg = RadioConfig()
 print("Radio defaults: "
-      f"{cfg.tx_power_dbm:.0f} dBm, {cfg.carrier_freq_hz/1e9:.0f} GHz, "
+      f"{cfg.tx_power_dbm:.0f} dBm, "
       f"{cfg.bs_array_elements}-element arrays, {cfg.ris_elements} surface elements, "
       f"{cfg.bandwidth_hz/1e6:.0f} MHz channels")
-print(f"Surface element spacing {cfg.element_spacing_m()*1000:.2f} mm "
-      f"vs half wavelength {cfg.wavelength_m/2*1000:.2f} mm")
-print(f"Reflected-budget aperture constant: {cfg.ris_aperture_gain_db():.2f} dB\n")
+print(f"Reflected-budget aperture constant: {cfg.ris_element_gain_db:.2f} dB\n")
 
 print(f"{'d [m]':>6} {'PL [dB]':>8} {'direct SNR':>11} {'rate [Mbps]':>12} "
       f"{'backhaul SNR':>13} {'bh rate':>9}")

@@ -55,7 +55,6 @@ from .scenario import (
     ScenarioFormatError,
     generate,
     load,
-    load_planning,
     save,
 )
 from .solver import SolveResult, solve
@@ -103,7 +102,6 @@ __all__ = [
     "generate",
     "load",
     "load_plan",
-    "load_planning",
     "minimal_covering_arc",
     "noise_power_dbm",
     "path_loss_db",

@@ -29,16 +29,16 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .atomic import write_atomic
+from .atomic import read_json, write_atomic, write_json
 from .milp import export_lp
 from .planner import (DECODE_VERSION, MODE_BASELINE, MODE_RIS, PlannerError,
                       build_baseline_model, build_ris_model, extract_plan,
-                      load_plan, save_plan)
+                      plan_from_dict, save_plan)
 from .radio import RadioConfig, RadioModelError, build_link_tables
 from .resilience import (ResilienceError, evaluate, report_summary_csv,
                          report_to_dict, report_trials_csv)
-from .scenario import (PlanningConfig, Scenario, ScenarioError, generate,
-                       load, load_planning, save)
+from .scenario import (PlanningConfig, Scenario, ScenarioError, ScenarioFormatError,
+                       generate, planning_from_dict, save, scenario_from_dict)
 from .solver import STATUS_INFEASIBLE, STATUS_TIME_LIMIT, solve
 from .validate import validate_plan
 
@@ -80,7 +80,7 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
         **(extra or {}),
     }
     path = primary_out.with_suffix(primary_out.suffix + ".manifest.json")
-    write_atomic(path, json.dumps(manifest, indent=2) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -89,17 +89,15 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
 # One (flag, field, type, help) table per config dataclass.
 _RADIO_FLAGS = (
     ("--tx-power", "tx_power_dbm", float, "transmit power, dBm (default 30)"),
-    ("--carrier-freq", "carrier_freq_hz", float, "carrier frequency, Hz (default 28e9)"),
     ("--bs-elements", "bs_array_elements", int, "station array elements (default 64)"),
     ("--ris-elements", "ris_elements", int, "surface elements (default 10000)"),
-    ("--ris-side", "ris_side_m", float, "surface side, meters (default 0.5)"),
     ("--bandwidth", "bandwidth_hz", float, "channel bandwidth, Hz (default 400e6)"),
     ("--noise-figure", "noise_figure_db", float, "receiver noise figure, dB (default 7)"),
     ("--pathloss-intercept", "pathloss_intercept_db", float,
      "path loss at 1 m, dB (default 61.4)"),
     ("--pathloss-exponent", "pathloss_exponent", float, "path loss exponent (default 2)"),
     ("--ris-element-gain", "ris_element_gain_db", float,
-     "reflected-budget aperture constant, dB (default: derived)"),
+     "reflected-budget aperture constant, dB (default 20*log10(pi))"),
 )
 
 _PLANNING_FLAGS = (
@@ -163,10 +161,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_inputs(args: argparse.Namespace) -> tuple[Scenario, RadioConfig, PlanningConfig]:
-    """The scenario and the configs: flags over its planning block over defaults."""
-    scenario = load(args.scenario)
-    return (scenario, *_configs_from_args(args, load_planning(args.scenario)))
+def _load_inputs(args: argparse.Namespace
+                 ) -> tuple[Scenario, RadioConfig, PlanningConfig, str]:
+    """The scenario, the configs (flags over its planning block over
+    defaults) and the scenario file's digest, from one read of the file."""
+    doc, digest = read_json(args.scenario, ScenarioFormatError)
+    scenario = scenario_from_dict(doc)
+    return (scenario, *_configs_from_args(args, planning_from_dict(doc)), digest)
 
 
 def _plan_stages(scenario: Scenario, radio: RadioConfig, planning: PlanningConfig,
@@ -214,7 +215,7 @@ def _solver_stats(model, result) -> dict:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario, radio, planning = _load_inputs(args)
+    scenario, radio, planning, scenario_digest = _load_inputs(args)
     timings: dict[str, float] = {}
     model, result, plan, problem = _plan_stages(
         scenario, radio, planning, args.mode, args.time_limit, args.mip_gap, timings)
@@ -231,7 +232,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     config_doc = _config_doc(radio, planning, {
         "mode": args.mode, "scenario": str(args.scenario),
         "time_limit": args.time_limit, "mip_gap": args.mip_gap})
-    scenario_digest = _sha256_file(Path(args.scenario))
     solver = {"solver": _solver_stats(model, result)}
 
     # Every exit that wrote an output writes the manifest that lists it.
@@ -270,9 +270,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario, radio, planning = _load_inputs(args)
+    scenario, radio, planning, scenario_digest = _load_inputs(args)
     try:
-        plan = load_plan(args.plan)
+        plan_doc, plan_digest = read_json(args.plan, PlannerError)
+        plan = plan_from_dict(plan_doc)
     except PlannerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -301,10 +302,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     json_path = Path(args.out + ".json")
     write_atomic(trials_path, report_trials_csv(report))
     write_atomic(summary_path, report_summary_csv(report))
-    plan_digest = _sha256_file(Path(args.plan))
-    scenario_digest = _sha256_file(Path(args.scenario))
-    write_atomic(json_path, json.dumps(
-        report_to_dict(report, plan_digest, scenario_digest), indent=2) + "\n")
+    write_json(json_path, report_to_dict(report, plan_digest, scenario_digest))
 
     config_doc = _config_doc(radio, planning, {
         "plan": str(args.plan), "scenario": str(args.scenario),
@@ -425,10 +423,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells: dict[int, dict] = {}
     for idx, payload in enumerate(grid):
         try:
-            cached = json.loads(cell_path(payload).read_text(encoding="utf-8"))
-        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError):
+            cached, _ = read_json(cell_path(payload), ValueError)
+        except ValueError:      # no cell, or one that cannot be read: run it
             cached = None
-        if cached and cached.get("digest") == _digest_config(payload):
+        if isinstance(cached, dict) and cached.get("digest") == _digest_config(payload):
             cells[idx] = _cell(cached["row"], cached.get("solver"), cached.get("timings_s"))
             continue
         pending.append((idx, payload))
@@ -445,8 +443,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cells[idx] = _cell(_blank_row(payload, _error_status(f"{type(exc).__name__}: {exc}")))
             return
         cells[idx] = result
-        write_atomic(cell_path(payload), json.dumps(
-            {"digest": _digest_config(payload), **result}, indent=2) + "\n")
+        write_json(cell_path(payload), {"digest": _digest_config(payload), **result})
 
     if args.jobs > 1 and len(pending) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

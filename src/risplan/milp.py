@@ -488,7 +488,10 @@ def export_lp(model: MilpModel) -> str:
 _KEYWORDS = frozenset(("maximize", "max", "minimize", "min", "st", "bounds", "binaries",
                        "binary", "bin", "generals", "general", "end"))
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+# A right-hand side or bound: export_lp writes no other, and inf and nan
+# read so that add_rows and the bounds check can report them.
+_VALUE_RE = re.compile(rf"-?(?:{_NUMBER_RE.pattern}|inf|nan)", re.ASCII)
 # Rows formatted together by export_lp: enough to spread the cost of each
 # pass over many rows, few enough to keep the transient lists small.
 _WRITE_ROWS = 4096
@@ -526,6 +529,12 @@ def _runs(text: str):
             number += len(run)
         start = cut
     yield from itertools.repeat((number, None))
+
+
+def _value(text: str) -> float:
+    if not _VALUE_RE.fullmatch(text):
+        raise ModelError(f"{text!r} is not a number export_lp writes")
+    return float(text)
 
 
 def _unreadable(number: int, line, cause) -> ModelError:
@@ -603,8 +612,9 @@ def _rows(lines: list[str], model: MilpModel, coefficients: dict) -> None:
             or _bad_row_name(names) is not None):
         raise ModelError("a row is ' name: terms sense rhs'")
     var_ids, values, counts = _terms(lhs, model, coefficients)
-    model.add_rows(names, senses, list(map(float, rhs)), np.r_[0, np.cumsum(counts)],
-                   var_ids, values)
+    rhs_of = {text: _value(text) for text in set(rhs)}     # each distinct text read once
+    model.add_rows(names, senses, list(map(rhs_of.__getitem__, rhs)),
+                   np.r_[0, np.cumsum(counts)], var_ids, values)
 
 
 def _bounds(lines: list[str], model: MilpModel, coefficients: dict) -> None:
@@ -615,9 +625,9 @@ def _bounds(lines: list[str], model: MilpModel, coefficients: dict) -> None:
             case [name, "free"]:
                 bounds.append((name, -math.inf, math.inf))
             case [name, ">=", low]:
-                bounds.append((name, float(low), math.inf))
+                bounds.append((name, _value(low), math.inf))
             case [low, "<=", name, "<=", up]:
-                bounds.append((name, float(low), float(up)))
+                bounds.append((name, _value(low), _value(up)))
             case _:
                 raise ModelError("a bound is ' x free', ' x >= lo' or ' lo <= x <= hi'")
     names, lower, upper = (list(column) for column in zip(*bounds))

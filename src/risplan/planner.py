@@ -39,7 +39,7 @@ and an idle donor with a single child hands the donor role to it.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import field, is_int, is_number, list_of, read_json, row_of, write_json
 from .geometry import APERTURE_TOL, TWO_PI, minimal_covering_arc
 from .milp import BINARY, CONTINUOUS, MilpModel
 from .radio import LinkBudgetTable
@@ -571,72 +571,39 @@ def plan_to_dict(plan: NetworkPlan) -> dict:
     }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _list_of(ok):
-    return lambda value: isinstance(value, list) and all(ok(v) for v in value)
-
-
-def _row_of(*oks):
-    return lambda value: (isinstance(value, list) and len(value) == len(oks)
-                          and all(ok(v) for ok, v in zip(oks, value)))
-
-
-def _field(doc: dict, key: str, ok):
-    """doc[key], or PlannerError when it has the wrong shape or type."""
-    if not ok(doc[key]):
-        raise PlannerError(f"malformed plan field {key!r}")
-    return doc[key]
-
-
 def plan_from_dict(doc: dict) -> NetworkPlan:
     if not isinstance(doc, dict):
         raise PlannerError("plan document must be a JSON object")
-    pairs = _list_of(_row_of(_is_int, _is_int))
-    numbers = _list_of(_is_number)
-    try:
-        if doc["version"] != PLAN_FORMAT_VERSION:
-            raise PlannerError(f"unsupported plan file version {doc['version']!r}")
-        metrics = _field(doc, "metrics", lambda value: isinstance(value, dict))
-        return NetworkPlan(
-            mode=doc["mode"],
-            donor=_field(doc, "donor", _is_int),
-            iab_nodes=tuple(_field(doc, "iab_nodes", _list_of(_is_int))),
-            ris_sites=tuple(_field(doc, "ris_sites", _list_of(_is_int))),
-            assignments=tuple((a, b) for a, b in _field(doc, "assignments", pairs)),
-            backhaul_edges=tuple((c, d) for c, d in _field(doc, "backhaul", pairs)),
-            flows_mbps={(c, d): f for c, d, f in _field(
-                doc, "flows", _list_of(_row_of(_is_int, _is_int, _is_number)))},
-            wired_inflow_mbps=_field(metrics, "wired_inflow_mbps", _is_number),
-            orientations_rad={r: phi for r, phi in _field(
-                doc, "orientations", _list_of(_row_of(_is_int, _is_number)))},
-            theta_per_tp=tuple(_field(metrics, "theta_per_tp", numbers)),
-            len_per_tp=tuple(_field(metrics, "len_per_tp", numbers)),
-            total_cost=_field(metrics, "total_cost", _is_number),
-            objective_value=_field(metrics, "objective_value", _is_number),
-        )
-    except KeyError as exc:
-        raise PlannerError(f"plan document missing field {exc.args[0]!r}") from None
+    get = functools.partial(field, PlannerError)
+    pairs = list_of(row_of(is_int, is_int))
+    numbers = list_of(is_number)
+    version = get(doc, "version", is_int)
+    if version != PLAN_FORMAT_VERSION:
+        raise PlannerError(f"unsupported plan file version {version!r}")
+    metrics = get(doc, "metrics", lambda value: isinstance(value, dict))
+    return NetworkPlan(
+        mode=get(doc, "mode", lambda value: isinstance(value, str)),
+        donor=get(doc, "donor", is_int),
+        iab_nodes=tuple(get(doc, "iab_nodes", list_of(is_int))),
+        ris_sites=tuple(get(doc, "ris_sites", list_of(is_int))),
+        assignments=tuple((a, b) for a, b in get(doc, "assignments", pairs)),
+        backhaul_edges=tuple((c, d) for c, d in get(doc, "backhaul", pairs)),
+        flows_mbps={(c, d): f for c, d, f in get(
+            doc, "flows", list_of(row_of(is_int, is_int, is_number)))},
+        wired_inflow_mbps=get(metrics, "wired_inflow_mbps", is_number),
+        orientations_rad={r: phi for r, phi in get(
+            doc, "orientations", list_of(row_of(is_int, is_number)))},
+        theta_per_tp=tuple(get(metrics, "theta_per_tp", numbers)),
+        len_per_tp=tuple(get(metrics, "len_per_tp", numbers)),
+        total_cost=get(metrics, "total_cost", is_number),
+        objective_value=get(metrics, "objective_value", is_number),
+    )
 
 
 def save_plan(plan: NetworkPlan, path: str | Path) -> None:
     """Write the plan as JSON, atomically."""
-    write_atomic(path, json.dumps(plan_to_dict(plan), indent=2) + "\n")
+    write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path: str | Path) -> NetworkPlan:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PlannerError(f"cannot read plan {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlannerError(f"plan file is not valid JSON: {exc}") from exc
-    return plan_from_dict(doc)
+    return plan_from_dict(read_json(path, PlannerError)[0])

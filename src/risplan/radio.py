@@ -12,14 +12,13 @@ planning models consume, applying fixed-obstacle line-of-sight masking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .geometry import TWO_PI, Point2D, circular_distance, first_crossing, segment_coords
 from .scenario import Scenario
 
-SPEED_OF_LIGHT_M_S = 299_792_458.0
 THERMAL_NOISE_DBM_HZ = -174.0
 
 # 15-entry 4-bit CQI ladder (64QAM table): (min SNR dB, efficiency bit/s/Hz).
@@ -53,37 +52,37 @@ class RadioConfig:
 
     Defaults are 28 GHz parameters: 30 dBm transmit power, 64-element
     arrays at base stations, a 50x50 cm surface with 1e4 passive
-    elements, 400 MHz channels, and the LOS log-distance loss
-    61.4 + 20*log10(d) (the 1 m free-space intercept at 28 GHz).
+    elements (5 mm apart, within 10% of the 5.35 mm half wavelength),
+    400 MHz channels, and the LOS log-distance loss 61.4 + 20*log10(d)
+    (the 1 m free-space intercept at 28 GHz). ris_element_gain_db is the
+    constant aperture term of the reflected budget: an element of area
+    A_e gives 20*log10(4*pi*A_e / lambda^2), which for the
+    half-wavelength-square element is 20*log10(pi) ~= 9.94 dB at any
+    carrier. It is kept apart from ris_elements so the N^2 element law
+    stays testable on its own. Every numeric field must be finite.
     """
 
     tx_power_dbm: float = 30.0
-    carrier_freq_hz: float = 28e9
     bs_array_elements: int = 64
     ris_elements: int = 10_000
-    ris_side_m: float = 0.5
     bandwidth_hz: float = 400e6
     noise_figure_db: float = 7.0
     pathloss_intercept_db: float = 61.4
     pathloss_exponent: float = 2.0
-    # Constant aperture term of the reflected budget; None derives it from
-    # a half-wavelength-square element (20*log10(pi) ~= 9.94 dB).
-    ris_element_gain_db: float | None = None
+    ris_element_gain_db: float = 20.0 * math.log10(math.pi)
     mcs_table: tuple[tuple[float, float], ...] = DEFAULT_MCS_TABLE
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            # A comparison, as math.isfinite overflows on an int beyond float range.
+            if f.name != "mcs_table" and not -math.inf < getattr(self, f.name) < math.inf:
+                raise RadioModelError(f"{f.name} must be finite")
         if self.bs_array_elements < 1:
             raise RadioModelError("bs_array_elements must be >= 1")
         if self.ris_elements < 1:
             raise RadioModelError("ris_elements must be >= 1")
-        if self.bandwidth_hz <= 0 or self.carrier_freq_hz <= 0:
-            raise RadioModelError("bandwidth and carrier frequency must be positive")
-        if self.ris_side_m <= 0:
-            raise RadioModelError("ris_side_m must be positive")
-        for v in (self.tx_power_dbm, self.noise_figure_db,
-                  self.pathloss_intercept_db, self.pathloss_exponent):
-            if not math.isfinite(v):
-                raise RadioModelError("radio parameters must be finite")
+        if self.bandwidth_hz <= 0:
+            raise RadioModelError("bandwidth_hz must be positive")
         if len(self.mcs_table) == 0:
             raise RadioModelError("mcs_table must not be empty")
         prev_snr, prev_eff = -math.inf, 0.0
@@ -92,29 +91,6 @@ class RadioConfig:
                 raise RadioModelError(
                     "mcs_table must be strictly increasing in SNR and efficiency")
             prev_snr, prev_eff = snr, eff
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT_M_S / self.carrier_freq_hz
-
-    def element_spacing_m(self) -> float:
-        """Inter-element spacing implied by tiling ris_side^2 with
-        ris_elements; compare with wavelength_m / 2."""
-        return self.ris_side_m / math.sqrt(self.ris_elements)
-
-    def ris_aperture_gain_db(self) -> float:
-        """Aperture constant of the two-hop reflected budget.
-
-        For an element of area A_e the constant is
-        20*log10(4*pi*A_e / lambda^2); with the half-wavelength element
-        A_e = (lambda/2)^2 this collapses to 20*log10(pi), independent of
-        carrier. Kept separate from ris_elements so the N^2 element law
-        stays testable on its own.
-        """
-        if self.ris_element_gain_db is not None:
-            return self.ris_element_gain_db
-        element_area = (self.wavelength_m / 2.0) ** 2
-        return 20.0 * math.log10(4.0 * math.pi * element_area / self.wavelength_m ** 2)
 
 
 def noise_power_dbm(cfg: RadioConfig) -> float:
@@ -146,7 +122,7 @@ def _reflected_snr(loss_in, loss_out, cfg: RadioConfig):
     -> surface and surface -> terminal hops. The element count enters as
     20*log10(N) (the N^2 beamforming law) and the two hops contribute
     additive path losses (product of distances in linear terms)."""
-    ris_gain = 20.0 * math.log10(cfg.ris_elements) + cfg.ris_aperture_gain_db()
+    ris_gain = 20.0 * math.log10(cfg.ris_elements) + cfg.ris_element_gain_db
     return (cfg.tx_power_dbm + _bs_gain_db(cfg) + ris_gain - noise_power_dbm(cfg)
             - loss_in - loss_out)
 

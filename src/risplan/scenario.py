@@ -8,14 +8,14 @@ coordinates bit-exactly.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import write_atomic
+from .atomic import field, is_int, is_number, list_of, read_json, row_of, write_json
 from .geometry import Point2D, Segment2D
 
 FORMAT_VERSION = 1
@@ -149,21 +149,16 @@ def generate(width: float, height: float, n_cs: int, n_tp: int, seed: int) -> Sc
     )
 
 
-def _planning_to_dict(planning: PlanningConfig) -> dict:
-    return asdict(planning)
-
-
-def _planning_from_dict(raw: dict) -> PlanningConfig:
-    if not isinstance(raw, dict):
-        raise ScenarioFormatError("planning block must be a JSON object")
-    known = {f for f in PlanningConfig.__dataclass_fields__}
-    unknown = set(raw) - known
+def planning_from_dict(doc: dict) -> PlanningConfig | None:
+    """The planning block of a scenario document, or None when it has none."""
+    if "planning" not in doc:
+        return None
+    raw = field(ScenarioFormatError, doc, "planning", lambda value: isinstance(value, dict))
+    unknown = set(raw) - {f.name for f in fields(PlanningConfig)}
     if unknown:
         raise ScenarioFormatError(f"unknown planning keys: {sorted(unknown)}")
-    for key, value in raw.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioFormatError(f"malformed planning field {key}: expected a number")
-    return PlanningConfig(**raw)
+    return PlanningConfig(**{key: field(ScenarioFormatError, raw, key, is_number,
+                                        f"planning.{key}") for key in raw})
 
 
 def scenario_to_dict(scenario: Scenario, planning: PlanningConfig | None = None) -> dict:
@@ -177,84 +172,41 @@ def scenario_to_dict(scenario: Scenario, planning: PlanningConfig | None = None)
         "seed": scenario.seed,
     }
     if planning is not None:
-        doc["planning"] = _planning_to_dict(planning)
+        doc["planning"] = asdict(planning)
     return doc
 
 
 def save(scenario: Scenario, path: str | Path,
          planning: PlanningConfig | None = None) -> None:
     """Write the scenario (and optionally a planning block) as JSON, atomically."""
-    write_atomic(path, json.dumps(scenario_to_dict(scenario, planning), indent=2) + "\n")
-
-
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ScenarioFormatError(f"missing field {key}")
-    return doc[key]
+    write_json(path, scenario_to_dict(scenario, planning))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
-    version = _require(doc, "version")
+    get = functools.partial(field, ScenarioFormatError)
+    version = get(doc, "version", is_int)
     if version != FORMAT_VERSION:
         raise ScenarioFormatError(f"unsupported scenario file version {version!r}")
-    area = _require(doc, "area")
-    for k in ("width", "height"):
-        if not isinstance(area, dict) or k not in area:
-            raise ScenarioFormatError(f"missing field area.{k}")
-        if not isinstance(area[k], (int, float)) or isinstance(area[k], bool):
-            raise ScenarioFormatError(f"malformed field area.{k}: expected a number")
+    area = get(doc, "area", lambda value: isinstance(value, dict))
+    point = row_of(is_number, is_number)
 
-    def parse_points(key: str) -> tuple[Point2D, ...]:
-        raw = _require(doc, key)
-        try:
-            return tuple(Point2D(float(x), float(y)) for x, y in raw)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"malformed field {key}: {exc}") from exc
+    def points(raw) -> tuple[Point2D, ...]:
+        return tuple(Point2D(float(x), float(y)) for x, y in raw)
 
-    sites = parse_points("candidate_sites")
-    tps = parse_points("test_points")
-    raw_obs = _require(doc, "fixed_obstacles")
-    try:
-        obstacles = tuple(
-            Segment2D(Point2D(float(ax), float(ay)), Point2D(float(bx), float(by)))
-            for (ax, ay), (bx, by) in raw_obs)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError(f"malformed field fixed_obstacles: {exc}") from exc
-    seed = _require(doc, "seed")
-    if not isinstance(seed, int):
-        raise ScenarioFormatError("malformed field seed: expected integer")
     return Scenario(
-        area_width=float(area["width"]),
-        area_height=float(area["height"]),
-        candidate_sites=sites,
-        test_points=tps,
-        fixed_obstacles=obstacles,
-        seed=seed,
+        area_width=float(get(area, "width", is_number, "area.width")),
+        area_height=float(get(area, "height", is_number, "area.height")),
+        candidate_sites=points(get(doc, "candidate_sites", list_of(point))),
+        test_points=points(get(doc, "test_points", list_of(point))),
+        fixed_obstacles=tuple(Segment2D(*points(ends)) for ends in get(
+            doc, "fixed_obstacles", list_of(row_of(point, point)))),
+        seed=get(doc, "seed", is_int),
     )
-
-
-def _read_json(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
 
 
 def load(path: str | Path) -> Scenario:
     """Read a scenario file; raises ScenarioFormatError for malformed input
     and ScenarioError for invariant violations."""
-    return scenario_from_dict(_read_json(path))
-
-
-def load_planning(path: str | Path) -> PlanningConfig | None:
-    """Read the optional planning block stored alongside a scenario."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict) or "planning" not in doc:
-        return None
-    return _planning_from_dict(doc["planning"])
+    return scenario_from_dict(read_json(path, ScenarioFormatError)[0])

@@ -1,6 +1,7 @@
 """Data files are written atomically: a write that fails part-way leaves
 the old file as it was and no temporary file behind."""
 
+import ast
 import builtins
 import errno
 import io
@@ -129,3 +130,27 @@ print(json.dumps({{"codes": codes, "sites": len(load("scenario.json").candidate_
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["codes"] == [0, 0, 0, 0, 0] and out["sites"] == 6 and out["donor"] >= 0
     assert (tmp_path / "text.txt").read_bytes() == "caf\u00e9 \u03b8\r\n".encode("utf-8")
+
+
+def _file_calls(module: Path):
+    """(top-level definition or None, called name, keyword names) for every
+    call in a module that reads or writes text: loads, dumps, read_text."""
+    for top in ast.parse(module.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("loads", "dumps", "read_text"):
+                yield owner, name, {kw.arg for kw in node.keywords}
+
+
+def test_one_json_reader_and_one_writer():
+    """json.loads and Path.read_text appear in the package only in
+    read_json, and json.dumps with an indent only in write_json, so no
+    module grows a reader or a file writer of its own."""
+    found = sorted((module.stem, owner, name) for module in (SRC / "risplan").glob("*.py")
+                   for owner, name, keywords in _file_calls(module)
+                   if name != "dumps" or "indent" in keywords)
+    assert found == [("atomic", "read_json", "loads"), ("atomic", "write_json", "dumps")]

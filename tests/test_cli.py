@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
 import multiprocessing
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from risplan import solver
+from risplan import atomic, cli, planner, scenario, solver
 from risplan.cli import main
 from risplan.milp import read_lp
 from risplan.planner import load_plan
@@ -147,6 +150,15 @@ class TestPlan:
                      "--out", str(tmp_path / "p.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5000], ids=["deep", "long-int"])
+    def test_scenario_json_too_deep_or_long_exit_2(self, tmp_path, capsys, text):
+        # json raises RecursionError and a plain ValueError here, not JSONDecodeError.
+        (tmp_path / "s.json").write_text(text)
+        code = main(["plan", "--scenario", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
     def test_timeout_without_incumbent_exit_4(self, tmp_path):
         # A hopeless time limit is a solver failure, not a crash; proven
         # infeasibility (exit 3) at tight budgets is asserted statistically
@@ -181,7 +193,8 @@ class TestPlan:
             assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "p.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--budget", "--len-norm", "--mu", "--wired-capacity"])
+    @pytest.mark.parametrize("flag", ["--budget", "--len-norm", "--mu", "--wired-capacity",
+                                      "--bandwidth", "--ris-element-gain"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_flag_exit_2(self, scenario_file, tmp_path, capsys, flag, value):
         code = main(["plan", "--scenario", str(scenario_file), f"{flag}={value}",
@@ -200,6 +213,28 @@ class TestPlan:
         assert code == 2
         assert "malformed field area.width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("candidate_sites", [["5", "5"]] * 6),
+                                            ("test_points", [[True, 5]] * 3), ("seed", True)])
+    def test_coordinate_or_seed_not_a_number_exit_2(self, scenario_file, tmp_path, capsys,
+                                                    key, value):
+        doc = json.loads(scenario_file.read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["plan", "--scenario", str(bad), "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        assert f"malformed field {key}" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
+    def test_reads_scenario_once(self, scenario_file, tmp_path, monkeypatch):
+        reads = count_reads(monkeypatch)
+        out = tmp_path / "p.json"
+        assert main(["plan", "--scenario", str(scenario_file), "--budget", "2.3",
+                     "--out", str(out)]) == 0
+        assert reads(scenario_file) == (1, 1)
+        manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        assert manifest["scenario_digest"] == hashlib.sha256(scenario_file.read_bytes()).hexdigest()
+
     def test_non_finite_planning_block_exit_2(self, scenario_file, tmp_path, capsys):
         doc = json.loads(scenario_file.read_text())
         for block in ({"budget": float("nan")}, {"len_norm_m": float("inf")}):
@@ -215,10 +250,8 @@ class TestPlan:
         # section and field of the effective config it must land in.
         flags = {
             "--tx-power": ("radio", "tx_power_dbm", 31.5),
-            "--carrier-freq": ("radio", "carrier_freq_hz", 29e9),
             "--bs-elements": ("radio", "bs_array_elements", 32),
             "--ris-elements": ("radio", "ris_elements", 9000),
-            "--ris-side": ("radio", "ris_side_m", 0.4),
             "--bandwidth": ("radio", "bandwidth_hz", 300e6),
             "--noise-figure": ("radio", "noise_figure_db", 6.5),
             "--pathloss-intercept": ("radio", "pathloss_intercept_db", 61.0),
@@ -251,6 +284,31 @@ class TestPlan:
             assert covered == {(section, field) for section in ("radio", "planning")
                                for field in config[section] if field != "mcs_table"}
             assert config["mode"] == mode
+
+
+def count_reads(monkeypatch):
+    """Count the calls of the JSON reader and the raw reads of each file
+    (Path.read_bytes and Path.read_text, the reader's own included); the
+    function returned gives a path's (reader calls, raw reads)."""
+    reader, raw = Counter(), Counter()
+    real_read_json, real_bytes, real_text = atomic.read_json, Path.read_bytes, Path.read_text
+
+    def read_json(path, error):
+        reader[Path(path).resolve()] += 1
+        return real_read_json(path, error)
+
+    def counted(real):
+        def read(self, *args, **kwargs):
+            raw[self.resolve()] += 1
+            return real(self, *args, **kwargs)
+        return read
+
+    for module in (atomic, cli, scenario, planner):
+        if getattr(module, "read_json", None) is real_read_json:
+            monkeypatch.setattr(module, "read_json", read_json)
+    monkeypatch.setattr(Path, "read_bytes", counted(real_bytes))
+    monkeypatch.setattr(Path, "read_text", counted(real_text))
+    return lambda path: (reader[Path(path).resolve()], raw[Path(path).resolve()])
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +437,37 @@ class TestSimulate:
                          "--counts", "0", "--out", str(tmp_path / "r")])
             assert code == 2, doc
 
+
+    @pytest.mark.parametrize("change", [
+        {"orientations": [[1, math.nan]]},
+        {"metrics": {"theta_per_tp": [math.nan, 0.5, 0.5]}},
+        {"metrics": {"wired_inflow_mbps": math.nan}},
+        {"metrics": {"len_per_tp": [1.0, math.inf, 1.0]}},
+        {"metrics": {"objective_value": -math.inf}},
+        {"flows": [[0, 1, math.nan]]},
+    ], ids=["orientation", "theta", "wired-inflow", "len", "objective", "flow"])
+    def test_non_finite_plan_number_exit_2(self, scenario_file, plan_file, tmp_path, capsys,
+                                          change):
+        # NaN fails every comparison, so the audit cannot catch it: the reader must.
+        doc = json.loads(plan_file.read_text())
+        for key, value in change.items():
+            doc[key] = dict(doc[key], **value) if isinstance(value, dict) else value
+        bad = tmp_path / "bad_plan.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["simulate", "--plan", str(bad), "--scenario", str(scenario_file),
+                     "--counts", "0", "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "malformed field" in capsys.readouterr().err
+        assert not (tmp_path / "r.trials.csv").exists()
+
+    def test_reads_each_input_once(self, scenario_file, plan_file, tmp_path, monkeypatch):
+        reads = count_reads(monkeypatch)
+        assert main(["simulate", "--plan", str(plan_file), "--scenario", str(scenario_file),
+                     "--counts", "0", "--trials", "2", "--out", str(tmp_path / "r")]) == 0
+        assert reads(scenario_file) == (1, 1) and reads(plan_file) == (1, 1)
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["scenario_digest"] == hashlib.sha256(scenario_file.read_bytes()).hexdigest()
+        assert report["plan_digest"] == hashlib.sha256(plan_file.read_bytes()).hexdigest()
 
     def test_plan_out_of_range_for_scenario_exit_2(self, scenario_file, plan_file,
                                                    tmp_path, capsys):

@@ -548,6 +548,15 @@ class TestLpDialect:
         pytest.param(ROW + " c: 1 x <= 2\nBounds\n x\nEnd\n", "LP line 6:", id="bound-name-alone"),
         pytest.param(ROW + " c: 1 x <= 2\nBinaries\n x y\nEnd\n", "LP line 6:",
                      id="two-binaries-a-line"),
+        # Numbers that Python's float reads but export_lp never writes.
+        pytest.param(ROW + " c: 1 x <= 1_0\nEnd\n", "LP line 4: .* '1_0' is not a number",
+                     id="underscore-in-rhs"),
+        pytest.param(ROW + " c: 1 x <= 2\nBounds\n +1 <= x <= 12\nEnd\n",
+                     "LP line 6: .* '[+]1' is not a number", id="plus-sign-bound"),
+        pytest.param(ROW + " c: 1 x <= 2\nBounds\n 1 <= x <= \u0661\u0662\nEnd\n",
+                     "LP line 6:", id="non-ascii-digits-bound"),
+        pytest.param(ROW + " c: \u0661 x <= 2\nEnd\n", "LP line 4:",
+                     id="non-ascii-digits-coefficient"),
     ] + [
         # The parent reader's section-alias inputs, verbatim: a short or upper-case
         # sense stops at line 1, the implicit coefficient of " obj: x" at line 2.

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import inspect
 import itertools
+import json
 import math
 import re
 from dataclasses import replace
@@ -12,9 +13,9 @@ import pytest
 from conftest import restrict_access, restrict_tuples
 from risplan.geometry import Point2D, Segment2D
 from risplan.milp import export_lp
-from risplan.planner import (PlannerError, access_airtime, aperture_candidates,
+from risplan.planner import (NetworkPlan, PlannerError, access_airtime, aperture_candidates,
                              build_baseline_model, build_ris_model,
-                             extract_plan, load_plan, save_plan)
+                             extract_plan, load_plan, plan_to_dict, save_plan)
 from risplan.radio import RadioConfig, build_link_tables
 from risplan.scenario import PlanningConfig, Scenario, generate
 from risplan.solver import solve
@@ -373,6 +374,23 @@ class TestExtractPlan:
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         assert load_plan(path) == plan
+
+    @pytest.mark.parametrize("key, value", [
+        ("orientations", [[1, math.nan]]), ("theta_per_tp", [math.nan]),
+        ("wired_inflow_mbps", math.nan), ("len_per_tp", [math.inf]),
+        ("total_cost", -math.inf), ("flows", [[0, 1, math.nan]]), ("donor", True),
+        ("total_cost", 10 ** 400)])
+    def test_non_finite_plan_number_rejected(self, tmp_path, key, value):
+        doc = plan_to_dict(NetworkPlan(
+            mode="ris", donor=0, iab_nodes=(0,), ris_sites=(1,), assignments=((0, 1),),
+            backhaul_edges=(), flows_mbps={}, wired_inflow_mbps=100.0,
+            orientations_rad={1: 0.5}, theta_per_tp=(1.0,), len_per_tp=(10.0,),
+            total_cost=1.1, objective_value=0.5))
+        (doc["metrics"] if key in doc["metrics"] else doc)[key] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PlannerError, match=f"malformed field {key}"):
+            load_plan(path)
 
 
 def _desk(seed=0):

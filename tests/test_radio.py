@@ -92,19 +92,27 @@ class TestReflectedSnr:
 
     def test_aperture_constant_default(self, cfg):
         # Half-wavelength-square element: 20*log10(pi), carrier-independent.
-        assert cfg.ris_aperture_gain_db() == pytest.approx(20.0 * math.log10(math.pi))
-        other = RadioConfig(carrier_freq_hz=60e9)
-        assert other.ris_aperture_gain_db() == pytest.approx(cfg.ris_aperture_gain_db())
+        assert cfg.ris_element_gain_db == 20.0 * math.log10(math.pi)
 
-    def test_aperture_constant_override(self):
-        cfg = RadioConfig(ris_element_gain_db=3.0)
-        assert cfg.ris_aperture_gain_db() == 3.0
+    def test_aperture_constant_override(self, cfg):
+        # The constant adds to the reflected budget and to nothing else.
+        tp, station, ris = P(100.0, 80.0), P(0.0, 0.0), P(80.0, 40.0)
+        other = RadioConfig(ris_element_gain_db=3.0)
+        shift = reflected_snr_db(tp, station, ris, other) - reflected_snr_db(tp, station, ris, cfg)
+        assert shift == pytest.approx(3.0 - cfg.ris_element_gain_db)
+        assert direct_snr_db(tp, station, other) == direct_snr_db(tp, station, cfg)
 
-    def test_spacing_consistency(self, cfg):
-        # 0.5 m side with 1e4 elements: 5 mm spacing, within 10% of lambda/2.
-        spacing = cfg.element_spacing_m()
-        assert spacing == pytest.approx(0.005)
-        assert abs(spacing - cfg.wavelength_m / 2) / (cfg.wavelength_m / 2) < 0.1
+
+class TestRadioConfig:
+    @pytest.mark.parametrize("name", sorted(set(RadioConfig.__dataclass_fields__) - {"mcs_table"}))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(RadioModelError, match=f"{name} must be finite"):
+            RadioConfig(**{name: value})
+
+    def test_int_beyond_float_range_accepted(self):
+        # --bs-elements takes any int; the finiteness check must not overflow on it.
+        assert RadioConfig(bs_array_elements=10 ** 400).bs_array_elements == 10 ** 400
 
 
 class TestSnrToRate:

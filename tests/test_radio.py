@@ -48,47 +48,49 @@ class TestPathLoss:
 class TestDirectSnr:
     def test_hand_computed_value(self, cfg):
         # 30 + 10*log10(64) - (61.4 + 20*log10(100)) - (-174 + 10*log10(4e8) + 7)
-        snr = direct_snr_db(P(0, 0), P(100, 0), cfg)
+        snr = direct_snr_db(path_loss_db(100.0, cfg), cfg)
         assert snr == pytest.approx(27.64, abs=5e-3)
 
     def test_tx_power_linearity(self):
         a = RadioConfig(tx_power_dbm=30.0)
         b = RadioConfig(tx_power_dbm=33.0)
-        sa = direct_snr_db(P(0, 0), P(50, 20), a)
-        sb = direct_snr_db(P(0, 0), P(50, 20), b)
-        assert sb - sa == pytest.approx(3.0)
+        loss = path_loss_db(math.hypot(50.0, 20.0), a)
+        assert direct_snr_db(loss, b) - direct_snr_db(loss, a) == pytest.approx(3.0)
 
     def test_doubling_distance(self, cfg):
-        s1 = direct_snr_db(P(0, 0), P(70, 0), cfg)
-        s2 = direct_snr_db(P(0, 0), P(140, 0), cfg)
+        s1 = direct_snr_db(path_loss_db(70.0, cfg), cfg)
+        s2 = direct_snr_db(path_loss_db(140.0, cfg), cfg)
         assert s1 - s2 == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
+    def test_backhaul_adds_one_array_gain(self, cfg):
+        loss = path_loss_db(np.array([25.0, 400.0]), cfg)
+        assert backhaul_snr_db(loss, cfg) - direct_snr_db(loss, cfg) == pytest.approx(
+            10.0 * math.log10(cfg.bs_array_elements))
+
     def test_degenerate(self, cfg):
-        with pytest.raises(RadioModelError):
-            direct_snr_db(P(1, 1), P(1, 1), cfg)
+        with pytest.raises(RadioModelError, match="non-positive"):
+            path_loss_db(np.array([[25.0, 40.0], [0.0, 12.5]]), cfg)
 
 
 class TestReflectedSnr:
     def test_element_count_law(self):
         a = RadioConfig(ris_elements=5000)
         b = RadioConfig(ris_elements=10000)
-        tp, cs, ris = P(0, 0), P(100, 0), P(50, 40)
-        sa = reflected_snr_db(tp, cs, ris, a)
-        sb = reflected_snr_db(tp, cs, ris, b)
+        hop = path_loss_db(math.hypot(50.0, 40.0), a)
+        sa = reflected_snr_db(hop, hop, a)
+        sb = reflected_snr_db(hop, hop, b)
         assert sb - sa == pytest.approx(20.0 * math.log10(2.0), abs=1e-9)
 
     def test_hop_symmetry(self, cfg):
-        tp, cs, ris = P(0, 0), P(120, 30), P(40, 80)
-        assert reflected_snr_db(tp, cs, ris, cfg) == pytest.approx(
-            reflected_snr_db(cs, tp, ris, cfg), abs=1e-12)
+        loss_in, loss_out = path_loss_db(np.array([80.0, math.hypot(80.0, 50.0)]), cfg)
+        assert reflected_snr_db(loss_in, loss_out, cfg) == pytest.approx(
+            reflected_snr_db(loss_out, loss_in, cfg), abs=1e-12)
 
     def test_below_direct_on_grid(self, cfg):
         # Equal hop lengths d: two-hop budget trails the single hop for
         # every d beyond a few tens of meters with these element counts.
-        for d in np.linspace(30.0, 500.0, 40):
-            direct = direct_snr_db(P(0, 0), P(d, 0), cfg)
-            reflected = reflected_snr_db(P(0, 0), P(2 * d, 0), P(d, 0), cfg)
-            assert reflected < direct
+        loss = path_loss_db(np.linspace(30.0, 500.0, 40), cfg)
+        assert (reflected_snr_db(loss, loss, cfg) < direct_snr_db(loss, cfg)).all()
 
     def test_aperture_constant_default(self, cfg):
         # Half-wavelength-square element: 20*log10(pi), carrier-independent.
@@ -96,11 +98,13 @@ class TestReflectedSnr:
 
     def test_aperture_constant_override(self, cfg):
         # The constant adds to the reflected budget and to nothing else.
-        tp, station, ris = P(100.0, 80.0), P(0.0, 0.0), P(80.0, 40.0)
+        # Station at (0, 0), surface at (80, 40), terminal at (100, 80).
+        hops = path_loss_db(np.array([math.hypot(80.0, 40.0), math.hypot(20.0, 40.0)]), cfg)
+        direct = path_loss_db(math.hypot(100.0, 80.0), cfg)
         other = RadioConfig(ris_element_gain_db=3.0)
-        shift = reflected_snr_db(tp, station, ris, other) - reflected_snr_db(tp, station, ris, cfg)
+        shift = reflected_snr_db(*hops, other) - reflected_snr_db(*hops, cfg)
         assert shift == pytest.approx(3.0 - cfg.ris_element_gain_db)
-        assert direct_snr_db(tp, station, other) == direct_snr_db(tp, station, cfg)
+        assert direct_snr_db(direct, other) == direct_snr_db(direct, cfg)
 
 
 class TestRadioConfig:
@@ -176,23 +180,35 @@ class TestBuildLinkTables:
         assert t.cap_bh[off_diag] == pytest.approx(np.full(int(off_diag.sum()), top))
 
     def test_matches_scalar_recomputation(self, cfg):
+        # The budget written out in closed form, apart from the radio module,
+        # for the default radio and one whose rates sit inside the ladder.
         s = Scenario(200.0, 200.0, (P(20, 30), P(150, 170)), (P(100, 40),), (), 0)
-        t = build_link_tables(s, cfg)
-        tp = s.test_points[0]
-        for c, cs in enumerate(s.candidate_sites):
-            assert t.cap_acc[0, c] == pytest.approx(
-                snr_to_rate_mbps(direct_snr_db(tp, cs, cfg), cfg), abs=1e-9)
-            assert t.len_tc[0, c] == pytest.approx(math.hypot(cs.x - tp.x, cs.y - tp.y),
-                                                   abs=1e-12)
-        for c in range(2):
-            for d in range(2):
-                if c == d:
-                    continue
-                assert t.cap_bh[c, d] == pytest.approx(snr_to_rate_mbps(
-                    backhaul_snr_db(s.candidate_sites[c], s.candidate_sites[d], cfg), cfg))
-                assert t.cap_ref[0, c, d] == pytest.approx(snr_to_rate_mbps(
-                    reflected_snr_db(tp, s.candidate_sites[c],
-                                     s.candidate_sites[d], cfg), cfg))
+        tp, sites = s.test_points[0], s.candidate_sites
+        for radio in (cfg, RadioConfig(tx_power_dbm=6.0)):
+            t = build_link_tables(s, radio)
+            noise = -174.0 + 10.0 * math.log10(radio.bandwidth_hz) + radio.noise_figure_db
+            gain = 10.0 * math.log10(radio.bs_array_elements)
+            ris_gain = 20.0 * math.log10(radio.ris_elements) + radio.ris_element_gain_db
+
+            def loss(p, q):
+                return (radio.pathloss_intercept_db + 10.0 * radio.pathloss_exponent
+                        * math.log10(math.hypot(q.x - p.x, q.y - p.y)))
+
+            def rate(snr):
+                return max((eff * radio.bandwidth_hz / 1e6 for threshold, eff in radio.mcs_table
+                            if threshold <= snr), default=0.0)
+
+            for c, cs in enumerate(sites):
+                assert t.cap_acc[0, c] == pytest.approx(
+                    rate(radio.tx_power_dbm + gain - loss(tp, cs) - noise), abs=1e-9)
+                assert t.len_tc[0, c] == pytest.approx(math.hypot(cs.x - tp.x, cs.y - tp.y),
+                                                       abs=1e-12)
+            for c, d in ((0, 1), (1, 0)):
+                assert t.cap_bh[c, d] == pytest.approx(
+                    rate(radio.tx_power_dbm + 2.0 * gain - loss(sites[c], sites[d]) - noise))
+                assert t.cap_ref[0, c, d] == pytest.approx(
+                    rate(radio.tx_power_dbm + gain + ris_gain - noise
+                         - loss(sites[c], sites[d]) - loss(sites[d], tp)))
 
     def test_zero_capacity_consistency(self, cfg):
         s = generate(400.0, 400.0, 6, 3, seed=9)

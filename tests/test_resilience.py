@@ -64,7 +64,7 @@ class TestSampleTrial:
         tps = (Point2D(10.0, 10.0),)
         trial = sample_trial(500.0, 500.0, 200, tps, seed=3)
         for seg in trial.obstacles:
-            assert seg.length == pytest.approx(5.0)
+            assert math.hypot(seg.b.x - seg.a.x, seg.b.y - seg.a.y) == pytest.approx(5.0)
             ang = azimuth(seg.a, seg.b)
             assert 0.0 <= ang < math.pi  # ordering a->b fixed by the sampler
 

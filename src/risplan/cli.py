@@ -383,6 +383,18 @@ def _sweep_cell(payload: dict) -> dict:
     return cell
 
 
+def _whole_resilience(row: dict, sim_counts: list[int]) -> bool:
+    """Whether a cached row's resilience block is the one _sweep_cell
+    writes: counts, mean and std, each a list with one item per obstacle
+    count, when the sweep simulates and the cell has a plan; else none."""
+    block = row.get("_resilience")
+    if not sim_counts or row["objective"] == "":
+        return block is None
+    return isinstance(block, dict) and all(
+        isinstance(block.get(key), list) and len(block[key]) == len(sim_counts)
+        for key in ("counts", "mean", "std"))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     radio, planning = _configs_from_args(args)
@@ -420,11 +432,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:      # no cell, or one that cannot be read: run it
             cached = None
         # A cell computed for this payload is reused only if it is whole: a
-        # row with every column, and telemetry absent (cached before it was
-        # recorded), null or an object. Any other cell runs again.
+        # row with every column and the resilience block _sweep_cell writes,
+        # and telemetry absent (cached before it was recorded), null or an
+        # object. Any other cell runs again.
         if isinstance(cached, dict) and cached.get("digest") == _digest_config(payload):
             row, telemetry = cached.get("row"), (cached.get("solver"), cached.get("timings_s"))
             if (isinstance(row, dict) and set(SWEEP_COLUMNS) <= row.keys()
+                    and _whole_resilience(row, payload["sim_counts"])
                     and all(isinstance(t, (dict, type(None))) for t in telemetry)):
                 cells[idx] = _cell(row, *telemetry)
                 continue

@@ -1,11 +1,20 @@
 """Solver-agnostic mixed-integer linear program container: a columnar store.
 
-Variables are columns (names, kind codes, lower and upper bounds), each
-with a structured key such as ("x", t, c, r) and a unique name; keys, ids
-and names map to one another, so models, solutions and LP files share
-identifiers. A variable declared by name alone has the key ``(name,)``,
-which is derived from its name rather than stored. Rows are columns too
-(names, sense codes, right-hand sides), with their coefficients in CSR
+Variables and rows are declared in blocks, and a block is (tags, letters,
+int index columns): for each row of its index columns, one item per tag,
+in tag order. An item's key is ``(tag, *index)`` and its name is rendered
+from the key by one rule: the tag, then ``_{letter}{i}`` for each index,
+so ("x", 3, 0, 7) with letters "tcr" is named ``x_t3_c0_r7`` and, with no
+letters, ``x_3_0_7``. A block without index columns holds one item per
+tag, keyed ``(tag,)`` and named by its tag: variables declared by name,
+and rows named one by one. Keys and names are rendered on demand, and the
+model keeps none of them: it keeps a map from name to id only for the
+variables declared by name, and finds any other key in its block's index
+columns. Among variables, keys and names are unique; rows need neither.
+
+Variables are columns too (kind codes, lower and upper bounds), and rows
+keep their sense and right-hand side per block: one value for the block
+when all its rows share it, else one per row. Their coefficients are CSR
 arrays: ``indptr`` (int64), ``indices`` (variable ids, int32) and
 ``data``. Builders append a whole family with ``add_variables`` or
 ``add_rows``; ``add_variable`` and ``add_constraint`` wrap one item. A
@@ -25,9 +34,9 @@ The LP writer emits a deterministic byte stream; ``read_lp`` reads what
 and out. Both work a block of rows at a time: besides the text and the
 model, they hold a few blocks, not the whole text in pieces.
 ``read_lp(export_lp(m))`` is ``m`` again by variable and row name, but its
-variables come in order of first appearance, so the first re-export's
-bytes may differ from the original text; the text of that re-export is a
-fixed point of ``export_lp(read_lp(...))``.
+variables are declared by name, in order of first appearance, so the
+first re-export's bytes may differ from the original text; the text of
+that re-export is a fixed point of ``export_lp(read_lp(...))``.
 
 The text, one item a line: ``\\ name`` (optional for ``read_lp``),
 ``Maximize`` or ``Minimize``, `` obj: terms``, ``Subject To``, one
@@ -42,6 +51,7 @@ reads ``\\r\\n`` line ends; any other line makes it raise ModelError.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -62,6 +72,9 @@ VarKey = tuple
 Variable = namedtuple("Variable", "name kind lower upper")
 Constraint = namedtuple("Constraint", "name coeffs sense rhs")
 
+# A name's shape: each integer in it, as the naming rule writes one, made "#".
+_INTEGER_RE = re.compile(r"-?\d+")
+
 
 class ModelError(ValueError):
     """Inconsistent model construction or lookup."""
@@ -81,11 +94,122 @@ def _per_item(values, n: int, what: str, table: tuple[str, ...] = ()) -> np.ndar
         raise ModelError(f"{np.size(values)} {what}s for a block of {n}") from None
 
 
+def _shared(values: np.ndarray):
+    """The one value of a non-empty array whose items all hold the same
+    bits, as a Python scalar; otherwise the array."""
+    bits = values.view(f"u{values.itemsize}")
+    return values[0].item() if (bits == bits[0]).all() else values
+
+
 def _joined(column: list[np.ndarray]) -> np.ndarray:
     """A column stored as appended blocks, joined into its one block."""
     if len(column) > 1:
         column[:] = [np.concatenate(column)]
     return column[0]
+
+
+def _index_rows(columns) -> np.ndarray:
+    """A block's index columns as the rows of one new 2-D array, int32, or
+    int64 where a value does not fit; no columns give one empty row."""
+    columns = [np.asarray(column) for column in columns]
+    if any(c.ndim != 1 or (c.size and c.dtype.kind not in "iu") for c in columns):
+        raise ModelError("an index column is a flat sequence of integers")
+    if len({len(column) for column in columns}) > 1:
+        raise ModelError("index columns of different lengths")
+    dtype = np.int32
+    for column in (c for c in columns if c.size):
+        if column.dtype.kind == "u" and column.max() > np.iinfo(np.int64).max:
+            raise ModelError(f"index {column.max()} does not fit in 64 bits")
+        if column.min() < -2**31 or column.max() >= 2**31:
+            dtype = np.int64
+    rows = np.empty((len(columns[0]) if columns else 1, len(columns)), dtype)
+    for i, column in enumerate(columns):
+        rows[:, i] = column
+    return rows
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Which rows of a 2-D array equal an earlier row."""
+    order = np.lexsort(rows.T[::-1])        # stable: equal rows keep their order
+    ordered = rows[order]
+    repeated = np.zeros(len(rows), bool)
+    repeated[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
+    return repeated
+
+
+class _Block:
+    """Items keyed and named by one rule, rendered on demand: for each row
+    of the index, one item per tag, keyed ``(tag, *row)`` and named the
+    tag, then ``_{letter}{i}`` per index (no letters: ``_{i}``). An index
+    without columns has one empty row: one item per tag, keyed ``(tag,)``
+    and named ``tag``."""
+
+    __slots__ = ("tags", "index", "patterns")
+
+    def __init__(self, tags, letters: str, index):
+        self.tags = [tags] if isinstance(tags, str) else list(tags)
+        if (bad := next((t for t in self.tags if not isinstance(t, str)), None)) is not None:
+            raise ModelError(f"a tag is a string, not {bad!r}")
+        self.index = _index_rows(index)     # rows x columns
+        width = self.width
+        if letters and not (len(letters) == width and letters.isascii() and letters.isalpha()):
+            raise ModelError(f"letters {letters!r} for {width} index columns: "
+                             f"one ASCII letter a column, or none")
+        suffix = "".join(f"_{letter}%d" for letter in letters or [""] * width)
+        # One %-format per tag; a block without index columns needs none.
+        self.patterns = [tag.replace("%", "%%") + suffix for tag in self.tags] if width else None
+
+    @property
+    def width(self) -> int:
+        return self.index.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.tags) * len(self.index)
+
+    def key(self, j: int) -> VarKey:
+        m = len(self.tags)
+        return (self.tags[j % m], *self.index[j // m].tolist())
+
+    def name(self, j: int) -> str:
+        if self.patterns is None:
+            return self.tags[j]
+        m = len(self.tags)
+        return self.patterns[j % m] % tuple(self.index[j // m].tolist())
+
+    def keys(self) -> list[VarKey]:
+        if not self.width:
+            return [(tag,) for tag in self.tags]
+        return [(tag, *row) for row in zip(*self.index.T.tolist()) for tag in self.tags]
+
+    def names(self, lo: int = 0, hi: int | None = None) -> list[str]:
+        """The names of items lo to hi."""
+        hi = len(self) if hi is None else hi
+        if not self.width:
+            return self.tags[lo:hi]
+        m = len(self.tags)
+        first, last = lo // m, -(-hi // m)      # the index rows those items are on
+        names = [p % row for row in zip(*self.index[first:last].T.tolist())
+                 for p in self.patterns]
+        return names[lo - first * m:hi - first * m]
+
+    def find(self, tag: str, index: list[int]) -> int | None:
+        """The place of the item keyed ``(tag, *index)``, or None; index
+        holds one int per index column."""
+        if len(index) != self.width or tag not in self.tags:
+            return None
+        try:
+            rows = np.flatnonzero((self.index == np.array(index, np.int64)).all(axis=1))
+        except OverflowError:
+            return None
+        return int(rows[0]) * len(self.tags) + self.tags.index(tag) if len(rows) else None
+
+    def shapes(self) -> set[str]:
+        """The shapes of the names: each integer in a name made "#". A
+        family's names share one shape per tag."""
+        if not self.width:
+            return {_INTEGER_RE.sub("#", tag) for tag in self.tags}
+        zeros = (0,) * self.width
+        return {_INTEGER_RE.sub("#", pattern % zeros) for pattern in self.patterns}
 
 
 class _RowCoeffs(Mapping):
@@ -145,23 +269,25 @@ class _RowItems(ItemsView):
 
 
 class _Views(Sequence):
-    """A read-only sequence of views, as long as the live list of names."""
+    """A read-only sequence of views, as long as the model's live count;
+    a slice gives a list of views."""
 
-    def __init__(self, names: list[str], view):
-        self._names, self._view = names, view
+    def __init__(self, count, view):
+        self._count, self._view = count, view
 
     def __len__(self) -> int:
-        return len(self._names)
+        return self._count()
 
     def __getitem__(self, index):
-        return self._view(range(len(self._names))[operator.index(index)])
+        at = range(len(self))[index]
+        return [self._view(i) for i in at] if isinstance(index, slice) else self._view(at)
 
 
 class MilpModel:
     """A linear objective, linear constraints, and typed bounded variables.
 
-    The index map is total and bidirectional: every variable has a key,
-    every key resolves to exactly one variable id, and names are unique.
+    Every variable has a unique key and a unique name, and each resolves
+    to exactly one variable id.
     """
 
     def __init__(self, name: str = "model", sense: str = "maximize"):
@@ -169,120 +295,176 @@ class MilpModel:
             raise ModelError(f"unknown objective sense {sense!r}")
         self.name, self.objective_sense = name, sense
         self.objective: dict[int, float] = {}
-        # By variable id; a variable declared by name has the key None here
-        # and no entry in _key_to_id.
-        self._names, self._id_to_key = [], []
-        self._key_to_id, self._name_to_id = {}, {}    # key to id, name to id
-        self._row_names: list[str] = []
+        # Variable and row blocks, each with the id of its first item.
+        self._var_blocks: list[_Block] = []
+        self._var_starts: list[int] = []
+        self._name_to_id: dict[str, int] = {}      # variables declared by name only
+        # Each row block with its sense code and rhs: one Python value when
+        # all its rows share it, which every view of those rows then shares.
+        self._rows: list[tuple[_Block, int | np.ndarray, float | np.ndarray]] = []
+        self._row_starts: list[int] = []
+        self._n_vars = self._n_rows = self._nnz = 0
         # Columns, each a list of blocks (see _joined).
-        self._kind, self._sense = [np.zeros(0, np.int8)], [np.zeros(0, np.int8)]
-        self._lower, self._upper, self._rhs, self._data = ([np.zeros(0)] for _ in range(4))
+        self._kind = [np.zeros(0, np.int8)]
+        self._lower, self._upper, self._data = ([np.zeros(0)] for _ in range(3))
         self._indptr, self._indices = [np.zeros(1, np.int64)], [np.zeros(0, np.int32)]
         self._csr = None        # the joined CSR arrays, until add_rows appends
-        self._nnz = 0
 
     # Views are made per access: a model that held them would be in a
     # reference cycle, freed only by the cyclic collector. A row view holds
     # the joined CSR arrays, not the model, and add_rows joins new arrays
     # rather than writing to those.
-    variables = property(lambda self: _Views(self._names, self._variable))
-    constraints = property(lambda self: _Views(self._row_names, self._constraint))
+    variables = property(lambda self: _Views(lambda: self._n_vars, self._variable))
+    constraints = property(lambda self: _Views(lambda: self._n_rows, self._constraint))
 
     def _variable(self, i: int) -> Variable:
-        return Variable(self._names[i], _KINDS[_joined(self._kind)[i]],
+        return Variable(self.name_of(i), _KINDS[_joined(self._kind)[i]],
                         float(_joined(self._lower)[i]), float(_joined(self._upper)[i]))
 
     def _constraint(self, i: int) -> Constraint:
-        return Constraint(self._row_names[i], _RowCoeffs(self.csr(), i),
-                          _SENSES[_joined(self._sense)[i]], float(_joined(self._rhs)[i]))
+        k = bisect.bisect_right(self._row_starts, i) - 1
+        block, sense, rhs = self._rows[k]
+        j = i - self._row_starts[k]
+        return Constraint(block.name(j), _RowCoeffs(self.csr(), i),
+                          _SENSES[sense if isinstance(sense, int) else sense[j]],
+                          rhs if isinstance(rhs, float) else float(rhs[j]))
+
+    def join(self) -> None:
+        """Join each column's appended blocks into one array now, as the
+        first read of the column would."""
+        self.csr()
+        for column in (self._kind, self._lower, self._upper):
+            _joined(column)
 
     # -- variables ---------------------------------------------------
 
-    def add_variables(self, keys, names, kind, lower=0.0, upper=math.inf) -> np.ndarray:
-        """Declare a block of variables and return their ids. ``kind``,
-        ``lower`` and ``upper`` are one value for all or one per variable;
-        binaries get the bounds [0, 1]. With ``keys`` None, each variable's
-        key is ``(name,)``, derived from its name and not stored."""
-        names = list(names)
-        n, start = len(names), len(self._names)
-        keys = None if keys is None else list(keys)
-        if keys is not None and len(keys) != n:
-            raise ModelError(f"{n} names for {len(keys)} variable keys")
+    def add_variables(self, tags, kind, lower=0.0, upper=math.inf, *, letters: str = "",
+                      index=()) -> np.ndarray:
+        """Declare a block of variables and return their ids: for each row
+        of the ``index`` columns, one variable per tag, keyed ``(tag, *row)``
+        and named by the naming rule with ``letters``; without index
+        columns, one variable per tag, keyed ``(tag,)`` and named ``tag``.
+        ``kind``, ``lower`` and ``upper`` are one value for all or one per
+        variable; binaries get the bounds [0, 1]."""
+        block = _Block(tags, letters, index)
+        n, start = len(block), self._n_vars
         codes = _per_item(kind, n, "variable kind", _KINDS)
         lower = np.where(codes == 1, 0.0, _per_item(lower, n, "lower bound"))
         upper = np.where(codes == 1, 1.0, _per_item(upper, n, "upper bound"))
         if (i := _empty_bounds(lower, upper)) is not None:
-            key = (names[i],) if keys is None else keys[i]
-            raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {key!r}")
-        ids = range(start, start + n)
-        new_keys = {} if keys is None else dict(zip(keys, ids))
-        if keys is None:    # a name given twice is reported below, as a name
-            clash = bool(self._key_to_id) and not self._key_to_id.keys().isdisjoint(zip(names))
-        else:               # fewer stored keys than variables: some are keyed by name
-            clash = (len(new_keys) != n or not self._key_to_id.keys().isdisjoint(new_keys)
-                     or (start > len(self._key_to_id)
-                         and any(self._named_id(key) is not None for key in new_keys)))
-        if clash:
-            seen = set()
-            twice = next(key for key in (zip(names) if keys is None else keys)
-                         if self.has_var(key) or key in seen or seen.add(key))
-            raise ModelError(f"duplicate variable key {twice!r}")
-        new_names = dict(zip(names, ids))
-        if len(new_names) != n or not self._name_to_id.keys().isdisjoint(new_names):
-            seen = set(self._name_to_id)
-            twice = next(name for name in names if name in seen or seen.add(name))
-            raise ModelError(f"duplicate variable name {twice!r}")
-        self._key_to_id.update(new_keys)
-        self._name_to_id.update(new_names)
-        self._names += names
-        self._id_to_key += itertools.repeat(None, n) if keys is None else keys
-        for column, block in ((self._kind, codes), (self._lower, lower), (self._upper, upper)):
-            column.append(block)
+            raise ModelError(f"empty bounds [{lower[i]}, {upper[i]}] for {block.key(i)!r}")
+        self._check_unique(block)
+        if not block.width:
+            self._name_to_id.update(zip(block.tags, range(start, start + n)))
+        if self._var_blocks and not (block.width or self._var_blocks[-1].width):
+            self._var_blocks[-1].tags += block.tags     # name-keyed runs share a block
+        elif n:
+            self._var_blocks.append(block)
+            self._var_starts.append(start)
+        self._n_vars += n
+        for column, values in ((self._kind, codes), (self._lower, lower), (self._upper, upper)):
+            column.append(values)
         return np.arange(start, start + n)
 
-    def add_variable(self, key: VarKey, kind: str, lower: float = 0.0,
-                     upper: float = math.inf, name: str | None = None) -> int:
-        name = "_".join(str(part) for part in key) if name is None else name
-        return int(self.add_variables([key], [name], kind, lower, upper)[0])
+    def _check_unique(self, block: _Block) -> None:
+        """Raise ModelError for the block's first key, then its first name,
+        that the model or an earlier variable of the block already has.
 
-    def _named_id(self, key) -> int | None:
-        """The id of the variable declared by name whose key is ``key``."""
-        if type(key) is tuple and len(key) == 1:
-            var_id = self._name_to_id.get(key[0])
-            if var_id is not None and self._id_to_key[var_id] is None:
-                return var_id
+        Two blocks with the same number of index columns render one name
+        only for one key (a name's index part reads back from its end), so
+        names are compared only across blocks of different widths, and
+        only where the blocks' name shapes meet."""
+        width, tags = block.width, block.tags
+        if not width:
+            if len(set(tags)) != len(tags) or not self._name_to_id.keys().isdisjoint(tags):
+                seen = set(self._name_to_id)
+                twice = next(tag for tag in tags if tag in seen or seen.add(tag))
+                raise ModelError(f"duplicate variable key {(twice,)!r}")
+        else:
+            twice = np.zeros(len(block), bool)
+            for t, tag in enumerate(tags):
+                rows = np.concatenate([other.index for other in self._var_blocks
+                                       if other.width == width and tag in other.tags]
+                                      + [block.index])
+                twice[t::len(tags)] = (_repeats(rows)[len(rows) - len(block.index):]
+                                       | (tag in tags[:t]))
+            if twice.any():
+                raise ModelError(f"duplicate variable key {block.key(int(np.argmax(twice)))!r}")
+        others = [other for other in self._var_blocks if other.width not in (0, width)]
+        if others:
+            shapes = block.shapes()
+            others = [other for other in others if not shapes.isdisjoint(other.shapes())]
+        if others or (width and self._name_to_id):
+            taken = set(itertools.chain.from_iterable(other.names() for other in others))
+            twice = next((name for name in block.names()
+                          if name in taken or name in self._name_to_id), None)
+            if twice is not None:
+                raise ModelError(f"duplicate variable name {twice!r}")
+
+    def add_variable(self, key: VarKey, kind: str, lower: float = 0.0,
+                     upper: float = math.inf) -> int:
+        """Declare one variable keyed ``(tag, *index)``; its name is the tag,
+        then ``_{i}`` per index."""
+        if not isinstance(key, tuple) or not key:
+            raise ModelError(f"a variable key is (tag, *index), not {key!r}")
+        tag, *index = key
+        return int(self.add_variables(tag, kind, lower, upper, index=[[i] for i in index])[0])
+
+    def _find(self, key) -> int | None:
+        """The id of the variable keyed ``key``, or None."""
+        if not (isinstance(key, tuple) and key and isinstance(key[0], str)):
+            return None
+        tag, *index = key
+        if not index:
+            return self._name_to_id.get(tag)
+        try:
+            index = [operator.index(i) for i in index]
+        except TypeError:
+            return None
+        for start, block in zip(self._var_starts, self._var_blocks):
+            if (j := block.find(tag, index)) is not None:
+                return start + j
         return None
 
+    def _var_at(self, var_id: int) -> tuple[_Block, int]:
+        """The block of a variable and the variable's place in it; a
+        negative id counts from the end."""
+        if not 0 <= var_id < self._n_vars:
+            var_id = range(self._n_vars)[var_id]
+        k = bisect.bisect_right(self._var_starts, var_id) - 1
+        return self._var_blocks[k], var_id - self._var_starts[k]
+
     def var_id(self, key: VarKey) -> int:
-        var_id = self._key_to_id.get(key)
-        if var_id is None:
-            var_id = self._named_id(key)
-        if var_id is None:
+        if (var_id := self._find(key)) is None:
             raise ModelError(f"unknown variable key {key!r}")
         return var_id
 
     def has_var(self, key: VarKey) -> bool:
-        return key in self._key_to_id or self._named_id(key) is not None
+        return self._find(key) is not None
 
     def key_of(self, var_id: int) -> VarKey:
-        key = self._id_to_key[var_id]
-        return (self._names[var_id],) if key is None else key
+        block, j = self._var_at(var_id)
+        return block.key(j)
 
     def name_of(self, var_id: int) -> str:
-        return self._names[var_id]
+        block, j = self._var_at(var_id)
+        return block.name(j)
 
     def id_of_name(self, name: str) -> int:
-        try:
-            return self._name_to_id[name]
-        except KeyError:
-            raise ModelError(f"unknown variable name {name!r}") from None
+        var_id = self._name_to_id.get(name)
+        if var_id is not None:
+            return var_id
+        shape = _INTEGER_RE.sub("#", name)      # a family's name: among those of its shape
+        for start, block in zip(self._var_starts, self._var_blocks):
+            if block.width and shape in block.shapes() and name in (names := block.names()):
+                return start + names.index(name)
+        raise ModelError(f"unknown variable name {name!r}")
 
     def keys(self) -> list[VarKey]:
-        return [(name,) if key is None else key
-                for key, name in zip(self._id_to_key, self._names)]
+        return list(itertools.chain.from_iterable(block.keys() for block in self._var_blocks))
 
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(itertools.chain.from_iterable(block.names() for block in self._var_blocks))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the variable columns: binary flags, lower and upper bounds."""
@@ -290,13 +472,16 @@ class MilpModel:
 
     # -- constraints and objective ------------------------------------
 
-    def add_rows(self, names, senses, rhs, indptr, indices, data) -> None:
-        """Append a block of rows; row i holds the variable ids ``indices[indptr[i]:
-        indptr[i + 1]]`` with the coefficients at the same places of ``data``.
-        ``senses`` and ``rhs`` are one value for all or one per row. The ids
-        are checked against the variable count and stored as int32."""
-        names = list(names)
-        m = len(names)
+    def add_rows(self, tags, senses, rhs, indptr, indices, data, *, letters: str = "",
+                 index=()) -> None:
+        """Append a block of rows, named as ``add_variables`` names
+        variables; row i holds the variable ids ``indices[indptr[i]:
+        indptr[i + 1]]`` with the coefficients at the same places of
+        ``data``. ``senses`` and ``rhs`` are one value for all or one per
+        row. The ids are checked against the variable count and stored as
+        int32."""
+        block = _Block(tags, letters, index)
+        m = len(block)
         codes = _per_item(senses, m, "constraint sense", _SENSES)
         rhs, data = _per_item(rhs, m, "rhs value"), np.array(data, np.float64)
         indptr, indices = np.asarray(indptr, np.int64), np.asarray(indices, np.int64)
@@ -304,28 +489,49 @@ class MilpModel:
                 or not indptr[-1] == len(indices) == len(data)):
             raise ModelError(f"ragged block: {m} rows, indptr of length {len(indptr)}, "
                              f"{len(indices)} variable ids, {len(data)} coefficients")
-        unknown = (indices < 0) | (indices >= len(self._names))
+        unknown = (indices < 0) | (indices >= self._n_vars)
         bad = unknown | ~np.isfinite(data)
         if bad.any():
             at = int(np.argmax(bad))
-            row = names[int(np.searchsorted(indptr, at, side="right")) - 1]
+            row = block.name(int(np.searchsorted(indptr, at, side="right")) - 1)
             raise ModelError(f"constraint {row!r} references unknown variable {indices[at]}"
                              if unknown[at] else
                              f"constraint {row!r} has the non-finite coefficient {data[at]}")
         if not np.isfinite(rhs).all():
             i = int(np.argmax(~np.isfinite(rhs)))
-            raise ModelError(f"constraint {names[i]!r} has the non-finite rhs {rhs[i]}")
+            raise ModelError(f"constraint {block.name(i)!r} has the non-finite rhs {rhs[i]}")
         indptr, indices, data = _sorted_rows(indptr, indices.astype(np.int32), data)
-        self._row_names += names
-        for column, block in ((self._sense, codes), (self._rhs, rhs), (self._indices, indices),
-                              (self._indptr, indptr[1:] + self._nnz), (self._data, data)):
-            column.append(block)
+        if m:
+            self._rows.append((block, _shared(codes), _shared(rhs)))
+            self._row_starts.append(self._n_rows)
+        self._n_rows += m
+        for column, values in ((self._indices, indices), (self._indptr, indptr[1:] + self._nnz),
+                               (self._data, data)):
+            column.append(values)
         self._nnz += len(indices)
         self._csr = None
 
     def add_constraint(self, name: str, coeffs: dict[int, float],
                        sense: str, rhs: float) -> None:
         self.add_rows([name], sense, rhs, [0, len(coeffs)], list(coeffs), list(coeffs.values()))
+
+    def _row_names(self, lo: int, hi: int) -> list[str]:
+        """The names of rows lo to hi, rendered a block at a time."""
+        names: list[str] = []
+        k = max(bisect.bisect_right(self._row_starts, lo) - 1, 0)
+        for start, (block, _, _) in zip(self._row_starts[k:], self._rows[k:]):
+            if start >= hi:
+                break
+            names += block.names(max(lo - start, 0), min(hi - start, len(block)))
+        return names
+
+    def _row_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's sense code and rhs, as new arrays."""
+        senses, rhs = [np.zeros(0, np.int8)], [np.zeros(0)]
+        for block, sense, value in self._rows:
+            senses.append(np.full(len(block), sense, np.int8) if isinstance(sense, int) else sense)
+            rhs.append(np.full(len(block), value) if isinstance(value, float) else value)
+        return np.concatenate(senses), np.concatenate(rhs)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The coefficient matrix: (indptr, indices, data), with int64
@@ -336,11 +542,11 @@ class MilpModel:
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Each row's lower and upper activity bound, from its sense and rhs."""
-        sense, rhs = _joined(self._sense), _joined(self._rhs)
+        sense, rhs = self._row_columns()
         return np.where(sense == 0, -np.inf, rhs), np.where(sense == 1, np.inf, rhs)
 
     def set_objective_coeff(self, var_id: int, coeff: float) -> None:
-        if not 0 <= var_id < len(self._names):
+        if not 0 <= var_id < self._n_vars:
             raise ModelError(f"objective references unknown variable {var_id}")
         if not math.isfinite(coeff):
             raise ModelError(f"non-finite objective coefficient {coeff} for variable {var_id}")
@@ -350,15 +556,15 @@ class MilpModel:
             self.objective[var_id] = float(coeff)
 
     def evaluate_objective(self, values: dict[str, float]) -> float:
-        return sum(c * values[self._names[i]] for i, c in self.objective.items())
+        return sum(c * values[self.name_of(i)] for i, c in self.objective.items())
 
     @property
     def num_variables(self) -> int:
-        return len(self._names)
+        return self._n_vars
 
     @property
     def num_constraints(self) -> int:
-        return len(self._row_names)
+        return self._n_rows
 
     @property
     def num_nonzeros(self) -> int:
@@ -366,8 +572,9 @@ class MilpModel:
         return self._nnz
 
     def constraints_named(self, prefix: str) -> list[Constraint]:
-        return [self._constraint(i) for i, name in enumerate(self._row_names)
-                if name.startswith(prefix)]
+        return [self._constraint(start + j)
+                for start, (block, _, _) in zip(self._row_starts, self._rows)
+                for j, name in enumerate(block.names()) if name.startswith(prefix)]
 
 
 def _empty_bounds(lower: np.ndarray, upper: np.ndarray) -> int | None:
@@ -443,30 +650,33 @@ def export_lp(model: MilpModel) -> str:
     '\\' or line break, and no whitespace at either end (ModelError
     otherwise). Rows are formatted a block of ``_WRITE_ROWS`` at a time.
     """
-    if (bad := _bad_name(model._names)) is not None:
+    names = model.names()
+    if (bad := _bad_name(names)) is not None:
         raise ModelError(f"variable name {bad!r} cannot be written in LP format: a name "
                          f"is letters, digits and underscores, not starting with a "
                          f"digit, and not a section keyword")
-    if (bad := _bad_row_name(model._row_names)) is not None:
-        raise ModelError(f"row name {bad!r} cannot be written in LP format: a row name "
-                         f"holds no ':', '\\' or line break and no whitespace at either end")
-    names = np.array(model._names, dtype=object)
+    names = np.array(names, dtype=object)
     anchor = f"0 {names[0]}" if len(names) else "0 dummy"
     order = sorted(model.objective)
     obj_text = _rows_text(names, anchor, ["obj"], np.array([0, len(order)]), np.array(
         order, np.int64), np.array([model.objective[i] for i in order], float), ["\n"])
     text = [f"\\ {model.name}\n", "Maximize\n" if model.objective_sense == "maximize"
             else "Minimize\n", obj_text, "Subject To\n"]
-    rhs, which = np.unique(_joined(model._rhs), return_inverse=True)
+    senses, rhs = model._row_columns()
+    rhs, which = np.unique(rhs, return_inverse=True)
     tails = np.array([f" {sense} {_fmt(value)}\n" for value in rhs.tolist() for sense in _SENSES],
                      dtype=object)
-    tail_of = 3 * which + _joined(model._sense)
+    tail_of = 3 * which + senses
     indptr, indices, data = model.csr()
     for first in range(0, model.num_constraints, _WRITE_ROWS):
         rows = slice(first, first + _WRITE_ROWS)
+        row_names = model._row_names(first, first + _WRITE_ROWS)
+        if (bad := _bad_row_name(row_names)) is not None:
+            raise ModelError(f"row name {bad!r} cannot be written in LP format: a row name "
+                             f"holds no ':', '\\' or line break and no whitespace at either end")
         ptr = indptr[first:first + _WRITE_ROWS + 1]
         terms = slice(ptr[0], ptr[-1])
-        text.append(_rows_text(names, anchor, model._row_names[rows], ptr - ptr[0],
+        text.append(_rows_text(names, anchor, row_names, ptr - ptr[0],
                                indices[terms], data[terms], tails[tail_of[rows]]))
     binary, lower, upper = model.columns()
     at = np.flatnonzero(~binary & ((lower != 0.0) | (upper != math.inf)))
@@ -570,7 +780,7 @@ def _ids_of(names: list[str], model: MilpModel) -> np.ndarray:
         new = list(dict.fromkeys(names[i] for i in fresh))
         if (bad := _bad_name(new)) is not None:
             raise ModelError(f"{bad!r} is not a variable name export_lp writes")
-        model.add_variables(None, new, CONTINUOUS)
+        model.add_variables(new, CONTINUOUS)
         ids[fresh] = [model._name_to_id[names[i]] for i in fresh]
     return ids
 
@@ -678,5 +888,5 @@ def read_lp(text: str) -> MilpModel:
                 step()
     step("End")
     step(None)
-    model.csr(), model.row_bounds(), model.columns()     # join each column's blocks now
+    model.join()
     return model

@@ -43,7 +43,6 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -108,31 +107,21 @@ def access_airtime(tables: LinkBudgetTable, cfg: PlanningConfig, t, c, r) -> flo
                       cfg.xi * cfg.demand_mbps / tables.cap_ref[t, c, r])
 
 
-def _names(tags: str | tuple[str, ...], letters: str, *index) -> list[str]:
-    """Names such as "x_t3_c0_r7": a tag, then each index after its letter.
-    With several tags, each index gets one name per tag, in tag order."""
-    patterns = [tag + "".join(f"_{letter}%d" for letter in letters)
-                for tag in ((tags,) if isinstance(tags, str) else tags)]
-    return [p % i for i in zip(*(np.asarray(i).tolist() for i in index)) for p in patterns]
-
-
-def _add_vars(model: MilpModel, tag: str, letters: str, index, kind: str,
-              upper: float = math.inf) -> np.ndarray:
-    """One variable per element of the index arrays, keyed (tag, *index)."""
-    index = [np.asarray(i).tolist() for i in index]
-    return model.add_variables(zip(repeat(tag), *index), _names(tag, letters, *index),
-                               kind, 0.0, upper)
-
-
-def _add_rows(model: MilpModel, names: list[str], sense: str, rhs, *terms) -> None:
-    """Append one row per name, as one block. Each term is (row, variable,
+def _add_rows(model: MilpModel, tags: str | tuple[str, ...], letters: str, index,
+              sense: str, rhs, *terms) -> None:
+    """Append one row per element of the index arrays and tag, as one block
+    named as in "cover_t3_c0_r7", by the tag and each index after its
+    letter; with several tags, each index gets one row per tag, in tag
+    order. Each term is (row, variable,
     coefficient) arrays of entries; any of the three may be one value for all."""
+    n_rows = len(index[0]) * (1 if isinstance(tags, str) else len(tags))
     parts = [[column.ravel() for column in np.broadcast_arrays(*term)] for term in terms]
     rows, cols, vals = (np.concatenate([part[i] for part in parts] or [np.zeros(0, np.int64)])
                         for i in range(3))
     order = np.lexsort((cols, rows))
-    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(names)))]
-    model.add_rows(names, sense, rhs, indptr, cols[order], vals[order])
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n_rows))]
+    model.add_rows(tags, sense, rhs, indptr, cols[order], vals[order], letters=letters,
+                   index=index)
 
 
 class _Backbone:
@@ -164,16 +153,18 @@ class _Backbone:
 
     def site_vars(self, tag: str, kind: str = BINARY, upper: float = 1.0) -> np.ndarray:
         """One variable per site, named "{tag}_c{c}"."""
-        return _add_vars(self.model, tag, "c", [self.sites], kind, upper)
+        return self.model.add_variables(tag, kind, 0.0, upper, letters="c", index=[self.sites])
 
     def add_backhaul(self) -> None:
-        self.z = _add_vars(self.model, "z", "cc", [self.src, self.dst], BINARY)
-        self.f = _add_vars(self.model, "f", "cc", [self.src, self.dst], CONTINUOUS)
+        pairs = [self.src, self.dst]
+        self.z = self.model.add_variables("z", BINARY, letters="cc", index=pairs)
+        self.f = self.model.add_variables("f", CONTINUOUS, letters="cc", index=pairs)
 
     def add_objective(self) -> None:
         model, cfg = self.model, self.cfg
-        self.theta = _add_vars(model, "theta", "t", [self.tps], CONTINUOUS, math.pi)
-        self.l_var = _add_vars(model, "l", "t", [self.tps], CONTINUOUS)
+        self.theta = model.add_variables("theta", CONTINUOUS, 0.0, math.pi, letters="t",
+                                         index=[self.tps])
+        self.l_var = model.add_variables("l", CONTINUOUS, letters="t", index=[self.tps])
         for theta, l_var in zip(self.theta.tolist(), self.l_var.tolist()):
             model.set_objective_coeff(theta, cfg.mu / cfg.theta_norm_rad)
             model.set_objective_coeff(l_var, -(1.0 - cfg.mu) / cfg.len_norm_m)
@@ -190,7 +181,7 @@ class _Backbone:
 
     def add_activation_rows(self) -> None:
         """Link activations require both endpoints installed."""
-        _add_rows(self.model, _names("bh_act", "cc", self.src, self.dst), "<=", 0.0,
+        _add_rows(self.model, "bh_act", "cc", [self.src, self.dst], "<=", 0.0,
                   (self.pair, self.z, 1.0), (self.pair, self.y_iab[self.src], -0.5),
                   (self.pair, self.y_iab[self.dst], -0.5))
 
@@ -199,9 +190,9 @@ class _Backbone:
         balance: per_unit * inflow[c] enters at station c, and every
         assignment variable served there pulls its traffic."""
         _, station, var, pull, _, _ = self.served()
-        _add_rows(self.model, _names("tree_in", "c", self.sites), "<=", 1.0,
+        _add_rows(self.model, "tree_in", "c", [self.sites], "<=", 1.0,
                   (self.dst, self.z, 1.0), (self.sites, self.y_don, 1.0))
-        _add_rows(self.model, _names("flow_bal", "c", self.sites), "=", 0.0,
+        _add_rows(self.model, "flow_bal", "c", [self.sites], "=", 0.0,
                   (self.sites, inflow, per_unit), (self.src, self.f, -1.0),
                   (self.dst, self.f, 1.0), (station, var, -pull))
 
@@ -211,18 +202,18 @@ class _Backbone:
         transmit airtime fits in one."""
         cap = self.tables.cap_bh[self.src, self.dst]
         _, station, var, _, airtime, _ = self.served()
-        _add_rows(self.model, _names("flow_cap", "cc", self.src, self.dst), "<=", 0.0,
+        _add_rows(self.model, "flow_cap", "cc", [self.src, self.dst], "<=", 0.0,
                   (self.pair, self.f, 1.0), (self.pair, self.z, -cap))
-        _add_rows(self.model, _names("tx_time", "c", self.sites), "=", 0.0,
+        _add_rows(self.model, "tx_time", "c", [self.sites], "=", 0.0,
                   (self.sites, self.t_tx, 1.0), (self.src, self.f, -1.0 / cap),
                   (station, var, -airtime))
-        _add_rows(self.model, _names("half_duplex", "c", self.sites), "<=", 1.0,
+        _add_rows(self.model, "half_duplex", "c", [self.sites], "<=", 1.0,
                   (self.sites, self.t_tx, 1.0), (self.dst, self.f, 1.0 / cap))
 
     def add_length_rows(self) -> None:
         """l_t is at least the active assignment's mean link length."""
         t, _, var, _, _, share = self.served()
-        _add_rows(self.model, _names("link_len", "t", self.tps), ">=", 0.0,
+        _add_rows(self.model, "link_len", "t", [self.tps], ">=", 0.0,
                   (self.tps, self.l_var, 1.0), (t, var, -share))
 
 
@@ -258,7 +249,7 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     y_iab = net.y_iab
     y_ris = net.site_vars("yRIS")
     y_don = net.y_don = net.site_vars("yDON")
-    x = _add_vars(model, "x", "tcr", [t, c, r], BINARY)
+    x = model.add_variables("x", BINARY, letters="tcr", index=[t, c, r])
     net.add_backhaul()
     net.t_tx = net.site_vars("tTX", CONTINUOUS)
     # Apertures: an installed surface takes at most one candidate, and
@@ -276,7 +267,8 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
         mine = np.flatnonzero(r == s)
         ray_a, ray_b = tables.phi_a[s, t[mine]], tables.phi_b[s, c[mine]]
         distinct, cover = aperture_candidates(np.concatenate([ray_a, ray_b]), cfg.fov_rad)
-        orient = _add_vars(model, "o", "ck", [np.full(len(cover), s), range(len(cover))], BINARY)
+        orient = model.add_variables("o", BINARY, letters="ck",
+                                     index=[np.full(len(cover), s), range(len(cover))])
         cover_a = cover[:, np.searchsorted(distinct, ray_a)]
         cover_b = cover[:, np.searchsorted(distinct, ray_b)]
         orient_terms += [(j, orient, 1.0), (j, y_ris[s], -1.0)]
@@ -292,7 +284,7 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
                0.5 * (tables.len_tc[t, c] + tables.len_tc[t, r]))
 
     # One technology per site; donors only where a station stands.
-    _add_rows(model, _names(("colocation", "donor_iab"), "c", sites), "<=",
+    _add_rows(model, ("colocation", "donor_iab"), "c", [sites], "<=",
               np.tile([1.0, 0.0], n_c), (2 * sites, y_iab, 1.0), (2 * sites, y_ris, 1.0),
               (2 * sites + 1, y_don, 1.0), (2 * sites + 1, y_iab, -1.0))
     model.add_constraint("budget", {**dict.fromkeys(y_iab.tolist(), cfg.price_iab),
@@ -303,32 +295,33 @@ def build_ris_model(scenario: Scenario, tables: LinkBudgetTable,
     # A test point is served from an installed station; the surface side
     # follows from the aperture rows (x <= sum of o <= yRIS).
     tc, tc_row = np.unique(t * n_c + c, return_inverse=True)
-    _add_rows(model, _names("src_iab", "tc", tc // n_c, tc % n_c), "<=", 0.0,
+    _add_rows(model, "src_iab", "tc", [tc // n_c, tc % n_c], "<=", 0.0,
               (tc_row, x, 1.0), (np.arange(len(tc)), y_iab[tc % n_c], -1.0))
 
     # Exactly one serving pair per test point. A test point with no
     # feasible pair yields an empty row "0 = 1": correctly infeasible.
-    _add_rows(model, _names("one_src", "t", tps), "=", 1.0, (t, x, 1.0))
+    _add_rows(model, "one_src", "t", [tps], "=", 1.0, (t, x, 1.0))
 
     # Core injection |T| * D at the donor.
     net.add_tree_rows(y_don, float(net.n_t) * demand)
     net.add_capacity_rows()
 
     # A surface serves its test points by time sharing.
-    _add_rows(model, _names("ris_airtime", "c", surfaces), "<=", 1.0,
+    _add_rows(model, "ris_airtime", "c", [surfaces], "<=", 1.0,
               (np.searchsorted(surfaces, r), x, cfg.xi * demand / tables.cap_ref[t, c, r]))
 
-    _add_rows(model, _names("orient", "c", surfaces), "<=", 0.0, *orient_terms)
+    _add_rows(model, "orient", "c", [surfaces], "<=", 0.0, *orient_terms)
     heads.sort()
-    _add_rows(model, _names("cover_a", "tr", t[heads], r[heads]), "<=", 0.0,
+    _add_rows(model, "cover_a", "tr", [t[heads], r[heads]], "<=", 0.0,
               (tr_row, x, 1.0), *cover_a_terms)
-    _add_rows(model, _names("cover", "tcr", t, c, r), "<=", 0.0, (triple, x, 1.0), *cover_t_terms)
+    _add_rows(model, "cover", "tcr", [t, c, r], "<=", 0.0, (triple, x, 1.0), *cover_t_terms)
     net.add_length_rows()
 
     # theta_t is capped by the active pair's table angle: exactly one x
     # per test point is active at integer points.
-    _add_rows(model, _names("cut_theta", "t", tps), "<=", 0.0,
+    _add_rows(model, "cut_theta", "t", [tps], "<=", 0.0,
               (tps, net.theta, 1.0), (t, x, -tables.theta[t, c, r]))
+    model.join()
     return model
 
 
@@ -344,8 +337,8 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
 
     y_iab = net.y_iab
     y_don = net.y_don = net.site_vars("yDON")
-    x = _add_vars(model, "x", "tc", [t, c], BINARY)
-    s = _add_vars(model, "s", "tc", [t, c], BINARY)
+    x = model.add_variables("x", BINARY, letters="tc", index=[t, c])
+    s = model.add_variables("s", BINARY, letters="tc", index=[t, c])
     net.add_backhaul()
     w_var = net.site_vars("w", CONTINUOUS, math.inf)
     net.t_tx = net.site_vars("tTX", CONTINUOUS)
@@ -356,7 +349,7 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     for var, pull in ((x, demand), (s, cfg.xi * demand)):
         net.assign(t, c, var, pull, pull / tables.cap_acc[t, c], 0.5 * tables.len_tc[t, c])
 
-    _add_rows(model, _names("donor_iab", "c", sites), "<=", 0.0,
+    _add_rows(model, "donor_iab", "c", [sites], "<=", 0.0,
               (sites, y_don, 1.0), (sites, y_iab, -1.0))
     model.add_constraint("single_donor", dict.fromkeys(y_don.tolist(), 1.0), "<=", 1.0)
     model.add_constraint("budget", dict.fromkeys(y_iab.tolist(), cfg.price_iab),
@@ -364,16 +357,16 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
 
     net.add_activation_rows()
     # Primary and backup must differ: dual connectivity is the point.
-    _add_rows(model, _names(("x_act", "s_act", "distinct"), "tc", t, c), "<=",
+    _add_rows(model, ("x_act", "s_act", "distinct"), "tc", [t, c], "<=",
               np.tile([0.0, 0.0, 1.0], len(t)), (3 * pair, x, 1.0), (3 * pair, y_iab[c], -1.0),
               (3 * pair + 1, s, 1.0), (3 * pair + 1, y_iab[c], -1.0),
               (3 * pair + 2, x, 1.0), (3 * pair + 2, s, 1.0))
-    _add_rows(model, _names(("one_primary", "one_backup"), "t", tps), "=", 1.0,
+    _add_rows(model, ("one_primary", "one_backup"), "t", [tps], "=", 1.0,
               (2 * t, x, 1.0), (2 * t + 1, s, 1.0))
 
     # Wired inflow w_c, capped at the donor.
     net.add_tree_rows(w_var, 1.0)
-    _add_rows(model, _names("wired_cap", "c", sites), "<=", 0.0,
+    _add_rows(model, "wired_cap", "c", [sites], "<=", 0.0,
               (sites, w_var, 1.0), (sites, y_don, -cfg.wired_capacity_mbps))
     net.add_capacity_rows()
 
@@ -385,7 +378,7 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     pair_id[t, c] = pair
     p, r = np.nonzero((pair_id[t] >= 0) & (sites != c[:, None]))   # pair p meets site r
     q, sep = pair_id[t[p], r], tables.theta[t[p], c[p], r]
-    _add_rows(model, _names(("sep_x", "sep_s"), "tc", t, c), "<=", math.pi,
+    _add_rows(model, ("sep_x", "sep_s"), "tc", [t, c], "<=", math.pi,
               (2 * pair, theta[t], 1.0), (2 * pair, x, math.pi), (2 * p, s[q], -sep),
               (2 * pair + 1, theta[t], 1.0), (2 * pair + 1, s, math.pi), (2 * p + 1, x[q], -sep))
     net.add_length_rows()
@@ -397,9 +390,10 @@ def build_baseline_model(scenario: Scenario, tables: LinkBudgetTable,
     np.maximum.at(best, p, sep)
     served, row = np.unique(t, return_inverse=True)
     head = np.arange(len(served))
-    _add_rows(model, _names(("cut_theta_x", "cut_theta_s"), "t", served), "<=", 0.0,
+    _add_rows(model, ("cut_theta_x", "cut_theta_s"), "t", [served], "<=", 0.0,
               (2 * head, theta[served], 1.0), (2 * head + 1, theta[served], 1.0),
               (2 * row, x, -best), (2 * row + 1, s, -best))
+    model.join()
     return model
 
 

@@ -585,6 +585,29 @@ class TestSweep:
             assert (out_dir / "sweep.csv").read_bytes() == fresh
             assert json.loads(cell_path.read_text())["row"] == whole["row"]
 
+    def test_damaged_resilience_recomputed(self, tmp_path):
+        # A cached cell whose resilience block lacks a list, or holds one of
+        # another length than --sim-counts, is run again like a missing one.
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--seeds", "1", "--budgets", "2.3", "--mus", "0.5",
+                "--modes", "ris", "--width", "200", "--height", "200",
+                "--n-cs", "6", "--n-tp", "3", "--sim-counts", "0", "10",
+                "--sim-trials", "2", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+        fresh = [(out_dir / name).read_bytes() for name in ("sweep.csv", "sweep_resilience.csv")]
+        (cell_path,) = (out_dir / "cells").glob("*.json")
+        whole = json.loads(cell_path.read_text())
+        block = whole["row"]["_resilience"]
+        assert block["counts"] == [0, 10]
+        for damage in ({"counts": [0, 10]}, {**block, "mean": block["mean"][:1]},
+                       {**block, "std": None}, [0, 10]):
+            cell_path.write_text(json.dumps({**whole, "row": {**whole["row"],
+                                                              "_resilience": damage}}))
+            assert main(args) == 0, damage
+            assert [(out_dir / name).read_bytes()
+                    for name in ("sweep.csv", "sweep_resilience.csv")] == fresh
+            assert json.loads(cell_path.read_text())["row"] == whole["row"]
+
     def test_infeasible_cell_node_count_null(self, tmp_path):
         out_dir = tmp_path / "sweep"
         assert main(["sweep", "--seeds", "1", "--budgets", "1", "--mus", "0.0",

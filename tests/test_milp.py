@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import tracemalloc
@@ -31,14 +32,30 @@ class TestModelConstruction:
     def test_duplicate_key_rejected(self):
         m = MilpModel()
         m.add_variable(("a",), BINARY)
-        with pytest.raises(ModelError, match="duplicate variable key"):
-            m.add_variable(("a",), BINARY, name="other")
+        m.add_variable(("a", 1), BINARY)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('a',\)"):
+            m.add_variable(("a",), CONTINUOUS)
+        # The same key under other letters: the names differ, the keys do not.
+        with pytest.raises(ModelError, match=r"duplicate variable key \('a', 1\)"):
+            m.add_variables("a", BINARY, letters="t", index=[[0, 1]])
+        with pytest.raises(ModelError, match=r"duplicate variable key \('b', 2\)"):
+            m.add_variables("b", BINARY, index=[[2, 3, 2]])
+        assert m.keys() == [("a",), ("a", 1)]
 
     def test_duplicate_name_rejected(self):
+        # Keys of different lengths can render the same name.
         m = MilpModel()
-        m.add_variable(("a",), BINARY, name="v")
-        with pytest.raises(ModelError, match="duplicate variable name"):
-            m.add_variable(("b",), BINARY, name="v")
+        m.add_variable(("x", 1, 2), BINARY)
+        for key in (("x_1", 2), ("x_1_2",)):
+            with pytest.raises(ModelError, match="duplicate variable name 'x_1_2'"):
+                m.add_variable(key, BINARY)
+        m.add_variables(["x_t1_c2", "y"], BINARY)
+        with pytest.raises(ModelError, match="duplicate variable name 'x_t1_c2'"):
+            m.add_variables("x_t1", BINARY, letters="c", index=[[2]])
+        # ("x", 1, 2) is x_1_2's key as well: a key is reported before a name.
+        with pytest.raises(ModelError, match=r"duplicate variable key \('x', 1, 2\)"):
+            m.add_variables("x", BINARY, letters="tc", index=[[0, 1], [0, 2]])
+        assert m.names() == ["x_1_2", "x_t1_c2", "y"]
 
     def test_binary_bounds_forced(self):
         m = MilpModel()
@@ -94,7 +111,7 @@ class TestColumnarStore:
     def test_bad_block_adds_no_row(self, block, message):
         m = small_model()
         before = (m.num_constraints, m.num_nonzeros, [tuple(c) for c in m.constraints])
-        args = dict(names=["a", "b"], senses="<=", rhs=1.0, indptr=[0, 1, 2],
+        args = dict(tags=["a", "b"], senses="<=", rhs=1.0, indptr=[0, 1, 2],
                     indices=[0, 1], data=[1.0, 2.0])
         with pytest.raises(ModelError, match=message):
             m.add_rows(**{**args, **block})
@@ -103,16 +120,20 @@ class TestColumnarStore:
 
     def test_bad_variable_block_adds_nothing(self):
         m = small_model()
-        with pytest.raises(ModelError, match="duplicate variable key"):
-            m.add_variables([("p",), ("q",), ("p",)], ["p", "q", "r"], BINARY)
-        with pytest.raises(ModelError, match="duplicate variable name 'x'"):
-            m.add_variables([("p",)], ["x"], BINARY)
+        m.add_variable(("w", 1), CONTINUOUS)
+        before = export_lp(m)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('p',\)"):
+            m.add_variables(["p", "q", "p"], BINARY)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('w', 1\)"):
+            m.add_variables("w", BINARY, index=[[0, 1]])
+        with pytest.raises(ModelError, match="duplicate variable name 'w_1'"):
+            m.add_variables(["p", "w_1"], BINARY)
         with pytest.raises(ModelError, match="unknown variable kind"):
-            m.add_variables([("p",), ("q",)], ["p", "q"], [BINARY, "integer"])
+            m.add_variables(["p", "q"], [BINARY, "integer"])
         with pytest.raises(ModelError, match="empty bounds"):
-            m.add_variables([("p",), ("q",)], ["p", "q"], CONTINUOUS, [0.0, 2.0], 1.0)
-        assert m.num_variables == 3 and not m.has_var(("p",))
-        assert export_lp(m) == export_lp(small_model())
+            m.add_variables(["p", "q"], CONTINUOUS, [0.0, 2.0], 1.0)
+        assert m.num_variables == 4 and not m.has_var(("p",)) and not m.has_var(("w", 0))
+        assert export_lp(m) == before
 
     @pytest.mark.parametrize("lower, upper", [
         (math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf), (-math.inf, -math.inf),
@@ -120,8 +141,7 @@ class TestColumnarStore:
     def test_bounds_that_admit_no_value_rejected(self, lower, upper):
         m = small_model()
         with pytest.raises(ModelError, match=r"empty bounds .* for \('q',\)"):
-            m.add_variables([("p",), ("q",)], ["p", "q"], CONTINUOUS, [0.0, lower],
-                            [1.0, upper])
+            m.add_variables(["p", "q"], CONTINUOUS, [0.0, lower], [1.0, upper])
         assert m.num_variables == 3 and not m.has_var(("p",))
         assert export_lp(m) == export_lp(small_model())
 
@@ -149,11 +169,10 @@ class TestColumnarStore:
 
     def test_block_ids_and_bounds(self):
         m = small_model()
-        ids = m.add_variables([("p", 0), ("p", 1)], ["p0", "p1"], [CONTINUOUS, BINARY],
-                              -1.0, [4.0, 9.0])
+        ids = m.add_variables("p", [CONTINUOUS, BINARY], -1.0, [4.0, 9.0], index=[[0, 1]])
         assert ids.tolist() == [3, 4]
         assert [tuple(m.variables[i]) for i in ids] == [
-            ("p0", CONTINUOUS, -1.0, 4.0), ("p1", BINARY, 0.0, 1.0)]
+            ("p_0", CONTINUOUS, -1.0, 4.0), ("p_1", BINARY, 0.0, 1.0)]
 
     def test_repeated_entries_summed_and_sorted(self):
         m = small_model()
@@ -197,6 +216,14 @@ class TestColumnarStore:
         assert not MilpModel().constraints
         assert np.array_equal(m.row_bounds()[0], [-math.inf, -math.inf])
 
+    def test_slices_are_lists_of_views(self):
+        m = small_model()
+        assert m.variables[0:2] == [m.variables[0], m.variables[1]]
+        assert [v.name for v in m.variables[::-1]] == ["x", "y", "u"][::-1]
+        assert m.constraints[1:] == [m.constraints[1]] and m.constraints[5:] == []
+        assert [tuple(c) for c in m.constraints[:]] == [tuple(c) for c in m.constraints]
+        assert MilpModel().variables[:] == []
+
 
 class TestIdStore:
     """Variable ids are stored as int32 once they are checked against the
@@ -216,12 +243,12 @@ class TestIdStore:
 
 
 class TestNameKeyedVariables:
-    """add_variables(None, names, ...) gives each variable the key (name,)
-    without storing it."""
+    """add_variables(names, ...) gives each variable the key (name,); the
+    model keeps a name map for these variables alone."""
 
     def test_keys_and_lookups(self):
         m = MilpModel()
-        ids = m.add_variables(None, ["s", "t"], [BINARY, CONTINUOUS], 0.0, [1.0, 4.0])
+        ids = m.add_variables(["s", "t"], [BINARY, CONTINUOUS], 0.0, [1.0, 4.0])
         x = m.add_variable(("x", 1, 2), BINARY)
         assert ids.tolist() == [0, 1] and x == 2
         assert m.keys() == [("s",), ("t",), ("x", 1, 2)]
@@ -240,37 +267,42 @@ class TestNameKeyedVariables:
                 m.var_id(other)
 
     def test_not_stored(self):
+        # Only the name map: a family keeps its index columns, no key or name.
         m = MilpModel()
-        m.add_variables(None, ["s", "t"], CONTINUOUS)
-        assert m._key_to_id == {} and m._id_to_key == [None, None]
+        m.add_variables(["s", "t"], CONTINUOUS)
+        m.add_variables("x", BINARY, letters="tc", index=[[4, 5], [0, 1]])
+        assert m._name_to_id == {"s": 0, "t": 1}
+        family = m._var_blocks[-1]
+        assert family.tags == ["x"] and family.index.tolist() == [[4, 0], [5, 1]]
+        assert m.names() == ["s", "t", "x_t4_c0", "x_t5_c1"]
 
     def test_duplicate_after_explicit_key(self):
         m = MilpModel()
-        m.add_variable(("s",), BINARY, name="other")
+        m.add_variable(("s",), BINARY)
         with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
-            m.add_variables(None, ["t", "s"], CONTINUOUS)
+            m.add_variables(["t", "s"], CONTINUOUS)
         assert m.keys() == [("s",)] and not m.has_var(("t",))
 
     def test_duplicate_before_explicit_key(self):
         m = MilpModel()
-        m.add_variables(None, ["s"], CONTINUOUS)
+        m.add_variables(["s"], CONTINUOUS)
         with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
-            m.add_variable(("s",), BINARY, name="other")
+            m.add_variable(("s",), BINARY)
         with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
-            m.add_variables([("p",), ("s",)], ["p", "q"], BINARY)
+            m.add_variables(["p", "s"], BINARY)
         assert m.keys() == [("s",)] and m.names() == ["s"] and not m.has_var(("p",))
 
     def test_duplicate_names_and_empty_bounds(self):
+        # A name-keyed variable's key is its name, so a repeated name is
+        # reported as a repeated key.
         m = MilpModel()
-        m.add_variables(None, ["s"], CONTINUOUS)
-        with pytest.raises(ModelError, match="duplicate variable name 's'"):
-            m.add_variables(None, ["s"], CONTINUOUS)
-        with pytest.raises(ModelError, match="duplicate variable name 't'"):
-            m.add_variables(None, ["t", "t"], CONTINUOUS)
-        with pytest.raises(ModelError, match="duplicate variable name 's'"):
-            m.add_variable(("p",), CONTINUOUS, name="s")
+        m.add_variables(["s"], CONTINUOUS)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('s',\)"):
+            m.add_variables(["s"], CONTINUOUS)
+        with pytest.raises(ModelError, match=r"duplicate variable key \('t',\)"):
+            m.add_variables(["t", "t"], CONTINUOUS)
         with pytest.raises(ModelError, match="empty bounds .* for \\('u',\\)"):
-            m.add_variables(None, ["u"], CONTINUOUS, 2.0, 1.0)
+            m.add_variables(["u"], CONTINUOUS, 2.0, 1.0)
         assert m.keys() == [("s",)]
 
     def test_read_lp_keys_are_names(self):
@@ -280,10 +312,121 @@ class TestNameKeyedVariables:
         back = read_lp(export_lp(model))
         assert back.keys() == [(name,) for name in back.names()]
         assert sorted(back.names()) == sorted(model.names())
-        assert back._key_to_id == {} and set(back._id_to_key) == {None}
+        assert all(not block.width for block in back._var_blocks)
+        assert back._name_to_id == {name: i for i, name in enumerate(back.names())}
         for var_id in (0, back.num_variables // 2, back.num_variables - 1):
             key = back.key_of(var_id)
             assert key == (back.name_of(var_id),) and back.var_id(key) == var_id
+
+
+class TestFamilies:
+    """A block of variables or rows is (tags, letters, index columns): for
+    each index row one item per tag, keyed (tag, *index) and named by one
+    rule, rendered on access."""
+
+    def test_naming_rule(self):
+        m = MilpModel()
+        m.add_variables("x", BINARY, letters="tcr", index=[[3, 1], [0, 2], [7, 12]])
+        m.add_variables("o", CONTINUOUS, index=[np.array([1, 2]), range(2)])
+        assert m.names() == ["x_t3_c0_r7", "x_t1_c2_r12", "o_1_0", "o_2_1"]
+        assert m.keys() == [("x", 3, 0, 7), ("x", 1, 2, 12), ("o", 1, 0), ("o", 2, 1)]
+        assert all(type(i) is int for key in m.keys() for i in key[1:])
+        assert [m.name_of(i) for i in range(4)] == m.names()
+        assert [m.key_of(i) for i in range(-4, 0)] == m.keys()
+        assert m.var_id(("x", 1, 2, 12)) == 1 and m.var_id(("o", np.int64(2), 1)) == 3
+        assert [m.id_of_name(name) for name in m.names()] == [0, 1, 2, 3]
+        for name in ("x_t01_c2_r12", "x_t1_c2", "o_2_1_0", "o", "x_1_2_12", "o_c1_0"):
+            with pytest.raises(ModelError, match="unknown variable name"):
+                m.id_of_name(name)
+        for key in (("x", 1, 2), ("x", 1, 2, 13), ("o", "2", 1), ("o", 2.0, 1), ("o", 2**70, 1),
+                    ("x",), ("x_t3_c0_r7",), ("y", 1, 0)):
+            assert not m.has_var(key)
+            with pytest.raises(ModelError, match="unknown variable key"):
+                m.var_id(key)
+
+    def test_rows_interleave_tags(self):
+        m = small_model()
+        m.add_rows(("lo", "hi"), "<=", [1.0, 0.0, 1.0, 0.0], [0, 1, 2, 3, 4], [0, 1, 0, 1],
+                   [1.0, 1.0, 1.0, 1.0], letters="c", index=[[5, 6]])
+        assert [c.name for c in m.constraints[2:]] == ["lo_c5", "hi_c5", "lo_c6", "hi_c6"]
+        assert [c.name for c in m.constraints_named("hi_")] == ["hi_c5", "hi_c6"]
+        assert [c.rhs for c in m.constraints] == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+        assert " hi_c6: 1 y <= 0" in export_lp(m).splitlines()
+
+    def test_one_value_kept_per_block(self):
+        # Rows that share a sense and rhs keep them once, as they were given.
+        m = small_model()
+        m.add_rows(["a", "b"], "<=", [-0.0, -0.0], [0, 1, 2], [0, 1], [1.0, 1.0])
+        m.add_rows(["c", "d"], ">=", [0.0, -0.0], [0, 1, 2], [0, 1], [1.0, 1.0])
+        assert [math.copysign(1.0, c.rhs) for c in m.constraints[2:]] == [-1, -1, 1, -1]
+        lower, upper = m.row_bounds()
+        assert [math.copysign(1.0, v) for v in upper[2:4]] == [-1, -1]
+        assert lower[4:].tolist() == [0.0, 0.0] and math.copysign(1.0, lower[5]) == -1
+
+    def test_bad_blocks_add_nothing(self):
+        m = MilpModel()
+        for kwargs, message in ((dict(letters="tc", index=[[1]]), "letters 'tc' for 1 index"),
+                                (dict(letters="1", index=[[1]]), "one ASCII letter"),
+                                (dict(index=[[1, 2], [1]]), "different lengths"),
+                                (dict(index=[[1.5]]), "flat sequence of integers"),
+                                (dict(index=[["a"]]), "flat sequence of integers"),
+                                (dict(index=[[[1]]]), "flat sequence of integers")):
+            with pytest.raises(ModelError, match=message):
+                m.add_variables("x", BINARY, **kwargs)
+            with pytest.raises(ModelError, match=message):
+                m.add_rows("r", "<=", 0.0, [0, 0], [], [], **kwargs)
+        with pytest.raises(ModelError, match="a tag is a string"):
+            m.add_variables([("x",)], BINARY)
+        with pytest.raises(ModelError, match="a variable key is"):
+            m.add_variable((), BINARY)
+        with pytest.raises(ModelError, match="flat sequence of integers"):
+            m.add_variable(("x", "a"), BINARY)
+        assert m.num_variables == m.num_constraints == 0 and not m.names()
+
+    def test_odd_tags_and_wide_indices(self):
+        m = MilpModel()
+        m.add_variables("a%d", CONTINUOUS, index=[[4]])
+        m.add_variable(("w", 2**40, -3), BINARY)
+        m.add_variables("e", BINARY, letters="t", index=[[]])
+        m.add_rows("r", "<=", 0.0, [0], [], [], letters="t", index=[[]])
+        assert m.names() == ["a%d_4", "w_1099511627776_-3"]
+        assert m.keys() == [("a%d", 4), ("w", 2**40, -3)]
+        assert m.var_id(("w", 2**40, -3)) == 1 and m.id_of_name("a%d_4") == 0
+        assert m.num_constraints == 0
+        with pytest.raises(ModelError, match="cannot be written in LP format"):
+            export_lp(m)
+
+
+class TestLeanStore:
+    """A builder's model keeps index blocks, not a name, key and map entry
+    per variable and row; what names(), keys() and the views render is
+    not kept."""
+
+    # The 50 x 30 seed-0 surface model held 43.8 MB when it stored every
+    # name and key, and holds about 17.6 MB as index blocks.
+    HELD_BYTES = 22e6
+
+    def test_held_memory(self):
+        scenario = generate(300.0, 400.0, 50, 30, seed=0)
+        tables = build_link_tables(scenario, RadioConfig())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build_ris_model(scenario, tables, PlanningConfig())
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+            rendered = (model.names(), model.keys(), list(model.variables),
+                        list(model.constraints))
+            assert len(rendered[3]) == model.num_constraints > 80_000
+            del rendered
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < self.HELD_BYTES
+        # Unchanged up to the interpreter's own few hundred bytes; keeping
+        # the rendered names alone would add about 5.5 MB.
+        assert abs(after - held) < 16_384
 
 
 class TestRowViews:
@@ -328,7 +471,7 @@ class TestRowViews:
 
     def test_view_is_a_snapshot(self):
         m = MilpModel()
-        m.add_variables([("a",), ("b",)], ["a", "b"], CONTINUOUS)
+        m.add_variables(["a", "b"], CONTINUOUS)
         m.add_constraint("one", {0: 2.0}, "<=", 1.0)
         first = m.constraints[0]        # over the only block there is
         m.add_constraint("two", {1: 3.0, 0: 1.0}, ">=", 0.0)
@@ -358,7 +501,8 @@ class TestRowViews:
 
     # A dict per row cost about 1,196 B here, a mapping over the row's two
     # slices about 384 B, and a mapping over the shared arrays and the
-    # row's place in them about 191 B.
+    # row's place in them about 191 B. Since names are rendered on access,
+    # a view also holds its row's name, and takes about 232 B.
     HELD_BYTES_PER_ROW = 240
 
     def test_held_views_memory_bounded(self):

@@ -458,3 +458,68 @@ class TestModelTextPinned:
         digests = tuple(hashlib.sha256(export_lp(build(scenario, tables, cfg)).encode())
                         .hexdigest() for build in (build_ris_model, build_baseline_model))
         assert digests == self.SHA256[case]
+
+
+class TestRenderingPinned:
+    """sha256 of the newline-joined names(), of repr(keys()) and of the
+    newline-joined row names, recorded when the model stored a name and a
+    key per variable and a name per row; rendered from index blocks they
+    are the same. The desk models are those of the five desk-plan
+    settings, whose names depend on the radio alone."""
+
+    DESK = {
+        ("default", "ris"): (
+            "beed759c6615cdf8e1e16de6d559236263d35dabb9c617508d8914e474d2ed87",
+            "913365f1f4c30b444454ade93a3bac8d3f7665d4bab99e095adf2d995e73e4c0",
+            "91c262bbc12769ebed852d1b20affb2010f350538797616f8ed7407eda0f5dfd"),
+        ("default", "baseline"): (
+            "20f6366b3ea1cfda62a0e01f1ee9cec75e9258bc78800d1ff892ae2f99517bc0",
+            "83984d0b787d252e0011e1a95e09f50d156c2fd49e73a29a5816a4a298ef3826",
+            "1ce8a947ad9495d4de61e6e55b6735619ec9c6dd210add19766a6fae4a84a400"),
+        ("stress", "ris"): (
+            "93a37ff5c39df631097325ce908c205925098810ccf52bfd3d5c3a4f5841aabd",
+            "e85f9729961b673b5d8951999135194ca899ae063e5af69f467ed47649daea41",
+            "393f5ae476d72f98c8cc26fbd2123db090449cf6fb40928d9e5f85336853882a"),
+        ("stress", "baseline"): (
+            "20f6366b3ea1cfda62a0e01f1ee9cec75e9258bc78800d1ff892ae2f99517bc0",
+            "83984d0b787d252e0011e1a95e09f50d156c2fd49e73a29a5816a4a298ef3826",
+            "1ce8a947ad9495d4de61e6e55b6735619ec9c6dd210add19766a6fae4a84a400"),
+    }
+    LARGE = {      # 50 x 30 on 300 x 400 m, seed 0, default radio and planning
+        "ris": (
+            "69ed4ebc633b933a9a7fc03cd87969235564fe5b0d91577e0d67de6825a3e837",
+            "1dbecfaf8f0f889ff07e878d8120fad05a2040466bb2c884a0a38b2eb33d5874",
+            "dbc8e875c4afcb307ff442515786f3897494e5bf1a9ccac869d50c4548db2022"),
+        "baseline": (
+            "516414ce954dcd548271105f56095ee3c40c27d8cdcf6d0240f190e97baf3756",
+            "ce0fc624eeb1e669c239ee449baeb2096b7c60ba9fc0aaf4ee623be664a6121f",
+            "6392fdcb2ea5dc89218d4151b06478344f0bf76c1af567de88fa7e15cef04b8e"),
+    }
+    SETTINGS = (("default", 3.0, 0.0), ("default", 4.0, 0.0), ("default", 4.0, 1.0),
+                ("stress", 5.5, 0.0), ("stress", 9.5, 0.0))
+    BUILDERS = {"ris": build_ris_model, "baseline": build_baseline_model}
+
+    @staticmethod
+    def digests(model):
+        return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (
+            "\n".join(model.names()), repr(model.keys()),
+            "\n".join(row.name for row in model.constraints)))
+
+    @pytest.mark.parametrize("mode", ["ris", "baseline"])
+    @pytest.mark.parametrize("radio, budget, mu", SETTINGS)
+    def test_desk_models(self, radio, budget, mu, mode):
+        scenario = _desk()
+        stress = radio == "stress"
+        tables = build_link_tables(scenario, RadioConfig(tx_power_dbm=6.0) if stress
+                                   else RadioConfig())
+        cfg = PlanningConfig(mu=mu, budget=budget, len_norm_m=317.0,
+                             **({"demand_mbps": 120.0, "xi": 0.8} if stress else {}))
+        model = self.BUILDERS[mode](scenario, tables, cfg)
+        assert self.digests(model) == self.DESK[radio, mode]
+
+    @pytest.mark.parametrize("mode", ["ris", "baseline"])
+    def test_large_models(self, mode):
+        scenario = generate(300.0, 400.0, 50, 30, seed=0)
+        model = self.BUILDERS[mode](scenario, build_link_tables(scenario, RadioConfig()),
+                                    PlanningConfig())
+        assert self.digests(model) == self.LARGE[mode]
